@@ -36,6 +36,7 @@ from .gmm import (
 from .moments import (
     MomentSystem,
     NonlinearMomentSystem,
+    Param,
     all_pairs,
     build_cross_section,
     build_factor_loading,

@@ -75,11 +75,13 @@ def _panel_config(cfg: dict, seed_override) -> PanelConfig:
     return config
 
 
-def _estimator_spec(cfg: dict) -> EstimatorSpec:
+def _estimator_spec(cfg: dict, config: PanelConfig) -> EstimatorSpec:
     try:
-        return EstimatorSpec.from_dict(cfg.get("estimator", {}))
+        spec = EstimatorSpec.from_dict(cfg.get("estimator", {}))
     except TypeError as exc:
         raise ConfigurationError(f"bad estimator config: {exc}", field="estimator")
+    spec.validate(config)
+    return spec
 
 
 def _out_dir(args, cfg: dict) -> str:
@@ -113,9 +115,9 @@ def _solve(system):
 
 def cmd_estimate(args) -> int:
     cfg = _load_json(args.config) if args.config else {}
-    spec = _estimator_spec(cfg)
-    out = _out_dir(args, cfg)
     dataset = load_dataset(args.data)
+    spec = _estimator_spec(cfg, dataset.config)
+    out = _out_dir(args, cfg)
     system = build_estimation_system(dataset, dataset.config, spec)
     result = _solve(system)
     with open(os.path.join(out, "result.json"), "w") as fh:
@@ -195,7 +197,7 @@ def cmd_montecarlo(args) -> int:
             )
     master_seed = int(args.seed if args.seed is not None else cfg.get("master_seed", 0))
     config = _panel_config(cfg, None)
-    spec = _estimator_spec(cfg)
+    spec = _estimator_spec(cfg, config)
     out = _out_dir(args, cfg)
     summaries = run_study(
         config, spec, replications, master_seed,
@@ -333,12 +335,12 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=needs_config, help="JSON config path")
         p.add_argument("--out", help="output directory")
         p.add_argument("--seed", type=int, help="override the config seed")
-        p.add_argument("--workers", type=int, default=1)
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
         p.set_defaults(fn=fn)
     sub.choices["estimate"].add_argument(
         "--data", required=True, help="dataset directory written by `simulate`"
     )
+    sub.choices["montecarlo"].add_argument("--workers", type=int, default=1)
+    sub.choices["montecarlo"].add_argument("--format", choices=("csv", "json"), default="csv")
     return parser
 
 

@@ -14,12 +14,42 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import DomainError, EmptySystemError
+from .errors import ConfigurationError, DomainError, EmptySystemError
 from .simulate import PanelDataset
+
+# Display name of each parameter kind from its indices. dvar (t, s) is
+# sigma_t^2 - sigma_ts and dvar_ref (t, tau) is sigma_t^2 - sigma_tau^2.
+_PARAM_NAMES = {
+    "beta": "beta{}".format,  # (k,)
+    "sigma2": "sigma2".format,
+    "sigma2_t": "sigma2_t{}".format,  # (t,)
+    "dvar": lambda t, s: f"dvar{t}_{min(t, s)}{max(t, s)}",
+    "dvar_ref": "dvar{}_ref{}".format,
+    "cov": "cov_{}{}".format,  # (lo, hi)
+    "r": "r_{}{}".format,  # r, a, b: the factor-loading parameters of the pair (t, s)
+    "a": "a_{}{}".format,
+    "b": "b_{}{}".format,
+}
+
+
+@dataclass(frozen=True)
+class Param:
+    """One structural parameter: its kind and the regressor or periods it refers to."""
+
+    kind: str
+    indices: tuple = ()
+
+    def __post_init__(self):
+        if self.kind not in _PARAM_NAMES:
+            raise ValueError(f"unknown parameter kind {self.kind!r}")
+
+    @property
+    def name(self) -> str:
+        return _PARAM_NAMES[self.kind](*self.indices)
 
 
 @dataclass
@@ -30,13 +60,17 @@ class MomentSystem:
     regressors: np.ndarray  # (n, p)
     instruments: np.ndarray  # (n, q)
     cluster: np.ndarray  # (n,) individual index
-    param_names: list
+    params: list  # Param per regressor column
     periods: np.ndarray  # (n, #referenced periods)
 
     def __post_init__(self):
         n = self.dependent.shape[0]
         assert self.regressors.shape[0] == n and self.instruments.shape[0] == n
-        assert self.regressors.shape[1] == len(self.param_names)
+        assert self.regressors.shape[1] == len(self.params)
+
+    @property
+    def param_names(self) -> list:
+        return [p.name for p in self.params]
 
     @property
     def n_rows(self) -> int:
@@ -65,15 +99,15 @@ class NonlinearMomentSystem:
     instruments: np.ndarray
     cluster: np.ndarray
     periods: np.ndarray
-    param_names: list  # beta..., "r", "a", "b"
+    params: list  # beta..., r, a, b
+
+    @property
+    def param_names(self) -> list:
+        return [p.name for p in self.params]
 
     @property
     def n_rows(self) -> int:
         return self.y_t.shape[0]
-
-    @property
-    def n_linear(self) -> int:
-        return len(self.param_names) - 1
 
     def linear_parts(self, r: float):
         """Dependent and regressors of the model at fixed r, params (beta, a, b)."""
@@ -90,15 +124,6 @@ class NonlinearMomentSystem:
         return dep - X @ np.concatenate([beta, [a, b]])
 
 
-def _dedup_columns(mat: np.ndarray) -> np.ndarray:
-    """Drop exactly duplicated columns, keeping first occurrences in order."""
-    keep = []
-    for j in range(mat.shape[1]):
-        if not any(np.array_equal(mat[:, j], mat[:, i]) for i in keep):
-            keep.append(j)
-    return mat[:, keep]
-
-
 def default_instruments(
     x_t: np.ndarray,
     x_s: np.ndarray,
@@ -108,8 +133,7 @@ def default_instruments(
     """Default pairwise instrument set: functions of exogenous variables only.
 
     Columns: constant, x_t, x_s, x_t - x_s, (x_t - x_s)^2 elementwise, and
-    when z is present z_t, z_s, z_t z_s, z_t^2, z_s^2. Exact duplicate
-    columns are removed.
+    when z is present z_t, z_s, z_t z_s, z_t^2, z_s^2.
     """
     x_t = np.atleast_2d(x_t)
     x_s = np.atleast_2d(x_s)
@@ -123,13 +147,13 @@ def default_instruments(
             (z_t**2)[:, None],
             (z_s**2)[:, None],
         ]
-    return _dedup_columns(np.hstack(cols))
+    return np.hstack(cols)
 
 
 def cross_section_instruments(x: np.ndarray) -> np.ndarray:
     """Cell-wise instrument set: constant, x, x^2 elementwise."""
     x = np.atleast_2d(x)
-    return _dedup_columns(np.hstack([np.ones((x.shape[0], 1)), x, x**2]))
+    return np.hstack([np.ones((x.shape[0], 1)), x, x**2])
 
 
 def _as_cols(a: np.ndarray) -> np.ndarray:
@@ -149,7 +173,7 @@ def levels_squares_instruments(*groups: np.ndarray) -> np.ndarray:
     cols = [np.ones((gs[0].shape[0], 1))] + gs + [g**2 for g in gs]
     if len(gs) >= 4 and gs[-1].shape[1] == 1 and gs[-2].shape[1] == 1:
         cols.append(gs[-2] * gs[-1])
-    return _dedup_columns(np.hstack(cols))
+    return np.hstack(cols)
 
 
 def pair_product_instruments(x_t: np.ndarray, x_s: np.ndarray) -> np.ndarray:
@@ -166,7 +190,7 @@ def pair_product_instruments(x_t: np.ndarray, x_s: np.ndarray) -> np.ndarray:
         for k in range(x_s.shape[1])
     ]
     cols = [np.ones((x_t.shape[0], 1)), x_t, x_s, x_t**2, x_s**2] + prods
-    return _dedup_columns(np.hstack(cols))
+    return np.hstack(cols)
 
 
 def censored_index_instruments(
@@ -194,11 +218,41 @@ def censored_index_instruments(
     cols = [np.ones((n, 1)), proxy, x[:, 0, :], x[:, 1, :], x[:, 2, :]]
     if products:
         cols += [(h[:, t] * h[:, s])[:, None] for t, s in cyc]
-    return _dedup_columns(np.hstack(cols))
+    return np.hstack(cols)
 
 
-def _beta_names(K: int) -> list:
-    return [f"beta{k}" for k in range(K)]
+# Instrument sets by system shape and kind. Cell sets take x; pair sets take
+# (x_t, x_s), plus (z_t, z_s) in the slope-effect design; triple sets take x
+# of shape (n, T, K) and p = (t, s, tau). Each entry looks its set function
+# up at call time, so rebinding a module-level name takes effect.
+INSTRUMENT_SETS = {
+    "cell": {"default": lambda x: cross_section_instruments(x)},
+    "pair": {
+        "default": lambda x_t, x_s, *z: default_instruments(x_t, x_s, *z),
+        "levels_squares": lambda x_t, x_s, *z: levels_squares_instruments(x_t, x_s, *z),
+        "products": lambda x_t, x_s, *z: pair_product_instruments(x_t, x_s),
+    },
+    "triple": {
+        "default": lambda x, *p: _triple_instruments(x, *p),
+        "index_proxy": lambda x, *p: censored_index_instruments(x[:, list(p), :]),
+        "levels_squares": lambda x, *p: levels_squares_instruments(*(x[:, t, :] for t in p)),
+    },
+}
+
+
+def instrument_set(shape: str, kind: str):
+    """The instrument-set function of this kind for a cell, pair or triple system."""
+    sets = INSTRUMENT_SETS[shape]
+    if kind not in sets:
+        raise ConfigurationError(
+            f"unknown {shape} instrument set {kind!r}; expected one of {sorted(sets)}",
+            field="instruments",
+        )
+    return sets[kind]
+
+
+def _beta_params(K: int) -> list:
+    return [Param("beta", (k,)) for k in range(K)]
 
 
 def _require_rows(mask: np.ndarray, what: str) -> np.ndarray:
@@ -208,7 +262,9 @@ def _require_rows(mask: np.ndarray, what: str) -> np.ndarray:
     return idx
 
 
-def build_cross_section(dataset: PanelDataset, k: int = 1) -> MomentSystem:
+def build_cross_section(
+    dataset: PanelDataset, k: int = 1, instruments: str = "default"
+) -> MomentSystem:
     """Cell-wise moment rows y^{k+1} = (y^k x') beta + (k y^{k-1}) sigma2 + xi.
 
     Treats every (i, t) cell with y > 0 as an observation; ignores any
@@ -228,9 +284,9 @@ def build_cross_section(dataset: PanelDataset, k: int = 1) -> MomentSystem:
     return MomentSystem(
         dependent=dep,
         regressors=reg,
-        instruments=cross_section_instruments(x),
+        instruments=instrument_set("cell", instruments)(x),
         cluster=idx // T,
-        param_names=_beta_names(K) + ["sigma2"],
+        params=_beta_params(K) + [Param("sigma2")],
         periods=(idx % T)[:, None],
     )
 
@@ -243,7 +299,9 @@ def _pair_arrays(dataset: PanelDataset, t: int, s: int):
     return idx, y_t[idx], y_s[idx], dataset.x[idx, t, :], dataset.x[idx, s, :]
 
 
-def build_pairwise_independent(dataset: PanelDataset, t: int, s: int) -> MomentSystem:
+def build_pairwise_independent(
+    dataset: PanelDataset, t: int, s: int, instruments: str = "default"
+) -> MomentSystem:
     """Pairwise rows under errors independent over time.
 
     y_t^2 y_s - y_s^2 y_t = y_t y_s (x_t - x_s)' beta + y_s sigma_t^2
@@ -255,15 +313,16 @@ def build_pairwise_independent(dataset: PanelDataset, t: int, s: int) -> MomentS
     return MomentSystem(
         dependent=dep,
         regressors=reg,
-        instruments=default_instruments(x_t, x_s),
+        instruments=instrument_set("pair", instruments)(x_t, x_s),
         cluster=idx,
-        param_names=_beta_names(x_t.shape[1]) + [f"sigma2_t{t}", f"sigma2_t{s}"],
+        params=_beta_params(x_t.shape[1])
+        + [Param("sigma2_t", (t,)), Param("sigma2_t", (s,))],
         periods=np.broadcast_to([t, s], (idx.size, 2)).copy(),
     )
 
 
 def build_pairwise_nonstationary(
-    dataset: PanelDataset, t: int, s: int, k: int = 1, m: int = 1
+    dataset: PanelDataset, t: int, s: int, k: int = 1, m: int = 1, instruments: str = "default"
 ) -> MomentSystem:
     """Pairwise rows valid under arbitrary within-pair error dependence.
 
@@ -286,19 +345,19 @@ def build_pairwise_nonstationary(
             -m * y_s ** (m - 1) * y_t**k,
         ]
     )
-    lo, hi = min(t, s), max(t, s)
     return MomentSystem(
         dependent=dep,
         regressors=reg,
-        instruments=default_instruments(x_t, x_s),
+        instruments=instrument_set("pair", instruments)(x_t, x_s),
         cluster=idx,
-        param_names=_beta_names(x_t.shape[1])
-        + [f"dvar{t}_{lo}{hi}", f"dvar{s}_{lo}{hi}"],
+        params=_beta_params(x_t.shape[1]) + [Param("dvar", (t, s)), Param("dvar", (s, t))],
         periods=np.broadcast_to([t, s], (idx.size, 2)).copy(),
     )
 
 
-def build_factor_loading(dataset: PanelDataset, t: int, s: int) -> NonlinearMomentSystem:
+def build_factor_loading(
+    dataset: PanelDataset, t: int, s: int, instruments: str = "default"
+) -> NonlinearMomentSystem:
     """Nonlinear system identifying the loadings ratio r = rho_t / rho_s."""
     idx, y_t, y_s, x_t, x_s = _pair_arrays(dataset, t, s)
     return NonlinearMomentSystem(
@@ -306,11 +365,10 @@ def build_factor_loading(dataset: PanelDataset, t: int, s: int) -> NonlinearMome
         y_s=y_s,
         x_t=x_t,
         x_s=x_s,
-        instruments=default_instruments(x_t, x_s),
+        instruments=instrument_set("pair", instruments)(x_t, x_s),
         cluster=idx,
         periods=np.broadcast_to([t, s], (idx.size, 2)).copy(),
-        param_names=_beta_names(x_t.shape[1])
-        + [f"r_{t}{s}", f"a_{t}{s}", f"b_{t}{s}"],
+        params=_beta_params(x_t.shape[1]) + [Param(kind, (t, s)) for kind in "rab"],
     )
 
 
@@ -340,18 +398,17 @@ def _cyclic_parts(y_t, y_s, y_tau, x, t, s, tau):
 
 
 def _triple_instruments(x, t, s, tau):
-    inst = np.hstack(
+    return np.hstack(
         [
             default_instruments(x[:, t, :], x[:, s, :]),
             default_instruments(x[:, s, :], x[:, tau, :])[:, 1:],
             default_instruments(x[:, tau, :], x[:, t, :])[:, 1:],
         ]
     )
-    return _dedup_columns(inst)
 
 
 def build_triple_variance_fe(
-    dataset: PanelDataset, t: int, s: int, tau: int
+    dataset: PanelDataset, t: int, s: int, tau: int, instruments: str = "default"
 ) -> MomentSystem:
     """Triple-difference rows in which individual-specific variances cancel."""
     idx, y_t, y_s, y_tau, x = _triple_arrays(dataset, t, s, tau)
@@ -359,9 +416,9 @@ def build_triple_variance_fe(
     return MomentSystem(
         dependent=dep,
         regressors=beta_block,
-        instruments=_triple_instruments(x, t, s, tau),
+        instruments=instrument_set("triple", instruments)(x, t, s, tau),
         cluster=idx,
-        param_names=_beta_names(x.shape[2]),
+        params=_beta_params(x.shape[2]),
         periods=np.broadcast_to([t, s, tau], (idx.size, 3)).copy(),
     )
 
@@ -376,7 +433,7 @@ def additive_variance_regressors(y_t, y_s, y_tau) -> np.ndarray:
 
 
 def build_triple_additive_variance(
-    dataset: PanelDataset, t: int, s: int, tau: int
+    dataset: PanelDataset, t: int, s: int, tau: int, instruments: str = "default"
 ) -> MomentSystem:
     """Triple rows for variances sigma_i^2 + sigma_t^2; sigma_i^2 cancels.
 
@@ -393,15 +450,17 @@ def build_triple_additive_variance(
     return MomentSystem(
         dependent=dep,
         regressors=reg,
-        instruments=_triple_instruments(x, t, s, tau),
+        instruments=instrument_set("triple", instruments)(x, t, s, tau),
         cluster=idx,
-        param_names=_beta_names(x.shape[2])
-        + [f"dvar{s}_ref{tau}", f"dvar{t}_ref{tau}"],
+        params=_beta_params(x.shape[2])
+        + [Param("dvar_ref", (s, tau)), Param("dvar_ref", (t, tau))],
         periods=np.broadcast_to([t, s, tau], (idx.size, 3)).copy(),
     )
 
 
-def build_pairwise_slope_fe(dataset: PanelDataset, t: int, s: int) -> MomentSystem:
+def build_pairwise_slope_fe(
+    dataset: PanelDataset, t: int, s: int, instruments: str = "default"
+) -> MomentSystem:
     """Pairwise rows for individual effects entering through slopes on z."""
     if dataset.z is None:
         raise DomainError("dataset has no z variable")
@@ -421,20 +480,20 @@ def build_pairwise_slope_fe(dataset: PanelDataset, t: int, s: int) -> MomentSyst
             z_t * z_s * (y_t * z_s - y_s * z_t),  # sigma_ts
         ]
     )
-    lo, hi = min(t, s), max(t, s)
     return MomentSystem(
         dependent=dep,
         regressors=reg,
-        instruments=default_instruments(x_t, x_s, z_t, z_s),
+        instruments=instrument_set("pair", instruments)(x_t, x_s, z_t, z_s),
         cluster=idx,
-        param_names=_beta_names(x_t.shape[1])
-        + [f"sigma2_t{t}", f"sigma2_t{s}", f"cov_{lo}{hi}"],
+        params=_beta_params(x_t.shape[1])
+        + [Param("sigma2_t", (t,)), Param("sigma2_t", (s,))]
+        + [Param("cov", (min(t, s), max(t, s)))],
         periods=np.broadcast_to([t, s], (idx.size, 2)).copy(),
     )
 
 
 def stack_systems(systems: Sequence[MomentSystem]) -> MomentSystem:
-    """Stack several linear systems, sharing parameters with equal names.
+    """Stack several linear systems, sharing equal parameters.
 
     Rows keep their original cluster ids, so pairs from one individual stay
     in one cluster. Instruments are stacked block-diagonally (each source
@@ -444,22 +503,19 @@ def stack_systems(systems: Sequence[MomentSystem]) -> MomentSystem:
         raise EmptySystemError("no systems to stack")
     if len(systems) == 1:
         return systems[0]
-    names: list = []
-    for sys_ in systems:
-        for name in sys_.param_names:
-            if name not in names:
-                names.append(name)
+    params = list(dict.fromkeys(p for sys_ in systems for p in sys_.params))
+    column = {p: j for j, p in enumerate(params)}
     n_total = sum(s.n_rows for s in systems)
     q_total = sum(s.instruments.shape[1] for s in systems)
     max_periods = max(s.periods.shape[1] for s in systems)
-    reg = np.zeros((n_total, len(names)))
+    reg = np.zeros((n_total, len(params)))
     inst = np.zeros((n_total, q_total))
     periods = np.full((n_total, max_periods), -1, dtype=int)
     dep = np.concatenate([s.dependent for s in systems])
     cluster = np.concatenate([s.cluster for s in systems])
     r0 = c0 = 0
     for sys_ in systems:
-        cols = [names.index(nm) for nm in sys_.param_names]
+        cols = [column[p] for p in sys_.params]
         reg[r0 : r0 + sys_.n_rows, cols] = sys_.regressors
         qs = sys_.instruments.shape[1]
         inst[r0 : r0 + sys_.n_rows, c0 : c0 + qs] = sys_.instruments
@@ -471,7 +527,7 @@ def stack_systems(systems: Sequence[MomentSystem]) -> MomentSystem:
         regressors=reg,
         instruments=inst,
         cluster=cluster,
-        param_names=names,
+        params=params,
         periods=periods,
     )
 

@@ -9,7 +9,6 @@ than 20% of replications fail.
 
 from __future__ import annotations
 
-import re
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -17,11 +16,12 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .errors import ConvergenceError, TobitIVError
+from .errors import ConfigurationError, ConvergenceError, TobitIVError
 from .gmm import nonlinear_gmm, two_stage_least_squares
 from .moments import (
     MomentSystem,
     NonlinearMomentSystem,
+    Param,
     all_pairs,
     build_cross_section,
     build_factor_loading,
@@ -30,6 +30,8 @@ from .moments import (
     build_pairwise_slope_fe,
     build_triple_additive_variance,
     build_triple_variance_fe,
+    instrument_set,
+    # Not used here: perfbench/tracing.py looks these three names up on this module.
     censored_index_instruments,
     levels_squares_instruments,
     pair_product_instruments,
@@ -39,13 +41,23 @@ from .simulate import ModelVariant, PanelConfig, PanelDataset, simulate
 
 FAILURE_FRACTION_LIMIT = 0.2
 
+# Moment-system shape of each variant, which fixes its instrument sets.
+_SHAPES = {
+    ModelVariant.CROSS_SECTION: "cell",
+    ModelVariant.VARIANCE_FE: "triple",
+    ModelVariant.ADDITIVE_VARIANCE: "triple",
+}  # every other variant builds pair systems
+
 
 @dataclass
 class EstimatorSpec:
-    """Which moment rows to build and which instruments to use.
+    """Which moment rows to build and which instruments the builders use.
 
-    `instruments` is one of "default" (the builders' own sets),
-    "levels_squares", "products", or "index_proxy" (triple systems only).
+    `instruments` names a set in `moments.INSTRUMENT_SETS` for the variant's
+    system shape: "default", "levels_squares" or "products" for pair systems,
+    "default", "index_proxy" or "levels_squares" for triple systems, and
+    "default" for the cross-section. `validate` checks the spec against a
+    panel config before anything is built.
     """
 
     pairs: Optional[Sequence] = None  # [(t, s), ...]; None = variant default
@@ -53,15 +65,6 @@ class EstimatorSpec:
     orders: Sequence = ((1, 1),)  # (k, m) list for the nonstationary rows
     instruments: str = "default"
     cross_section_order: int = 1
-
-    def to_dict(self):
-        return {
-            "pairs": None if self.pairs is None else [list(p) for p in self.pairs],
-            "triple": list(self.triple),
-            "orders": [list(o) for o in self.orders],
-            "instruments": self.instruments,
-            "cross_section_order": self.cross_section_order,
-        }
 
     @classmethod
     def from_dict(cls, d: dict) -> "EstimatorSpec":
@@ -74,12 +77,35 @@ class EstimatorSpec:
             d["orders"] = tuple(tuple(o) for o in d["orders"])
         return cls(**d)
 
+    def validate(self, config: PanelConfig) -> None:
+        """Raise ConfigurationError unless the spec can be built on this panel.
+
+        The instrument kind must be one the variant's system shape offers,
+        and each pair, or the triple, must hold distinct periods in [0, T).
+        """
+        shape = _SHAPES.get(config.variant, "pair")
+        instrument_set(shape, self.instruments)
+        if shape == "cell":
+            return
+        field_name, width = ("pairs", 2) if shape == "pair" else ("triple", 3)
+        T = config.n_periods
+        for entry in (self.pairs or []) if shape == "pair" else [self.triple]:
+            periods = list(entry)
+            if len(periods) != width or len(set(periods)) != width or not all(
+                isinstance(p, (int, np.integer)) and 0 <= p < T for p in periods
+            ):
+                raise ConfigurationError(
+                    f"{field_name} entry {periods} must be {width} distinct periods "
+                    f"in [0, {T})",
+                    field=field_name,
+                )
+
 
 @dataclass
 class ReplicationRecord:
     replication: int
     sample_size: int
-    param_names: list
+    params: list  # Param per estimate; empty when the replication failed
     estimates: Optional[np.ndarray]
     std_errors: Optional[np.ndarray]
     j_statistic: Optional[float]
@@ -116,149 +142,63 @@ def replication_seed(master_seed: int, j: int) -> int:
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
-def _pair_instrument_data(dataset: PanelDataset, t: int, s: int):
-    keep = np.flatnonzero((dataset.y[:, t] > 0.0) & (dataset.y[:, s] > 0.0))
-    x_t, x_s = dataset.x[keep, t, :], dataset.x[keep, s, :]
-    if dataset.z is not None:
-        return x_t, x_s, dataset.z[keep, t], dataset.z[keep, s]
-    return x_t, x_s, None, None
-
-
-def _triple_x(dataset: PanelDataset, triple) -> np.ndarray:
-    t, s, tau = triple
-    y = dataset.y
-    keep = np.flatnonzero((y[:, t] > 0.0) & (y[:, s] > 0.0) & (y[:, tau] > 0.0))
-    return dataset.x[keep][:, list(triple), :]
-
-
-def _apply_pair_instruments(system, dataset, t, s, kind):
-    if kind == "default":
-        return system
-    x_t, x_s, z_t, z_s = _pair_instrument_data(dataset, t, s)
-    if kind == "levels_squares":
-        groups = [x_t, x_s] if z_t is None else [x_t, x_s, z_t, z_s]
-        system.instruments = levels_squares_instruments(*groups)
-    elif kind == "products":
-        system.instruments = pair_product_instruments(x_t, x_s)
-    else:
-        raise ValueError(f"unknown pairwise instrument kind {kind!r}")
-    return system
-
-
-def _apply_triple_instruments(system, dataset, triple, kind):
-    if kind == "default":
-        return system
-    x = _triple_x(dataset, triple)
-    if kind == "index_proxy":
-        system.instruments = censored_index_instruments(x)
-    elif kind == "levels_squares":
-        system.instruments = levels_squares_instruments(*(x[:, j, :] for j in range(3)))
-    else:
-        raise ValueError(f"unknown triple instrument kind {kind!r}")
-    return system
-
-
 def build_estimation_system(
     dataset: PanelDataset, config: PanelConfig, spec: EstimatorSpec
 ) -> Union[MomentSystem, NonlinearMomentSystem]:
-    """Variant-appropriate moment system with the spec's instrument choice."""
+    """Variant-appropriate moment system, built with the spec's instrument set."""
     variant = config.variant
-    T = config.n_periods
-    pairs = list(spec.pairs) if spec.pairs is not None else None
+    kind = spec.instruments
+    pairs = list(spec.pairs) if spec.pairs else all_pairs(config.n_periods)
+    first_pair = pairs[0] if spec.pairs else (1, 0)
     if variant is ModelVariant.CROSS_SECTION:
-        return build_cross_section(dataset, k=spec.cross_section_order)
+        return build_cross_section(dataset, spec.cross_section_order, instruments=kind)
     if variant is ModelVariant.INDEPENDENT_ERRORS:
-        pairs = pairs or all_pairs(T)
-        subs = [
-            _apply_pair_instruments(
-                build_pairwise_independent(dataset, t, s), dataset, t, s, spec.instruments
-            )
-            for t, s in pairs
-        ]
-        return stack_systems(subs)
+        return stack_systems(
+            [build_pairwise_independent(dataset, t, s, instruments=kind) for t, s in pairs]
+        )
     if variant is ModelVariant.NON_STATIONARY:
-        pairs = pairs or all_pairs(T)
-        subs = [
-            _apply_pair_instruments(
-                build_pairwise_nonstationary(dataset, t, s, k, m),
-                dataset, t, s, spec.instruments,
-            )
-            for t, s in pairs
-            for k, m in spec.orders
-        ]
-        return stack_systems(subs)
+        return stack_systems(
+            [
+                build_pairwise_nonstationary(dataset, t, s, k, m, instruments=kind)
+                for t, s in pairs
+                for k, m in spec.orders
+            ]
+        )
     if variant is ModelVariant.FACTOR_LOADING:
-        t, s = pairs[0] if pairs else (1, 0)
-        return _apply_pair_instruments(
-            build_factor_loading(dataset, t, s), dataset, t, s, spec.instruments
-        )
+        return build_factor_loading(dataset, *first_pair, instruments=kind)
     if variant is ModelVariant.VARIANCE_FE:
-        sys_ = build_triple_variance_fe(dataset, *spec.triple)
-        return _apply_triple_instruments(sys_, dataset, spec.triple, spec.instruments)
+        return build_triple_variance_fe(dataset, *spec.triple, instruments=kind)
     if variant is ModelVariant.ADDITIVE_VARIANCE:
-        sys_ = build_triple_additive_variance(dataset, *spec.triple)
-        return _apply_triple_instruments(sys_, dataset, spec.triple, spec.instruments)
+        return build_triple_additive_variance(dataset, *spec.triple, instruments=kind)
     if variant is ModelVariant.SLOPE_FE:
-        t, s = pairs[0] if pairs else (1, 0)
-        return _apply_pair_instruments(
-            build_pairwise_slope_fe(dataset, t, s), dataset, t, s, spec.instruments
-        )
+        return build_pairwise_slope_fe(dataset, *first_pair, instruments=kind)
     raise ValueError(f"unhandled variant {variant}")
 
 
-_NAME_PATTERNS = [
-    (re.compile(r"^beta(\d+)$"), "beta"),
-    (re.compile(r"^sigma2$"), "sigma2"),
-    (re.compile(r"^sigma2_t(\d)$"), "sigma2_t"),
-    (re.compile(r"^dvar(\d)_ref(\d)$"), "dvar_ref"),
-    (re.compile(r"^dvar(\d)_(\d)(\d)$"), "dvar_pair"),
-    (re.compile(r"^cov_(\d)(\d)$"), "cov"),
-    (re.compile(r"^r_(\d)(\d)$"), "r"),
-    (re.compile(r"^a_(\d)(\d)$"), "a"),
-    (re.compile(r"^b_(\d)(\d)$"), "b"),
-]
+def true_parameter_values(config: PanelConfig, params: Sequence[Param]) -> np.ndarray:
+    """Population values of the described parameters implied by the config.
 
-
-def true_parameter_values(config: PanelConfig, param_names: Sequence[str]) -> np.ndarray:
-    """Population values of the labelled parameters implied by the config.
-
-    Period indices are parsed from the labels, so any pair/triple choice is
-    supported (single-digit period labels, i.e. T <= 10).
+    Each `Param` carries its kind and the regressor or periods it refers to,
+    so any pair or triple of any panel length is supported.
     """
     cov = np.asarray(config.error_cov, dtype=float)
     rho = config.factor_loadings
-    out = np.empty(len(param_names))
-    for i, name in enumerate(param_names):
-        for pat, kind in _NAME_PATTERNS:
-            m = pat.match(name)
-            if not m:
-                continue
-            g = [int(v) for v in m.groups()]
-            if kind == "beta":
-                out[i] = config.beta[g[0]]
-            elif kind == "sigma2":
-                out[i] = cov[0, 0]
-            elif kind == "sigma2_t":
-                out[i] = cov[g[0], g[0]]
-            elif kind == "dvar_ref":
-                out[i] = cov[g[0], g[0]] - cov[g[1], g[1]]
-            elif kind == "dvar_pair":
-                other = g[2] if g[0] == g[1] else g[1]
-                out[i] = cov[g[0], g[0]] - cov[g[0], other]
-            elif kind == "cov":
-                out[i] = cov[g[0], g[1]]
-            elif kind == "r":
-                out[i] = rho[g[0]] / rho[g[1]]
-            elif kind == "a":
-                r = rho[g[0]] / rho[g[1]]
-                out[i] = cov[g[1], g[1]] * r - cov[g[0], g[1]]
-            elif kind == "b":
-                r = rho[g[0]] / rho[g[1]]
-                out[i] = cov[g[0], g[0]] - cov[g[0], g[1]] * r
-            break
-        else:
-            raise ValueError(f"cannot derive a true value for parameter {name!r}")
-    return out
+
+    def ratio(t, s):
+        return rho[t] / rho[s]
+
+    truth = {
+        "beta": lambda k: config.beta[k],
+        "sigma2": lambda: cov[0, 0],
+        "sigma2_t": lambda t: cov[t, t],
+        "dvar": lambda t, s: cov[t, t] - cov[t, s],
+        "dvar_ref": lambda t, tau: cov[t, t] - cov[tau, tau],
+        "cov": lambda t, s: cov[t, s],
+        "r": ratio,
+        "a": lambda t, s: cov[s, s] * ratio(t, s) - cov[t, s],
+        "b": lambda t, s: cov[t, t] - cov[t, s] * ratio(t, s),
+    }
+    return np.array([truth[p.kind](*p.indices) for p in params], dtype=float)
 
 
 def run_replication(
@@ -280,7 +220,7 @@ def run_replication(
         return ReplicationRecord(
             replication=j,
             sample_size=cfg.n_individuals,
-            param_names=list(result.param_names),
+            params=list(system.params),
             estimates=np.asarray(result.estimates, dtype=float),
             std_errors=np.asarray(result.se, dtype=float),
             j_statistic=result.j_statistic,
@@ -292,7 +232,7 @@ def run_replication(
         return ReplicationRecord(
             replication=j,
             sample_size=cfg.n_individuals,
-            param_names=[],
+            params=[],
             estimates=None,
             std_errors=None,
             j_statistic=None,
@@ -351,6 +291,7 @@ def run_study(
     Worker-pool execution returns results in replication order, so output is
     identical to sequential execution.
     """
+    spec.validate(config)
     sizes = list(sample_sizes) if sample_sizes is not None else [config.n_individuals]
     summaries = []
     for size in sizes:
@@ -368,7 +309,7 @@ def run_study(
                 f"{n_failed}/{n_replications} replications failed at N={size}: "
                 + "; ".join(sorted(reasons))
             )
-        names = next(r.param_names for r in records if not r.failed)
-        truth = true_parameter_values(cfg, names)
-        summaries.append(summarize(records, truth, names))
+        params = next(r.params for r in records if not r.failed)
+        truth = true_parameter_values(cfg, params)
+        summaries.append(summarize(records, truth, [p.name for p in params]))
     return summaries

@@ -15,7 +15,7 @@ import os
 import time
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 
@@ -116,9 +116,6 @@ def dist_from_dict(d: dict):
     cls = _DIST_TYPES[kind]
     kwargs = {k: v for k, v in d.items() if k != "type"}
     return cls(**kwargs)
-
-
-ScalarDist = Union[NormalDist, LogNormalDist, ShiftedHalfNormalDist]
 
 
 @dataclass(frozen=True)

@@ -19,6 +19,7 @@ from tobitiv import (
     MomentSystem,
     NormalDist,
     PanelConfig,
+    Param,
     ShiftedHalfNormalDist,
     UnivariateNormalSpec,
     bivariate_truncated_moment_mc,
@@ -28,7 +29,6 @@ from tobitiv import (
     build_pairwise_nonstationary,
     build_triple_variance_fe,
     j_test,
-    levels_squares_instruments,
     moment_identity_residual,
     replication_seed,
     run_study,
@@ -227,11 +227,7 @@ def test_criterion_6_fixed_effects_necessity(capsys):
     for j in range(100):
         ds = simulate(replace(cfg, seed=replication_seed(606, j)))
         pooled.append(two_stage_least_squares(build_cross_section(ds)).estimates[0])
-        sys_ = build_pairwise_independent(ds, 0, 1)
-        keep = np.flatnonzero((ds.y > 0).all(axis=1))
-        sys_.instruments = levels_squares_instruments(
-            ds.x[keep, 0, :], ds.x[keep, 1, :]
-        )
+        sys_ = build_pairwise_independent(ds, 0, 1, instruments="levels_squares")
         pairwise.append(two_stage_least_squares(sys_).estimates[0])
     bias_pooled = abs(np.mean(pooled) - 1.0)
     bias_pair = abs(np.mean(pairwise) - 1.0)
@@ -274,7 +270,7 @@ def test_criterion_7_identity_suite(capsys):
     b_scaled = MomentSystem(
         dependent=b.dependent, regressors=b.regressors,
         instruments=137.0 * b.instruments, cluster=b.cluster,
-        param_names=b.param_names, periods=b.periods,
+        params=b.params, periods=b.periods,
     )
     scale = np.allclose(base, two_stage_least_squares(b_scaled).estimates, atol=1e-10)
 
@@ -282,7 +278,7 @@ def test_criterion_7_identity_suite(capsys):
     hand_sys = MomentSystem(
         dependent=np.array([2.0, 4.0]), regressors=np.array([[1.0], [2.0]]),
         instruments=np.array([[1.0], [1.0]]), cluster=np.arange(2),
-        param_names=["b"], periods=np.zeros((2, 1), dtype=int),
+        params=[Param("beta", (0,))], periods=np.zeros((2, 1), dtype=int),
     )
     hand = abs(two_stage_least_squares(hand_sys).estimates[0] - 2.0) < 1e-12
 
@@ -318,11 +314,7 @@ def test_criterion_8_j_test_size_and_power(capsys):
     rejections = 0
     for j in range(100):
         ds = simulate(replace(power_cfg, seed=replication_seed(99, j)))
-        sys_ = build_pairwise_independent(ds, 0, 1)
-        keep = np.flatnonzero((ds.y > 0).all(axis=1))
-        sys_.instruments = levels_squares_instruments(
-            ds.x[keep, 0, :], ds.x[keep, 1, :]
-        )
+        sys_ = build_pairwise_independent(ds, 0, 1, instruments="levels_squares")
         _, _, p = j_test(two_stage_least_squares(sys_))
         rejections += p < 0.05
     power = rejections / 100

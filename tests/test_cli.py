@@ -1,7 +1,9 @@
 """CLI tests: exit codes, determinism, and machine-parsable errors."""
 
+import csv
 import json
 
+import numpy as np
 import pytest
 
 from tobitiv.cli import main
@@ -102,6 +104,18 @@ class TestEstimate:
         assert len(result["estimates"]) == 3
         assert "beta0" in capsys.readouterr().out
 
+    def test_unknown_instrument_kind_exit_2(self, tmp_path, capsys):
+        ds = tmp_path / "ds"
+        assert main(["simulate", "--config", sim_config(tmp_path), "--out", str(ds)]) == 0
+        capsys.readouterr()
+        spec = write_config(tmp_path, "est.json", {"estimator": {"instruments": "bogus"}})
+        assert main(
+            ["estimate", "--data", str(ds), "--config", spec, "--out", str(tmp_path / "o")]
+        ) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert json.loads(err[0])["field"] == "instruments"
+
     def test_missing_dataset_dir(self, tmp_path, capsys):
         assert main(
             ["estimate", "--data", str(tmp_path / "none"), "--out", str(tmp_path / "o")]
@@ -184,10 +198,63 @@ class TestMonteCarlo:
         assert main(["montecarlo", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
         assert json.loads(capsys.readouterr().err)["field"] == "sample_sizes"
 
+    def long_panel(self, n_periods=12):
+        # Period variances differ, so a swapped pair would give wrong truths.
+        cov = np.diag(0.3 + 0.05 * np.arange(n_periods)) + 0.1
+        return {
+            "n_individuals": 500, "n_periods": n_periods, "n_regressors": 1,
+            "beta": [1.0], "error_cov": cov.tolist(), "seed": 0,
+            "fe_dist": {"type": "linear_index", "index_coef": 1.0, "noise_sigma": 0.5},
+            "x_dist": {"type": "normal", "mu": 1.0, "sigma": 1.0},
+        }, cov
+
+    def test_two_digit_periods(self, tmp_path):
+        panel, cov = self.long_panel()
+        cfg = self.mc_config(
+            tmp_path, variant="NonStationary", panel=panel, sample_sizes=[500],
+            estimator={"instruments": "levels_squares", "pairs": [[0, 11]]},
+        )
+        out = tmp_path / "mc12"
+        assert main(["montecarlo", "--config", cfg, "--out", str(out)]) == 0
+        with open(out / "summary.csv") as fh:
+            truth = {r["parameter"]: float(r["truth"]) for r in csv.DictReader(fh)}
+        assert truth == {
+            "beta0": 1.0,
+            "dvar0_011": cov[0, 0] - cov[0, 11],
+            "dvar11_011": cov[11, 11] - cov[0, 11],
+        }
+
+    @pytest.mark.parametrize(
+        "estimator, field",
+        [({"instruments": "bogus"}, "instruments"), ({"pairs": [[0, 15]]}, "pairs")],
+    )
+    def test_bad_estimator_spec_exit_2(self, tmp_path, capsys, estimator, field):
+        panel, _ = self.long_panel()
+        cfg = self.mc_config(tmp_path, variant="NonStationary", panel=panel,
+                             estimator=estimator)
+        assert main(["montecarlo", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        payload = json.loads(err[0])
+        assert payload["error"] == "ConfigurationError"
+        assert payload["field"] == field
+
     def test_zero_replications_rejected(self, tmp_path, capsys):
         cfg = self.mc_config(tmp_path, replications=0)
         assert main(["montecarlo", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
         assert json.loads(capsys.readouterr().err)["field"] == "replications"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["simulate", "--config", "c.json"], ["estimate", "--data", "d"], ["verify"]],
+)
+@pytest.mark.parametrize("flag", ["--workers=2", "--format=json"])
+def test_montecarlo_only_flags(argv, flag, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + [flag])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestVerify:

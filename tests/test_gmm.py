@@ -1,5 +1,7 @@
 """Solver tests: hand formulas, invariances, and the concentrated search."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from tobitiv import (
     MomentSystem,
     NormalDist,
     PanelConfig,
+    Param,
     build_factor_loading,
     build_pairwise_independent,
     j_test,
@@ -26,7 +29,6 @@ from tobitiv.gmm import (
     concentrated_linear_solve,
     golden_section,
 )
-from tobitiv.moments import pair_product_instruments
 
 
 def linear_system(dep, reg, inst, cluster=None):
@@ -39,7 +41,7 @@ def linear_system(dep, reg, inst, cluster=None):
         regressors=reg,
         instruments=inst,
         cluster=np.arange(n) if cluster is None else np.asarray(cluster),
-        param_names=[f"p{j}" for j in range(reg.shape[1])],
+        params=[Param("beta", (j,)) for j in range(reg.shape[1])],
         periods=np.zeros((n, 1), dtype=int),
     )
 
@@ -74,8 +76,8 @@ class TestTwoStageLeastSquares:
     def test_instrument_scale_invariance(self):
         sys_, _ = random_system(0)
         base = two_stage_least_squares(sys_).estimates
-        sys_.instruments = 7.3 * sys_.instruments
-        scaled = two_stage_least_squares(sys_).estimates
+        scaled_sys = replace(sys_, instruments=7.3 * sys_.instruments)
+        scaled = two_stage_least_squares(scaled_sys).estimates
         assert np.allclose(base, scaled, atol=1e-10)
 
     def test_row_order_invariance(self):
@@ -105,10 +107,9 @@ class TestTwoStageLeastSquares:
 
     def test_collinear_instruments_pruned_not_fatal(self):
         sys_, theta = random_system(5)
-        sys_.instruments = np.hstack(
-            [sys_.instruments, sys_.instruments[:, :2] @ np.array([[1.0], [2.0]])]
-        )
-        res = two_stage_least_squares(sys_)
+        Z = sys_.instruments
+        Z = np.hstack([Z, Z[:, :2] @ np.array([[1.0], [2.0]])])
+        res = two_stage_least_squares(replace(sys_, instruments=Z))
         assert np.all(np.abs(res.estimates - theta) < 5 * res.se)
 
     def test_too_few_rows(self):
@@ -164,10 +165,7 @@ def factor_loading_panel(loadings, seed, n=20_000):
         x_dist=NormalDist(1.0, 2.0),
     )
     ds = simulate(cfg)
-    sys_ = build_factor_loading(ds, 1, 0)
-    keep = np.flatnonzero((ds.y > 0).all(axis=1))
-    sys_.instruments = pair_product_instruments(ds.x[keep, 1, :], ds.x[keep, 0, :])
-    return ds, sys_
+    return ds, build_factor_loading(ds, 1, 0, instruments="products")
 
 
 class TestNonlinearGMM:
@@ -187,7 +185,7 @@ class TestNonlinearGMM:
                     regressors=X,
                     instruments=sys_.instruments,
                     cluster=sys_.cluster,
-                    param_names=["b", "a", "c"],
+                    params=[p for p in sys_.params if p.kind != "r"],
                     periods=sys_.periods,
                 )
             )

@@ -1,6 +1,7 @@
 """Builder tests: hand-substitution values, identities, and selection."""
 
 import csv
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from tobitiv import (
     NormalDist,
     PanelConfig,
     PanelDataset,
+    ShiftedHalfNormalDist,
     all_pairs,
     build_cross_section,
     build_factor_loading,
@@ -22,6 +24,7 @@ from tobitiv import (
     simulate,
     stack_systems,
     system_to_csv,
+    two_stage_least_squares,
 )
 from tobitiv.errors import DomainError, EmptySystemError
 from tobitiv.moments import additive_variance_regressors
@@ -254,7 +257,6 @@ class TestSlopeFE:
 
 class TestInstruments:
     def test_default_set_values(self):
-        # Two rows so that no columns coincide and get deduplicated.
         got = default_instruments(np.array([[1.0], [2.0]]), np.array([[-1.0], [0.0]]))
         assert np.allclose(
             got,
@@ -262,10 +264,26 @@ class TestInstruments:
             atol=1e-12,
         )
 
-    def test_default_set_dedups_zero_columns(self):
-        got = default_instruments(np.array([[0.0]]), np.array([[0.0]]))
-        # All x-derived columns coincide at zero and collapse to one.
-        assert np.allclose(got, [[1.0, 0.0]], atol=1e-12)
+    def test_duplicate_columns_leave_the_fit_unchanged(self):
+        # The default triple set repeats each period's x block (25 columns,
+        # 19 distinct at K = 2); the solver's rank pruning drops the repeats.
+        for seed in range(20):
+            cfg = PanelConfig(
+                variant="VarianceFE", n_individuals=8000, n_periods=3,
+                n_regressors=2, beta=(1.0, -0.5),
+                error_cov=((1.0, 0, 0), (0, 1.0, 0), (0, 0, 1.0)), seed=seed,
+                variance_fe_dist=ShiftedHalfNormalDist(0.25, 0.2),
+                fe_dist=LinearIndexDist(1.0, 0.5), x_dist=NormalDist(1.0, 2.0),
+            )
+            full = build_triple_variance_fe(simulate(cfg), 0, 1, 2)
+            _, first = np.unique(full.instruments, axis=1, return_index=True)
+            distinct = replace(full, instruments=full.instruments[:, np.sort(first)])
+            assert (full.instruments.shape[1], distinct.instruments.shape[1]) == (25, 19)
+            a, b = two_stage_least_squares(full), two_stage_least_squares(distinct)
+            assert a.j_dof == b.j_dof
+            for got, want in [(a.estimates, b.estimates), (a.se, b.se),
+                              (a.j_statistic, b.j_statistic)]:
+                np.testing.assert_allclose(got, want, rtol=1e-10, atol=0)
 
     def test_instruments_never_reference_y(self):
         rng = np.random.default_rng(6)

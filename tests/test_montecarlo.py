@@ -8,6 +8,7 @@ from tobitiv import (
     LinearIndexDist,
     NormalDist,
     PanelConfig,
+    Param,
     ShiftedHalfNormalDist,
     replication_seed,
     run_study,
@@ -40,14 +41,15 @@ class TestSeeds:
 class TestTruth:
     def test_variance_labels(self):
         cfg = indep_config()
-        got = true_parameter_values(cfg, ["beta0", "sigma2_t0", "sigma2_t1"])
+        params = [Param("beta", (0,)), Param("sigma2_t", (0,)), Param("sigma2_t", (1,))]
+        got = true_parameter_values(cfg, params)
         assert got == pytest.approx([1.0, 0.25, 0.375])
 
     def test_nonstationary_differences(self):
         cfg = indep_config(
             variant="NonStationary", error_cov=((0.25, 0.125), (0.125, 0.5))
         )
-        got = true_parameter_values(cfg, ["dvar0_01", "dvar1_01"])
+        got = true_parameter_values(cfg, [Param("dvar", (0, 1)), Param("dvar", (1, 0))])
         assert got == pytest.approx([0.125, 0.375])
 
     def test_factor_loading_parameters(self):
@@ -56,7 +58,7 @@ class TestTruth:
             factor_loadings=(1.0, 1.5),
             error_cov=((0.25, 0.0), (0.0, 0.25)),
         )
-        got = true_parameter_values(cfg, ["r_10", "a_10", "b_10"])
+        got = true_parameter_values(cfg, [Param(k, (1, 0)) for k in "rab"])
         # r = 1.5, a = sigma_0^2 r - sigma_01, b = sigma_1^2 - sigma_01 r.
         assert got == pytest.approx([1.5, 0.375, 0.25])
 
@@ -66,12 +68,13 @@ class TestTruth:
             error_cov=((0.25, 0, 0), (0, 0.375, 0), (0, 0, 0.5)),
             variance_fe_dist=ShiftedHalfNormalDist(0.25, 0.2),
         )
-        got = true_parameter_values(cfg, ["dvar1_ref2", "dvar0_ref2"])
+        params = [Param("dvar_ref", (1, 2)), Param("dvar_ref", (0, 2))]
+        got = true_parameter_values(cfg, params)
         assert got == pytest.approx([-0.125, -0.25])
 
     def test_unknown_label_rejected(self):
         with pytest.raises(ValueError):
-            true_parameter_values(indep_config(), ["mystery"])
+            Param("mystery")
 
 
 class TestRunStudy:
