@@ -2,7 +2,11 @@
 
 The dependent variables here are cubic in the outcomes, so columns can be
 badly scaled; everything runs through column rescaling and orthogonal
-decompositions rather than raw normal equations.
+decompositions rather than raw normal equations. One pivoted QR of the
+rescaled instruments both prunes redundant columns and, in 2SLS, gives the
+orthonormal basis of the projection: its first `rank` Q columns span the
+kept instruments. Rows are grouped by cluster with at most one sort per
+solve.
 """
 
 from __future__ import annotations
@@ -13,7 +17,6 @@ from typing import Optional
 
 import numpy as np
 from scipy import linalg as sla
-from scipy import stats
 
 from .errors import (
     BracketError,
@@ -72,12 +75,25 @@ class NonlinearGMMResult(LinearIVResult):
         return d
 
 
-def _cluster_sums(rows: np.ndarray, cluster: np.ndarray) -> np.ndarray:
-    order = np.argsort(cluster, kind="stable")
-    sorted_rows = rows[order]
-    c = cluster[order]
-    starts = np.flatnonzero(np.r_[True, c[1:] != c[:-1]])
-    return np.add.reduceat(sorted_rows, starts, axis=0)
+class _Clusters:
+    """Rows grouped by cluster id, with at most one (stable) sort."""
+
+    def __init__(self, cluster: np.ndarray):
+        cluster = np.asarray(cluster)
+        self.order = None
+        if np.any(cluster[1:] < cluster[:-1]):
+            self.order = np.argsort(cluster, kind="stable")
+            cluster = cluster[self.order]
+        self.starts = np.flatnonzero(np.r_[True, cluster[1:] != cluster[:-1]])
+        self.count = self.starts.size if cluster.size else 0
+
+    def sums(self, rows: np.ndarray) -> np.ndarray:
+        """Per-cluster column sums of `rows`, one row per cluster."""
+        if self.count == rows.shape[0]:
+            return rows  # every cluster holds one row
+        if self.order is not None:
+            rows = rows[self.order]
+        return np.add.reduceat(rows, self.starts, axis=0)
 
 
 def _column_scale(mat: np.ndarray) -> np.ndarray:
@@ -106,19 +122,25 @@ def _check_rank(M: np.ndarray, param_names) -> float:
     return float(svals[0] / svals[-1])
 
 
-def _independent_instrument_columns(Z: np.ndarray) -> np.ndarray:
-    """Indices of a maximal linearly independent instrument subset.
+def _pivoted_qr(Z: np.ndarray, scale: np.ndarray, mode: str):
+    """Pivoted QR of the rescaled instruments: (Q or raw factors, rank, kept columns).
 
     The default instrument list is deliberately redundant (x_t - x_s lies in
     the span of x_t and x_s); the projection space is unchanged by pruning,
     but the J degrees of freedom and the moment covariance require a
-    full-rank instrument matrix.
+    full-rank instrument matrix. The kept columns are the first `rank`
+    pivots, so the first `rank` columns of Q span them.
     """
-    Zs = Z / _column_scale(Z)
-    _, R, piv = sla.qr(Zs, mode="economic", pivoting=True)
+    Zs = np.divide(Z, scale, order="F")  # LAPACK's layout, factorised in place
+    Q, R, piv = sla.qr(Zs, mode=mode, pivoting=True, overwrite_a=True)
     diag = np.abs(np.diag(R))
     rank = int(np.sum(diag > RANK_RTOL * diag[0])) if diag.size else 0
-    return np.sort(piv[:rank])
+    return Q, rank, np.sort(piv[:rank])
+
+
+def _independent_instrument_columns(Z: np.ndarray) -> np.ndarray:
+    """Indices of a maximal linearly independent instrument subset."""
+    return _pivoted_qr(Z, _column_scale(Z), mode="raw")[2]
 
 
 def _spd_solve(S: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -139,30 +161,33 @@ def two_stage_least_squares(system: MomentSystem) -> LinearIVResult:
     """
     y = system.dependent
     W = system.regressors
-    Z = system.instruments[:, _independent_instrument_columns(system.instruments)]
+    dZ = _column_scale(system.instruments)
+    Q, q, kept = _pivoted_qr(system.instruments, dZ, mode="economic")
+    Q = Q[:, :q]  # orthonormal basis of the kept instruments' span
     n, p = W.shape
-    q = Z.shape[1]
     if n < p:
         raise InsufficientObservationsError(f"{n} rows for {p} parameters")
     if q < p:
         raise IdentificationError(f"{q} instruments for {p} parameters")
 
     dW = _column_scale(W)
-    dZ = _column_scale(Z)
     Ws = W / dW
-    Zs = Z / dZ
+    Zs = system.instruments[:, kept]
+    Zs /= dZ[kept]
 
     cross = Zs.T @ Ws / n
     cond = _check_rank(cross, system.param_names)
 
-    Q, _ = np.linalg.qr(Zs)
-    What = Q @ (Q.T @ Ws)
-    theta_s, *_ = np.linalg.lstsq(What, y, rcond=None)
+    QtW = Q.T @ Ws
+    What = Q @ QtW
+    # Q is orthonormal, so fitting What = Q QtW to y is fitting QtW to Q'y.
+    theta_s, *_ = np.linalg.lstsq(QtW, Q.T @ y, rcond=None)
     estimates = theta_s / dW
     u = y - W @ estimates
 
-    A = What.T @ Ws
-    H = _cluster_sums(What * u[:, None], system.cluster)
+    A = QtW.T @ QtW  # = What' Ws
+    clusters = _Clusters(system.cluster)
+    H = clusters.sums(What * u[:, None])
     B = H.T @ H
     Ainv_B = np.linalg.solve(A, B)
     Vs = np.linalg.solve(A, Ainv_B.T).T
@@ -172,7 +197,7 @@ def two_stage_least_squares(system: MomentSystem) -> LinearIVResult:
     j_stat = None
     dof = max(q - p, 0)
     if q > p:
-        Gc = _cluster_sums(Zs * u[:, None], system.cluster)
+        Gc = clusters.sums(Zs * u[:, None])
         S = Gc.T @ Gc / n
         Gz = cross
         gy = Zs.T @ y / n
@@ -187,7 +212,7 @@ def two_stage_least_squares(system: MomentSystem) -> LinearIVResult:
         estimates=estimates,
         covariance=covariance,
         n_rows=n,
-        n_clusters=int(np.unique(system.cluster).size),
+        n_clusters=clusters.count,
         condition_number=cond,
         j_statistic=j_stat,
         j_dof=dof,
@@ -196,6 +221,8 @@ def two_stage_least_squares(system: MomentSystem) -> LinearIVResult:
 
 def j_test(result: LinearIVResult):
     """Hansen overidentification test: (statistic, dof, upper-tail p-value)."""
+    from scipy import stats  # deferred: it adds about a third to `import tobitiv`
+
     if result.j_statistic is None or result.j_dof == 0:
         raise NotApplicableError("system is just-identified; J test undefined")
     p_value = float(stats.chi2.sf(result.j_statistic, result.j_dof))
@@ -262,16 +289,20 @@ def concentrated_linear_solve(system: NonlinearMomentSystem, r: float, Zw, Wmat)
     """Inner GMM solve of the linear block (beta, a, b) at fixed r.
 
     With Wmat = I on the whitened instruments this is exactly 2SLS on the
-    r-transformed linear system.
+    r-transformed linear system. Wmat None stands for I and skips the
+    products by it, which would change no bit.
     """
     n = system.n_rows
-    dep, X = system.linear_parts(r)
+    dep, X = system.shared_linear_parts(r)
     G = Zw.T @ X / n
     gd = Zw.T @ dep / n
-    WG = Wmat @ G
-    theta = np.linalg.solve(G.T @ WG, G.T @ (Wmat @ gd))
+    if Wmat is None:
+        WG, Wgd = G, gd
+    else:
+        WG, Wgd = Wmat @ G, Wmat @ gd
+    theta = np.linalg.solve(G.T @ WG, G.T @ Wgd)
     gbar = gd - G @ theta
-    value = float(gbar @ (Wmat @ gbar))
+    value = float(gbar @ (gbar if Wmat is None else Wmat @ gbar))
     return theta, value, gbar
 
 
@@ -328,17 +359,18 @@ def nonlinear_gmm(
     if theta0 is not None:
         r_hint = float(np.asarray(theta0)[K])
 
-    # step 1: 2SLS-equivalent weighting
-    W1 = np.eye(q)
-    r1, _ = _search(W1, r_hint)
-    theta_lin1, _, _ = concentrated_linear_solve(system, r1, Zw, W1)
+    # step 1: 2SLS-equivalent weighting (the identity)
+    r1, _ = _search(None, r_hint)
+    theta_lin1, _, _ = concentrated_linear_solve(system, r1, Zw, None)
 
     def _full_theta(r, theta_lin):
         return np.concatenate([theta_lin[:K], [r], theta_lin[K:]])
 
+    clusters = _Clusters(system.cluster)
+
     def _clustered_S(theta_full):
         xi = system.residuals(theta_full)
-        Hc = _cluster_sums(Zw * xi[:, None], system.cluster)
+        Hc = clusters.sums(Zw * xi[:, None])
         return Hc.T @ Hc / n
 
     # step 2: efficient weighting
@@ -376,8 +408,8 @@ def nonlinear_gmm(
         estimates=theta,
         covariance=covariance,
         n_rows=n,
-        n_clusters=int(np.unique(system.cluster).size),
-        condition_number=float(np.linalg.cond(Zw.T @ system.linear_parts(r2)[1] / n)),
+        n_clusters=clusters.count,
+        condition_number=float(np.linalg.cond(Zw.T @ system.shared_linear_parts(r2)[1] / n)),
         j_statistic=j_stat,
         j_dof=max(q - p, 0),
         converged=bool(np.linalg.norm(grad) < options.grad_tol),

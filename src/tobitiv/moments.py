@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -109,18 +110,32 @@ class NonlinearMomentSystem:
     def n_rows(self) -> int:
         return self.y_t.shape[0]
 
+    @cached_property
+    def _r_free_parts(self):
+        """y_t^2 y_s, y_s^2, y_t y_s, and the regressor buffer with its fixed
+        columns (-y_t, y_s) filled: everything in `linear_parts` but r."""
+        K = self.x_t.shape[1]
+        X = np.empty((self.n_rows, K + 2))
+        X[:, K] = -self.y_t
+        X[:, K + 1] = self.y_s
+        return self.y_t**2 * self.y_s, self.y_s**2, self.y_t * self.y_s, X
+
+    def shared_linear_parts(self, r: float):
+        """`linear_parts` with X in a buffer that the next call overwrites."""
+        cubic, ys2, yy, X = self._r_free_parts
+        np.multiply(yy[:, None], self.x_t - r * self.x_s, out=X[:, : self.x_t.shape[1]])
+        return cubic - r * ys2 * self.y_t, X
+
     def linear_parts(self, r: float):
         """Dependent and regressors of the model at fixed r, params (beta, a, b)."""
-        dep = self.y_t**2 * self.y_s - r * self.y_s**2 * self.y_t
-        beta_block = (self.y_t * self.y_s)[:, None] * (self.x_t - r * self.x_s)
-        X = np.column_stack([beta_block, -self.y_t, self.y_s])
-        return dep, X
+        dep, X = self.shared_linear_parts(r)
+        return dep, X.copy()
 
     def residuals(self, theta: np.ndarray) -> np.ndarray:
         theta = np.asarray(theta, dtype=float)
         K = self.x_t.shape[1]
         beta, r, a, b = theta[:K], theta[K], theta[K + 1], theta[K + 2]
-        dep, X = self.linear_parts(r)
+        dep, X = self.shared_linear_parts(r)
         return dep - X @ np.concatenate([beta, [a, b]])
 
 

@@ -47,6 +47,8 @@ _SHAPES = {
     ModelVariant.VARIANCE_FE: "triple",
     ModelVariant.ADDITIVE_VARIANCE: "triple",
 }  # every other variant builds pair systems
+# Variants whose system is built from one pair (the first of `pairs`).
+_SINGLE_PAIR = (ModelVariant.FACTOR_LOADING, ModelVariant.SLOPE_FE)
 
 
 @dataclass
@@ -80,25 +82,48 @@ class EstimatorSpec:
     def validate(self, config: PanelConfig) -> None:
         """Raise ConfigurationError unless the spec can be built on this panel.
 
-        The instrument kind must be one the variant's system shape offers,
-        and each pair, or the triple, must hold distinct periods in [0, T).
+        The instrument kind must be one the variant's system shape offers;
+        each pair, or the triple, must hold distinct periods in [0, T); each
+        order (k, m) must hold integers >= 1; no pair or order may repeat,
+        and the single-pair variants take at most one pair.
         """
+        _check_entries(self.orders, "orders", "must be two integers >= 1",
+                       lambda o: len(o) == 2 and all(_is_int(v) and v >= 1 for v in o))
         shape = _SHAPES.get(config.variant, "pair")
         instrument_set(shape, self.instruments)
         if shape == "cell":
             return
         field_name, width = ("pairs", 2) if shape == "pair" else ("triple", 3)
+        entries = list(self.pairs or []) if shape == "pair" else [self.triple]
         T = config.n_periods
-        for entry in (self.pairs or []) if shape == "pair" else [self.triple]:
-            periods = list(entry)
-            if len(periods) != width or len(set(periods)) != width or not all(
-                isinstance(p, (int, np.integer)) and 0 <= p < T for p in periods
-            ):
-                raise ConfigurationError(
-                    f"{field_name} entry {periods} must be {width} distinct periods "
-                    f"in [0, {T})",
-                    field=field_name,
-                )
+        _check_entries(
+            entries, field_name, f"must be {width} distinct periods in [0, {T})",
+            lambda e: len(e) == width and all(_is_int(p) and 0 <= p < T for p in e)
+            and len(set(e)) == width,
+        )
+        if len(entries) > 1 and config.variant in _SINGLE_PAIR:
+            raise ConfigurationError(
+                f"variant {config.variant.value} takes one pair, got {len(entries)}",
+                field="pairs",
+            )
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
+def _check_entries(entries, field_name: str, rule: str, valid) -> None:
+    """ConfigurationError on the first entry that breaks `valid` or repeats."""
+    seen = set()
+    for entry in entries:
+        entry = tuple(entry) if isinstance(entry, (list, tuple, np.ndarray)) else (entry,)
+        if not valid(entry):
+            raise ConfigurationError(f"{field_name} entry {list(entry)} {rule}",
+                                     field=field_name)
+        if entry in seen:
+            raise ConfigurationError(f"{field_name} entry {list(entry)} is repeated",
+                                     field=field_name)
+        seen.add(entry)
 
 
 @dataclass

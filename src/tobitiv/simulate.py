@@ -13,7 +13,7 @@ import json
 import math
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 from enum import Enum
 from typing import Optional
 
@@ -110,7 +110,7 @@ _DIST_TYPES = {
 
 
 def dist_from_dict(d: dict):
-    kind = d.get("type")
+    kind = d.get("type") if isinstance(d, dict) else None
     if kind not in _DIST_TYPES:
         raise ConfigurationError(f"unknown distribution type {kind!r}", field="type")
     cls = _DIST_TYPES[kind]
@@ -169,6 +169,16 @@ class PanelConfig:
             raise ConfigurationError(
                 f"error_cov has shape {cov.shape}, expected ({T}, {T})", field="error_cov"
             )
+        for name in ("beta", "error_cov", "factor_loadings"):
+            if not np.all(np.isfinite(np.asarray(getattr(self, name) or (), dtype=float))):
+                raise ConfigurationError(f"{name} must be finite", field=name)
+        for name in ("fe_dist", "x_dist", "z_dist", "variance_fe_dist"):
+            dist = getattr(self, name)
+            if dist is not None and not all(
+                isinstance(v, (int, float)) and math.isfinite(v) for v in astuple(dist)
+            ):
+                raise ConfigurationError(f"{name} parameters must be finite numbers",
+                                         field=name)
         if not np.allclose(cov, cov.T, atol=1e-12):
             raise ConfigurationError("error_cov must be symmetric", field="error_cov")
         try:
@@ -233,12 +243,12 @@ class PanelConfig:
     @classmethod
     def from_dict(cls, d: dict) -> "PanelConfig":
         kwargs = dict(d)
-        for key in ("fe_dist", "x_dist", "z_dist", "variance_fe_dist"):
-            if key in kwargs and kwargs[key] is not None:
-                kwargs[key] = dist_from_dict(kwargs[key])
         try:
+            for key in ("fe_dist", "x_dist", "z_dist", "variance_fe_dist"):
+                if key in kwargs and kwargs[key] is not None:
+                    kwargs[key] = dist_from_dict(kwargs[key])
             return cls(**kwargs)
-        except TypeError as exc:
+        except (TypeError, ValueError) as exc:
             raise ConfigurationError(f"bad panel config: {exc}") from None
 
 
@@ -417,25 +427,44 @@ def save_dataset(dataset: PanelDataset, out_dir: str) -> None:
 def load_dataset(data_dir: str) -> PanelDataset:
     """Read a dataset directory written by :func:`save_dataset`.
 
-    The returned dataset carries no latent truth (blind to estimators).
+    The returned dataset carries no latent truth (blind to estimators). The
+    tables must have the shapes meta.json gives and finite cells; anything
+    else raises ConfigurationError with field "data_dir".
     """
     meta_path = os.path.join(data_dir, "meta.json")
     if not os.path.exists(meta_path):
         raise ConfigurationError(f"no meta.json in {data_dir}", field="data_dir")
-    with open(meta_path) as fh:
-        meta = json.load(fh)
-    config = PanelConfig.from_dict(meta["config"])
-    N, T, K = meta["n_individuals"], meta["n_periods"], meta["n_regressors"]
-    y = np.loadtxt(os.path.join(data_dir, "y.csv"), delimiter=",", skiprows=1, ndmin=2)
-    x = np.loadtxt(os.path.join(data_dir, "x.csv"), delimiter=",", skiprows=1, ndmin=2)
-    z = None
-    if meta.get("has_z"):
-        z = np.loadtxt(os.path.join(data_dir, "z.csv"), delimiter=",", skiprows=1, ndmin=2)
-        z = z.reshape(N, T)
+    try:
+        with open(meta_path) as fh:
+            meta = json.load(fh)
+        config = PanelConfig.from_dict(meta["config"])
+        N, T, K = (int(meta[k]) for k in ("n_individuals", "n_periods", "n_regressors"))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigurationError(f"bad meta.json in {data_dir}: {exc!r}",
+                                 field="data_dir") from None
+    if (T, K) != (config.n_periods, config.n_regressors):
+        raise ConfigurationError(
+            f"meta.json gives T={T}, K={K} but its config has T={config.n_periods}, "
+            f"K={config.n_regressors}", field="data_dir")
+
+    def table(name, shape):
+        path = os.path.join(data_dir, name)
+        try:
+            values = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+        except ValueError as exc:
+            raise ConfigurationError(f"{path}: {exc}", field="data_dir") from None
+        if values.shape != shape:
+            raise ConfigurationError(
+                f"{path} has shape {values.shape}; meta.json implies {shape}",
+                field="data_dir")
+        if not np.isfinite(values).all():
+            raise ConfigurationError(f"{path} has non-finite cells", field="data_dir")
+        return values
+
     return PanelDataset(
-        y=y.reshape(N, T),
-        x=x.reshape(N, T, K),
-        z=z,
+        y=table("y.csv", (N, T)),
+        x=table("x.csv", (N * T, K)).reshape(N, T, K),
+        z=table("z.csv", (N, T)) if meta.get("has_z") else None,
         config=config,
         n_drawn=meta.get("n_drawn", N),
     )

@@ -15,6 +15,15 @@ def write_config(tmp_path, name, payload):
     return str(path)
 
 
+def assert_config_error(capsys, field):
+    """Exactly one stderr line: a ConfigurationError JSON object naming `field`."""
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    payload = json.loads(err[0])
+    assert payload["error"] == "ConfigurationError"
+    assert payload["field"] == field
+
+
 def sim_config(tmp_path, **panel_overrides):
     panel = {
         "n_individuals": 200,
@@ -74,6 +83,20 @@ class TestSimulate:
         assert "n_periods >= 3" in err["message"]
         assert err["field"] == "n_periods"
 
+    @pytest.mark.parametrize(
+        "override",
+        [{"variant": "Bogus"}, {"x_dist": {"type": "normal", "mu": "one", "sigma": 1.0}}],
+        ids=["unknown_variant", "text_dist_parameter"],
+    )
+    def test_bad_panel_value_exit_2(self, tmp_path, capsys, override):
+        payload = json.loads(open(sim_config(tmp_path)).read())
+        payload["panel"].update(override)
+        cfg = write_config(tmp_path, "bad.json", payload)
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert json.loads(err[0])["error"] == "ConfigurationError"
+
     def test_malformed_json(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
         path.write_text("{not json")
@@ -115,6 +138,25 @@ class TestEstimate:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1
         assert json.loads(err[0])["field"] == "instruments"
+
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            lambda lines: lines[:-1] + [lines[-1].split(",")[0]],  # truncated last row
+            lambda lines: lines[:-5],  # rows missing
+            lambda lines: lines[:3] + ["nan,1.0"] + lines[4:],  # NaN cell
+            lambda lines: lines[:3] + ["abc,1.0"] + lines[4:],  # not a number
+        ],
+        ids=["truncated_row", "missing_rows", "nan_cell", "text_cell"],
+    )
+    def test_damaged_dataset_exit_2(self, tmp_path, capsys, damage):
+        ds = tmp_path / "ds"
+        assert main(["simulate", "--config", sim_config(tmp_path), "--out", str(ds)]) == 0
+        capsys.readouterr()
+        y = ds / "y.csv"
+        y.write_text("\n".join(damage(y.read_text().splitlines())) + "\n")
+        assert main(["estimate", "--data", str(ds), "--out", str(tmp_path / "o")]) == 2
+        assert_config_error(capsys, "data_dir")
 
     def test_missing_dataset_dir(self, tmp_path, capsys):
         assert main(
@@ -226,18 +268,51 @@ class TestMonteCarlo:
 
     @pytest.mark.parametrize(
         "estimator, field",
-        [({"instruments": "bogus"}, "instruments"), ({"pairs": [[0, 15]]}, "pairs")],
+        [
+            ({"instruments": "bogus"}, "instruments"),
+            ({"pairs": [[0, 15]]}, "pairs"),
+            ({"orders": [[0, 1]]}, "orders"),
+            ({"orders": [[1, 1], [1, 1]]}, "orders"),
+            ({"pairs": [[0, 1], [0, 1]]}, "pairs"),
+        ],
     )
     def test_bad_estimator_spec_exit_2(self, tmp_path, capsys, estimator, field):
         panel, _ = self.long_panel()
         cfg = self.mc_config(tmp_path, variant="NonStationary", panel=panel,
                              estimator=estimator)
         assert main(["montecarlo", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
-        err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1
-        payload = json.loads(err[0])
-        assert payload["error"] == "ConfigurationError"
-        assert payload["field"] == field
+        assert_config_error(capsys, field)
+
+    @pytest.mark.parametrize(
+        "variant, extra",
+        [
+            ("FactorLoading", {"factor_loadings": [1.0, 1.5]}),
+            ("SlopeFE", {"z_dist": {"type": "lognormal", "mu": 0.0, "sigma": 0.5}}),
+        ],
+    )
+    def test_single_pair_variant_rejects_two_pairs(self, tmp_path, capsys, variant, extra):
+        panel = {
+            "n_individuals": 400, "n_periods": 2, "n_regressors": 1, "beta": [1.0],
+            "error_cov": [[0.25, 0.0], [0.0, 0.25]], "seed": 0,
+            "x_dist": {"type": "normal", "mu": 1.0, "sigma": 2.0}, **extra,
+        }
+        cfg = self.mc_config(tmp_path, variant=variant, panel=panel,
+                             estimator={"instruments": "products", "pairs": [[1, 0], [0, 1]]})
+        assert main(["montecarlo", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert_config_error(capsys, "pairs")
+
+    @pytest.mark.parametrize("field, value", [("beta", [float("nan")]),
+                                              ("error_cov", [[0.25, 0.0], [0.0, float("inf")]])])
+    def test_non_finite_panel_exit_2(self, tmp_path, capsys, field, value):
+        cfg = self.mc_config(tmp_path)
+        payload = json.loads(open(cfg).read())
+        payload["panel"][field] = value
+        cfg = write_config(tmp_path, "mc.json", payload)
+        assert main(["montecarlo", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert_config_error(capsys, field)
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "ds")]) == 2
+        assert_config_error(capsys, field)
+        assert not (tmp_path / "ds" / "y.csv").exists()
 
     def test_zero_replications_rejected(self, tmp_path, capsys):
         cfg = self.mc_config(tmp_path, replications=0)
