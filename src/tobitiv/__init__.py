@@ -28,7 +28,6 @@ from .errors import (
 from .gmm import (
     LinearIVResult,
     NonlinearGMMResult,
-    NonlinearOptions,
     j_test,
     nonlinear_gmm,
     two_stage_least_squares,

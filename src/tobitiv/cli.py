@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import argparse
 import csv
-import itertools
 import json
+import math
 import os
 import sys
 
@@ -26,11 +26,18 @@ from .simulate import (
     PanelConfig,
     Sampling,
     censoring_rate,
+    is_int,
+    is_number,
     load_dataset,
     save_dataset,
     simulate,
 )
-from .truncmoments import BivariateNormalSpec, MomentQuery, moment_identity_residual
+from .truncmoments import (
+    MAX_TOTAL_ORDER,
+    BivariateNormalSpec,
+    MomentQuery,
+    moment_identity_residual,
+)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -53,23 +60,38 @@ def _emit_error(exc: Exception) -> None:
 def _load_json(path: str) -> dict:
     try:
         with open(path) as fh:
-            return json.load(fh)
+            cfg = json.load(fh)
     except FileNotFoundError:
         raise ConfigurationError(f"config file not found: {path}")
     except json.JSONDecodeError as exc:
         raise ConfigurationError(f"config is not valid JSON: {exc}")
+    if not isinstance(cfg, dict):
+        raise ConfigurationError("config must be a JSON object")
+    return cfg
+
+
+def _section(cfg: dict, name: str) -> dict:
+    value = cfg.get(name, {})
+    if not isinstance(value, dict):
+        raise ConfigurationError(f"{name} must be a JSON object", field=name)
+    return value
+
+
+def _check(ok: bool, name: str, rule: str) -> None:
+    if not ok:
+        raise ConfigurationError(f"{name} must be {rule}", field=name)
 
 
 def _panel_config(cfg: dict, seed_override) -> PanelConfig:
-    panel = dict(cfg.get("panel", {}))
+    panel = dict(_section(cfg, "panel"))
     if "variant" in cfg:
         panel.setdefault("variant", cfg["variant"])
     if "variant" not in panel:
         raise ConfigurationError("missing 'variant'", field="variant")
     if seed_override is not None:
-        panel["seed"] = int(seed_override)
+        panel["seed"] = seed_override
     elif "seed" not in panel:
-        panel["seed"] = int(cfg.get("master_seed", 0))
+        panel["seed"] = cfg.get("master_seed", 0)
     config = PanelConfig.from_dict(panel)
     config.validate()
     return config
@@ -77,7 +99,7 @@ def _panel_config(cfg: dict, seed_override) -> PanelConfig:
 
 def _estimator_spec(cfg: dict, config: PanelConfig) -> EstimatorSpec:
     try:
-        spec = EstimatorSpec.from_dict(cfg.get("estimator", {}))
+        spec = EstimatorSpec.from_dict(_section(cfg, "estimator"))
     except TypeError as exc:
         raise ConfigurationError(f"bad estimator config: {exc}", field="estimator")
     spec.validate(config)
@@ -145,19 +167,14 @@ def _replication_rows(summaries):
     rows = []
     for summ in summaries:
         for rec in summ.records:
-            row = [
-                rec.sample_size,
-                rec.replication,
-                int(rec.converged),
-                _fmt(rec.wall_ms),
-                "" if rec.j_statistic is None else _fmt(rec.j_statistic),
-                rec.error or "",
-            ]
-            if rec.failed:
-                row += [""] * (2 * len(names))
+            res = rec.result
+            row = [rec.sample_size, rec.replication, int(res is not None and res.converged),
+                   _fmt(rec.wall_ms)]
+            if res is None:
+                row += ["", rec.error] + [""] * (2 * len(names))
             else:
-                row += [_fmt(v) for v in rec.estimates]
-                row += [_fmt(v) for v in rec.std_errors]
+                row += ["" if res.j_statistic is None else _fmt(res.j_statistic), ""]
+                row += [_fmt(v) for v in res.estimates] + [_fmt(v) for v in res.se]
             rows.append(row)
     return header, rows
 
@@ -184,18 +201,16 @@ def _summary_rows(summaries):
 
 def cmd_montecarlo(args) -> int:
     cfg = _load_json(args.config)
-    replications = int(cfg.get("replications", 0))
-    if replications < 1:
-        raise ConfigurationError("replications must be >= 1", field="replications")
+    replications = cfg.get("replications", 0)
+    _check(is_int(replications) and replications >= 1, "replications", "an integer >= 1")
     sizes = cfg.get("sample_sizes")
-    if sizes is not None:
-        sizes = [int(n) for n in sizes]
-        if any(b <= a for a, b in zip(sizes, sizes[1:])) or any(n < 1 for n in sizes):
-            raise ConfigurationError(
-                "sample_sizes must be positive and strictly increasing",
-                field="sample_sizes",
-            )
-    master_seed = int(args.seed if args.seed is not None else cfg.get("master_seed", 0))
+    _check(sizes is None or (
+        isinstance(sizes, list) and len(sizes) > 0
+        and all(is_int(n) and n >= 1 for n in sizes)
+        and all(b > a for a, b in zip(sizes, sizes[1:]))
+    ), "sample_sizes", "a list of positive, strictly increasing integers")
+    master_seed = args.seed if args.seed is not None else cfg.get("master_seed", 0)
+    _check(is_int(master_seed) and master_seed >= 0, "master_seed", "an integer >= 0")
     config = _panel_config(cfg, None)
     spec = _estimator_spec(cfg, config)
     out = _out_dir(args, cfg)
@@ -225,42 +240,56 @@ def cmd_montecarlo(args) -> int:
     return EXIT_OK
 
 
-_VERIFY_DEFAULTS = {
-    "n_points": 50,
-    "mu_range": [-2.0, 2.0],
-    "sigma2_range": [0.25, 4.0],
-    "rho_max": 0.9,
-    "orders": [[k, m] for k in (1, 2, 3) for m in (1, 2, 3)],
-    "tolerance": 1e-6,
-    "quadrature_tol": 1e-7,
-    "grid_seed": 20260823,
-}
-
 RHO_CAP = 0.99
 
 
+def _is_range(v, above=-math.inf) -> bool:
+    return (isinstance(v, list) and len(v) == 2 and all(is_number(b) for b in v)
+            and above < v[0] <= v[1])
+
+
+def _is_identity_order(o) -> bool:
+    # The identity at (k, m) takes moments of total order k + m + 1.
+    return (isinstance(o, list) and len(o) == 2 and all(is_int(v) and v >= 1 for v in o)
+            and o[0] + o[1] + 1 <= MAX_TOTAL_ORDER)
+
+
+# Each verify field: its default, the test a value must pass, and the rule it states.
+_VERIFY_FIELDS = {
+    "n_points": (50, lambda v: is_int(v) and v >= 1, "an integer >= 1"),
+    "mu_range": ([-2.0, 2.0], _is_range, "[lo, hi] with finite lo <= hi"),
+    "sigma2_range": ([0.25, 4.0], lambda v: _is_range(v, above=0.0),
+                     "[lo, hi] with finite 0 < lo <= hi"),
+    "rho_max": (0.9, lambda v: is_number(v) and 0.0 <= v <= RHO_CAP,
+                f"a number in [0, {RHO_CAP}]; near-singular covariances are excluded"),
+    "orders": ([[k, m] for k in (1, 2, 3) for m in (1, 2, 3)],
+               lambda v: isinstance(v, list) and len(v) > 0
+               and all(_is_identity_order(o) for o in v),
+               f"a non-empty list of [k, m], integers >= 1 with k + m + 1 <= {MAX_TOTAL_ORDER}"),
+    "tolerance": (1e-6, lambda v: is_number(v) and v > 0, "a positive number"),
+    "quadrature_tol": (1e-7, lambda v: is_number(v) and v > 0, "a positive number"),
+    "grid_seed": (20260823, lambda v: is_int(v) and v >= 0, "an integer >= 0"),
+}
+
+
 def cmd_verify(args) -> int:
-    cfg = dict(_VERIFY_DEFAULTS)
+    cfg = {name: default for name, (default, _, _) in _VERIFY_FIELDS.items()}
     if args.config:
         user = _load_json(args.config)
-        unknown = set(user) - set(_VERIFY_DEFAULTS)
+        unknown = set(user) - set(cfg)
         if unknown:
             raise ConfigurationError(f"unknown verify fields: {sorted(unknown)}")
         cfg.update(user)
-    if not (0.0 <= cfg["rho_max"] <= RHO_CAP):
-        raise ConfigurationError(
-            f"rho_max must lie in [0, {RHO_CAP}]; near-singular covariances are "
-            "excluded by validation",
-            field="rho_max",
-        )
+    if args.seed is not None:
+        cfg["grid_seed"] = args.seed
+    for name, (_, valid, rule) in _VERIFY_FIELDS.items():
+        _check(valid(cfg[name]), name, rule)
     out = _out_dir(args, cfg if args.out is None else {"output_dir": args.out})
-    rng = np.random.default_rng(
-        int(args.seed if args.seed is not None else cfg["grid_seed"])
-    )
+    rng = np.random.default_rng(cfg["grid_seed"])
     mu_lo, mu_hi = cfg["mu_range"]
     s2_lo, s2_hi = cfg["sigma2_range"]
     points = []
-    for _ in range(int(cfg["n_points"])):
+    for _ in range(cfg["n_points"]):
         s1_sq = rng.uniform(s2_lo, s2_hi)
         s2_sq = rng.uniform(s2_lo, s2_hi)
         rho = rng.uniform(-cfg["rho_max"], cfg["rho_max"])
@@ -273,14 +302,14 @@ def cmd_verify(args) -> int:
                 sigma12=rho * np.sqrt(s1_sq * s2_sq),
             )
         )
-    tol = float(cfg["tolerance"])
-    quad_tol = float(cfg["quadrature_tol"])
+    tol = cfg["tolerance"]
     rows = []
     worst = None
     for k, m in cfg["orders"]:
         best_point, max_abs = None, -1.0
         for spec in points:
-            res = moment_identity_residual(spec, MomentQuery(k=int(k), m=int(m)), tol=quad_tol)
+            res = moment_identity_residual(spec, MomentQuery(k=k, m=m),
+                                           tol=cfg["quadrature_tol"])
             if abs(res) > max_abs:
                 max_abs, best_point = abs(res), spec
         rows.append(

@@ -12,7 +12,7 @@ solve.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from typing import Optional
 
 import numpy as np
@@ -31,7 +31,9 @@ RANK_RTOL = 1e-10
 
 @dataclass
 class LinearIVResult:
-    param_names: list
+    """One solve's estimates and diagnostics; a Monte Carlo replication keeps it whole."""
+
+    params: list  # moments.Param per estimate
     estimates: np.ndarray
     covariance: np.ndarray
     n_rows: int
@@ -39,40 +41,32 @@ class LinearIVResult:
     condition_number: float
     j_statistic: Optional[float] = None
     j_dof: int = 0
+    converged: bool = True  # closed-form 2SLS always converges
+
+    @property
+    def param_names(self) -> list:
+        return [p.name for p in self.params]
 
     @property
     def se(self) -> np.ndarray:
         return np.sqrt(np.diag(self.covariance))
 
-    def to_dict(self):
-        d = {
-            "param_names": list(self.param_names),
-            "estimates": [float(v) for v in self.estimates],
-            "se": [float(v) for v in self.se],
-            "covariance": [float(v) for v in self.covariance.ravel()],
-            "n_rows": self.n_rows,
-            "n_clusters": self.n_clusters,
-            "condition_number": self.condition_number,
-            "j_statistic": self.j_statistic,
-            "j_dof": self.j_dof,
-        }
+    def to_dict(self) -> dict:
+        """JSON-ready fields: parameter names, arrays as flat float lists, and `se`."""
+        d = {"param_names": self.param_names, "se": [float(v) for v in self.se]}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, np.ndarray):
+                value = [float(v) for v in value.ravel()]
+            if f.name != "params":
+                d[f.name] = value
         return d
 
 
 @dataclass
 class NonlinearGMMResult(LinearIVResult):
-    converged: bool = False
     iterations: int = 0
     objective_value: float = 0.0
-
-    def to_dict(self):
-        d = super().to_dict()
-        d.update(
-            converged=self.converged,
-            iterations=self.iterations,
-            objective_value=self.objective_value,
-        )
-        return d
 
 
 class _Clusters:
@@ -208,7 +202,7 @@ def two_stage_least_squares(system: MomentSystem) -> LinearIVResult:
         j_stat = float(n * gbar @ _spd_solve(S, gbar))
 
     return LinearIVResult(
-        param_names=list(system.param_names),
+        params=list(system.params),
         estimates=estimates,
         covariance=covariance,
         n_rows=n,
@@ -269,13 +263,12 @@ def _parabolic_refine(fun, x, h):
     return x, f0, 4
 
 
-@dataclass
-class NonlinearOptions:
-    r_bracket: tuple = (0.05, 20.0)
-    n_grid: int = 33
-    search_tol: float = 1e-12  # in log r
-    fd_rel_step: float = 1e-6
-    grad_tol: float = 1e-5
+# Settings of the factor-loading search in `nonlinear_gmm`.
+R_BRACKET = (0.05, 20.0)  # search interval for the loadings ratio r
+N_GRID = 33  # coarse grid points in log r
+SEARCH_TOL = 1e-12  # golden-section tolerance, in log r
+FD_REL_STEP = 1e-6  # relative step of the central-difference Jacobian
+GRAD_TOL = 1e-5  # gradient norm below which the result counts as converged
 
 
 def _whiten_instruments(Z: np.ndarray):
@@ -306,11 +299,7 @@ def concentrated_linear_solve(system: NonlinearMomentSystem, r: float, Zw, Wmat)
     return theta, value, gbar
 
 
-def nonlinear_gmm(
-    system: NonlinearMomentSystem,
-    theta0: Optional[np.ndarray] = None,
-    options: Optional[NonlinearOptions] = None,
-) -> NonlinearGMMResult:
+def nonlinear_gmm(system: NonlinearMomentSystem) -> NonlinearGMMResult:
     """Two-step GMM for the factor-loading system.
 
     The criterion is linear in (beta, a, b) at fixed loadings ratio r, so the
@@ -320,7 +309,6 @@ def nonlinear_gmm(
     instruments (equivalent to 2SLS); step two reweights with the inverse
     clustered moment covariance from step one.
     """
-    options = options or NonlinearOptions()
     n = system.n_rows
     Z = system.instruments[:, _independent_instrument_columns(system.instruments)]
     q = Z.shape[1]
@@ -339,8 +327,8 @@ def nonlinear_gmm(
             evals += 1
             return concentrated_linear_solve(system, math.exp(log_r), Zw, Wmat)[1]
 
-        lo, hi = (math.log(b) for b in options.r_bracket)
-        grid = list(np.linspace(lo, hi, options.n_grid))
+        lo, hi = (math.log(b) for b in R_BRACKET)
+        grid = list(np.linspace(lo, hi, N_GRID))
         if r_hint is not None and lo < math.log(r_hint) < hi:
             grid = sorted(grid + [math.log(r_hint)])
         vals = [obj(g) for g in grid]
@@ -348,19 +336,14 @@ def nonlinear_gmm(
         if i_min == 0 or i_min == len(grid) - 1:
             raise BracketError(
                 f"objective is minimized at the bracket edge r = "
-                f"{math.exp(grid[i_min]):.4g}; widen r_bracket"
+                f"{math.exp(grid[i_min]):.4g} of the search interval {R_BRACKET}"
             )
-        x, _, ne = golden_section(obj, grid[i_min - 1], grid[i_min + 1],
-                                  tol=options.search_tol)
-        x, fx, _ = _parabolic_refine(obj, x, max(10.0 * options.search_tol, 1e-9))
+        x, _, _ = golden_section(obj, grid[i_min - 1], grid[i_min + 1], tol=SEARCH_TOL)
+        x, fx, _ = _parabolic_refine(obj, x, max(10.0 * SEARCH_TOL, 1e-9))
         return math.exp(x), fx
 
-    r_hint = None
-    if theta0 is not None:
-        r_hint = float(np.asarray(theta0)[K])
-
     # step 1: 2SLS-equivalent weighting (the identity)
-    r1, _ = _search(None, r_hint)
+    r1, _ = _search(None)
     theta_lin1, _, _ = concentrated_linear_solve(system, r1, Zw, None)
 
     def _full_theta(r, theta_lin):
@@ -387,7 +370,7 @@ def nonlinear_gmm(
     # numerically differentiated moment Jacobian (central differences)
     G = np.empty((q, p))
     for j in range(p):
-        step = options.fd_rel_step * max(1.0, abs(theta[j]))
+        step = FD_REL_STEP * max(1.0, abs(theta[j]))
         tp, tm = theta.copy(), theta.copy()
         tp[j] += step
         tm[j] -= step
@@ -404,7 +387,7 @@ def nonlinear_gmm(
     j_stat = float(n * gbar @ _spd_solve(S, gbar)) if q > p else None
 
     return NonlinearGMMResult(
-        param_names=list(system.param_names),
+        params=list(system.params),
         estimates=theta,
         covariance=covariance,
         n_rows=n,
@@ -412,7 +395,7 @@ def nonlinear_gmm(
         condition_number=float(np.linalg.cond(Zw.T @ system.shared_linear_parts(r2)[1] / n)),
         j_statistic=j_stat,
         j_dof=max(q - p, 0),
-        converged=bool(np.linalg.norm(grad) < options.grad_tol),
+        converged=bool(np.linalg.norm(grad) < GRAD_TOL),
         iterations=evals,
         objective_value=float(n * obj2),
     )

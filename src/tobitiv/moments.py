@@ -99,7 +99,6 @@ class NonlinearMomentSystem:
     x_s: np.ndarray
     instruments: np.ndarray
     cluster: np.ndarray
-    periods: np.ndarray
     params: list  # beta..., r, a, b
 
     @property
@@ -208,31 +207,28 @@ def pair_product_instruments(x_t: np.ndarray, x_s: np.ndarray) -> np.ndarray:
     return np.hstack(cols)
 
 
-def censored_index_instruments(
-    x: np.ndarray, coef: Optional[np.ndarray] = None, products: bool = True
-) -> np.ndarray:
+def censored_index_instruments(x: np.ndarray) -> np.ndarray:
     """Triple-system instruments built from a censored-index proxy.
 
     For each of the three periods form h_t = max(0, x_t'c + xbar'c), where
-    xbar is the within-individual period mean of x and c defaults to ones.
+    xbar is the within-individual period mean of x and c is a vector of ones.
     The proxy column sum_cyc h_t h_s (x_t - x_s) mimics the endogenous
     cyclic regressor of the triple systems while remaining a pure function
     of x; it is what makes those systems strongly identified in practice.
+    The products h_t h_s of each cyclic pair follow as columns of their own.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim != 3 or x.shape[1] != 3:
         raise DomainError(f"expected x of shape (n, 3, K), got {x.shape}")
     n, _, K = x.shape
-    c = np.ones(K) if coef is None else np.asarray(coef, dtype=float)
-    index = x @ c  # (n, 3)
+    index = x @ np.ones(K)  # (n, 3)
     h = np.maximum(0.0, index + index.mean(axis=1, keepdims=True))
     cyc = [(0, 1), (1, 2), (2, 0)]
     proxy = np.zeros((n, K))
     for t, s in cyc:
         proxy += (h[:, t] * h[:, s])[:, None] * (x[:, t, :] - x[:, s, :])
     cols = [np.ones((n, 1)), proxy, x[:, 0, :], x[:, 1, :], x[:, 2, :]]
-    if products:
-        cols += [(h[:, t] * h[:, s])[:, None] for t, s in cyc]
+    cols += [(h[:, t] * h[:, s])[:, None] for t, s in cyc]
     return np.hstack(cols)
 
 
@@ -258,7 +254,7 @@ INSTRUMENT_SETS = {
 def instrument_set(shape: str, kind: str):
     """The instrument-set function of this kind for a cell, pair or triple system."""
     sets = INSTRUMENT_SETS[shape]
-    if kind not in sets:
+    if not isinstance(kind, str) or kind not in sets:
         raise ConfigurationError(
             f"unknown {shape} instrument set {kind!r}; expected one of {sorted(sets)}",
             field="instruments",
@@ -382,7 +378,6 @@ def build_factor_loading(
         x_s=x_s,
         instruments=instrument_set("pair", instruments)(x_t, x_s),
         cluster=idx,
-        periods=np.broadcast_to([t, s], (idx.size, 2)).copy(),
         params=_beta_params(x_t.shape[1]) + [Param(kind, (t, s)) for kind in "rab"],
     )
 

@@ -1,7 +1,7 @@
 """Replication harness: simulate, build, estimate, and summarize.
 
 Each replication draws a fresh panel from a substream of the master seed,
-runs the variant's estimator, and records estimates with standard errors.
+runs the variant's estimator, and keeps the solver's result as the record.
 Failures (insufficient pairs at small N, failed identification checks) are
 recorded and excluded from the summaries; the study aborts only when more
 than 20% of replications fail.
@@ -17,7 +17,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .errors import ConfigurationError, ConvergenceError, TobitIVError
-from .gmm import nonlinear_gmm, two_stage_least_squares
+from .gmm import LinearIVResult, nonlinear_gmm, two_stage_least_squares
 from .moments import (
     MomentSystem,
     NonlinearMomentSystem,
@@ -37,16 +37,10 @@ from .moments import (
     pair_product_instruments,
     stack_systems,
 )
-from .simulate import ModelVariant, PanelConfig, PanelDataset, simulate
+from .simulate import SYSTEM_SHAPES, ModelVariant, PanelConfig, PanelDataset, is_int, simulate
 
 FAILURE_FRACTION_LIMIT = 0.2
 
-# Moment-system shape of each variant, which fixes its instrument sets.
-_SHAPES = {
-    ModelVariant.CROSS_SECTION: "cell",
-    ModelVariant.VARIANCE_FE: "triple",
-    ModelVariant.ADDITIVE_VARIANCE: "triple",
-}  # every other variant builds pair systems
 # Variants whose system is built from one pair (the first of `pairs`).
 _SINGLE_PAIR = (ModelVariant.FACTOR_LOADING, ModelVariant.SLOPE_FE)
 
@@ -84,12 +78,16 @@ class EstimatorSpec:
 
         The instrument kind must be one the variant's system shape offers;
         each pair, or the triple, must hold distinct periods in [0, T); each
-        order (k, m) must hold integers >= 1; no pair or order may repeat,
-        and the single-pair variants take at most one pair.
+        order (k, m), and the cross-section order, must hold integers >= 1;
+        no pair or order may repeat, and the single-pair variants take at
+        most one pair.
         """
         _check_entries(self.orders, "orders", "must be two integers >= 1",
-                       lambda o: len(o) == 2 and all(_is_int(v) and v >= 1 for v in o))
-        shape = _SHAPES.get(config.variant, "pair")
+                       lambda o: len(o) == 2 and all(is_int(v) and v >= 1 for v in o))
+        if not (is_int(self.cross_section_order) and self.cross_section_order >= 1):
+            raise ConfigurationError("cross_section_order must be an integer >= 1",
+                                     field="cross_section_order")
+        shape = SYSTEM_SHAPES[config.variant]
         instrument_set(shape, self.instruments)
         if shape == "cell":
             return
@@ -98,7 +96,7 @@ class EstimatorSpec:
         T = config.n_periods
         _check_entries(
             entries, field_name, f"must be {width} distinct periods in [0, {T})",
-            lambda e: len(e) == width and all(_is_int(p) and 0 <= p < T for p in e)
+            lambda e: len(e) == width and all(is_int(p) and 0 <= p < T for p in e)
             and len(set(e)) == width,
         )
         if len(entries) > 1 and config.variant in _SINGLE_PAIR:
@@ -106,10 +104,6 @@ class EstimatorSpec:
                 f"variant {config.variant.value} takes one pair, got {len(entries)}",
                 field="pairs",
             )
-
-
-def _is_int(v) -> bool:
-    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
 
 
 def _check_entries(entries, field_name: str, rule: str, valid) -> None:
@@ -130,17 +124,13 @@ def _check_entries(entries, field_name: str, rule: str, valid) -> None:
 class ReplicationRecord:
     replication: int
     sample_size: int
-    params: list  # Param per estimate; empty when the replication failed
-    estimates: Optional[np.ndarray]
-    std_errors: Optional[np.ndarray]
-    j_statistic: Optional[float]
-    converged: bool
     wall_ms: float
+    result: Optional[LinearIVResult]  # None when the replication failed
     error: Optional[str] = None
 
     @property
     def failed(self) -> bool:
-        return self.error is not None
+        return self.result is None
 
 
 @dataclass
@@ -232,39 +222,18 @@ def run_replication(
     seed = replication_seed(master_seed, j)
     cfg = replace(config, seed=seed)
     start = time.perf_counter()
+    result, error = None, None
     try:
         dataset = simulate(cfg)
         system = build_estimation_system(dataset, cfg, spec)
         if isinstance(system, NonlinearMomentSystem):
             result = nonlinear_gmm(system)
-            converged = result.converged
         else:
             result = two_stage_least_squares(system)
-            converged = True
-        wall = 1e3 * (time.perf_counter() - start)
-        return ReplicationRecord(
-            replication=j,
-            sample_size=cfg.n_individuals,
-            params=list(system.params),
-            estimates=np.asarray(result.estimates, dtype=float),
-            std_errors=np.asarray(result.se, dtype=float),
-            j_statistic=result.j_statistic,
-            converged=converged,
-            wall_ms=wall,
-        )
     except TobitIVError as exc:
-        wall = 1e3 * (time.perf_counter() - start)
-        return ReplicationRecord(
-            replication=j,
-            sample_size=cfg.n_individuals,
-            params=[],
-            estimates=None,
-            std_errors=None,
-            j_statistic=None,
-            converged=False,
-            wall_ms=wall,
-            error=f"{type(exc).__name__}: {exc}",
-        )
+        error = f"{type(exc).__name__}: {exc}"
+    wall = 1e3 * (time.perf_counter() - start)
+    return ReplicationRecord(j, cfg.n_individuals, wall, result, error)
 
 
 def _run_replication_args(args):
@@ -278,8 +247,8 @@ def summarize(
     n_failed = len(records) - len(good)
     if not good:
         raise ConvergenceError("all replications failed")
-    est = np.vstack([r.estimates for r in good])
-    se = np.vstack([r.std_errors for r in good])
+    est = np.vstack([r.result.estimates for r in good])
+    se = np.vstack([r.result.se for r in good])
     truth = np.asarray(truth, dtype=float)
     bias = est.mean(axis=0) - truth
     covered = np.abs(est - truth) <= 1.959963984540054 * se
@@ -334,7 +303,7 @@ def run_study(
                 f"{n_failed}/{n_replications} replications failed at N={size}: "
                 + "; ".join(sorted(reasons))
             )
-        params = next(r.params for r in records if not r.failed)
+        params = next(r.result.params for r in records if not r.failed)
         truth = true_parameter_values(cfg, params)
         summaries.append(summarize(records, truth, [p.name for p in params]))
     return summaries

@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import sys
 import time
 from dataclasses import astuple, dataclass, field
 from enum import Enum
@@ -30,6 +31,21 @@ class ModelVariant(str, Enum):
     VARIANCE_FE = "VarianceFE"
     ADDITIVE_VARIANCE = "AdditiveVariance"
     SLOPE_FE = "SlopeFE"
+
+
+# Moment-system shape of each variant: one moment row uses a cell, a pair or a
+# triple of periods. It fixes the variant's instrument sets and, through
+# SHAPE_PERIODS, the fewest periods its panels need.
+SYSTEM_SHAPES = {
+    ModelVariant.CROSS_SECTION: "cell",
+    ModelVariant.INDEPENDENT_ERRORS: "pair",
+    ModelVariant.NON_STATIONARY: "pair",
+    ModelVariant.FACTOR_LOADING: "pair",
+    ModelVariant.VARIANCE_FE: "triple",
+    ModelVariant.ADDITIVE_VARIANCE: "triple",
+    ModelVariant.SLOPE_FE: "pair",
+}
+SHAPE_PERIODS = {"cell": 1, "pair": 2, "triple": 3}
 
 
 class Sampling(str, Enum):
@@ -101,6 +117,16 @@ class LinearIndexDist:
         }
 
 
+def is_int(v) -> bool:
+    """True for Python and NumPy integers, not for booleans."""
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
+def is_number(v) -> bool:
+    """True for ints and floats that are finite as floats, not for booleans."""
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and abs(v) <= sys.float_info.max
+
+
 _DIST_TYPES = {
     "normal": NormalDist,
     "lognormal": LogNormalDist,
@@ -147,12 +173,15 @@ class PanelConfig:
             )
 
     def validate(self):
+        for name in ("n_individuals", "n_periods", "n_regressors", "seed"):
+            if not is_int(getattr(self, name)):
+                raise ConfigurationError(f"{name} must be an integer", field=name)
+        if not 0 <= self.seed < 2**128:
+            raise ConfigurationError("seed must lie in [0, 2**128)", field="seed")
         N, T, K = self.n_individuals, self.n_periods, self.n_regressors
         if N < 1:
             raise ConfigurationError("n_individuals must be positive", field="n_individuals")
-        min_T = 1 if self.variant is ModelVariant.CROSS_SECTION else 2
-        if self.variant in (ModelVariant.VARIANCE_FE, ModelVariant.ADDITIVE_VARIANCE):
-            min_T = 3
+        min_T = SHAPE_PERIODS[SYSTEM_SHAPES[self.variant]]
         if T < min_T:
             raise ConfigurationError(
                 f"variant {self.variant.value} requires n_periods >= {min_T}, got {T}",
@@ -174,9 +203,9 @@ class PanelConfig:
                 raise ConfigurationError(f"{name} must be finite", field=name)
         for name in ("fe_dist", "x_dist", "z_dist", "variance_fe_dist"):
             dist = getattr(self, name)
-            if dist is not None and not all(
-                isinstance(v, (int, float)) and math.isfinite(v) for v in astuple(dist)
-            ):
+            if dist is None and name in ("fe_dist", "x_dist"):
+                raise ConfigurationError(f"{name} is required", field=name)
+            if dist is not None and not all(is_number(v) for v in astuple(dist)):
                 raise ConfigurationError(f"{name} parameters must be finite numbers",
                                          field=name)
         if not np.allclose(cov, cov.T, atol=1e-12):

@@ -88,12 +88,6 @@ class BivariateNormalSpec:
     def rho(self) -> float:
         return self.sigma12 / (self.sigma1 * self.sigma2)
 
-    def swapped(self) -> "BivariateNormalSpec":
-        """Same distribution with the coordinate labels exchanged."""
-        return BivariateNormalSpec(
-            self.mu2, self.mu1, self.sigma2_sq, self.sigma1_sq, self.sigma12
-        )
-
 
 @dataclass(frozen=True)
 class MomentQuery:
@@ -101,14 +95,13 @@ class MomentQuery:
 
     k: int
     m: int
-    max_total_order: int = MAX_TOTAL_ORDER
 
     def __post_init__(self):
         if self.k < 0 or self.m < 0:
             raise DomainError(f"exponents must be non-negative, got k={self.k}, m={self.m}")
-        if self.k + self.m > self.max_total_order:
+        if self.k + self.m > MAX_TOTAL_ORDER:
             raise UnsupportedOrderError(
-                f"k + m = {self.k + self.m} exceeds the maximum order {self.max_total_order}"
+                f"k + m = {self.k + self.m} exceeds the maximum order {MAX_TOTAL_ORDER}"
             )
 
 
@@ -119,9 +112,7 @@ def _mills_ratio(a: float) -> float:
     return phi / Phi
 
 
-def univariate_truncated_moment(
-    spec: UnivariateNormalSpec, k: int, max_order: int = MAX_TOTAL_ORDER
-) -> float:
+def univariate_truncated_moment(spec: UnivariateNormalSpec, k: int) -> float:
     """E[U^k | U > 0] for U ~ N(mu, sigma2), by upward recursion.
 
     The recursion E[U^{k+1}|U>0] = mu E[U^k|U>0] + sigma2 k E[U^{k-1}|U>0]
@@ -130,8 +121,8 @@ def univariate_truncated_moment(
     """
     if k < 0 or k != int(k):
         raise DomainError(f"k must be a non-negative integer, got {k!r}")
-    if k > max_order:
-        raise UnsupportedOrderError(f"k = {k} exceeds the maximum order {max_order}")
+    if k > MAX_TOTAL_ORDER:
+        raise UnsupportedOrderError(f"k = {k} exceeds the maximum order {MAX_TOTAL_ORDER}")
     if k == 0:
         return 1.0
     sigma = spec.sigma

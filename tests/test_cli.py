@@ -85,8 +85,9 @@ class TestSimulate:
 
     @pytest.mark.parametrize(
         "override",
-        [{"variant": "Bogus"}, {"x_dist": {"type": "normal", "mu": "one", "sigma": 1.0}}],
-        ids=["unknown_variant", "text_dist_parameter"],
+        [{"variant": "Bogus"}, {"x_dist": {"type": "normal", "mu": "one", "sigma": 1.0}},
+         {"x_dist": None}],
+        ids=["unknown_variant", "text_dist_parameter", "null_dist"],
     )
     def test_bad_panel_value_exit_2(self, tmp_path, capsys, override):
         payload = json.loads(open(sim_config(tmp_path)).read())
@@ -125,6 +126,11 @@ class TestEstimate:
         result = json.loads((est / "result.json").read_text())
         assert result["param_names"] == ["beta0", "sigma2_t0", "sigma2_t1"]
         assert len(result["estimates"]) == 3
+        assert set(result) == {
+            "param_names", "estimates", "se", "covariance", "n_rows", "n_clusters",
+            "condition_number", "j_statistic", "j_dof", "converged",
+        }
+        assert result["converged"] is True
         assert "beta0" in capsys.readouterr().out
 
     def test_unknown_instrument_kind_exit_2(self, tmp_path, capsys):
@@ -205,6 +211,23 @@ class TestMonteCarlo:
         assert len(summ) == 4  # header + 3 parameters
         assert reps[0].startswith("sample_size,replication,converged")
 
+    def test_csv_headers(self, tmp_path):
+        cfg = self.mc_config(tmp_path)
+        out = tmp_path / "mc"
+        assert main(["montecarlo", "--config", cfg, "--out", str(out)]) == 0
+        with open(out / "replications.csv") as fh:
+            assert next(csv.reader(fh)) == [
+                "sample_size", "replication", "converged", "wall_ms", "j_statistic", "error",
+                "est_beta0", "est_sigma2_t0", "est_sigma2_t1",
+                "se_beta0", "se_sigma2_t0", "se_sigma2_t1",
+            ]
+        with open(out / "summary.csv") as fh:
+            assert next(csv.reader(fh)) == [
+                "sample_size", "parameter", "truth", "mean_estimate", "mean_bias",
+                "se_of_mean", "rmse", "median_se", "coverage95",
+                "n_replications", "n_failed",
+            ]
+
     def test_deterministic(self, tmp_path):
         cfg = self.mc_config(tmp_path)
         a, b = tmp_path / "a", tmp_path / "b"
@@ -240,6 +263,24 @@ class TestMonteCarlo:
         assert main(["montecarlo", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
         assert json.loads(capsys.readouterr().err)["field"] == "sample_sizes"
 
+    @pytest.mark.parametrize(
+        "override, field",
+        [
+            ({"replications": "three"}, "replications"),
+            ({"master_seed": "x"}, "master_seed"),
+            ({"master_seed": -1}, "master_seed"),
+            ({"sample_sizes": 5}, "sample_sizes"),
+            ({"sample_sizes": []}, "sample_sizes"),
+            ({"panel": "x"}, "panel"),
+            ({"estimator": "x"}, "estimator"),
+        ],
+    )
+    def test_bad_study_field_exit_2(self, tmp_path, capsys, override, field):
+        cfg = self.mc_config(tmp_path, **override)
+        assert main(["montecarlo", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert_config_error(capsys, field)
+        assert not (tmp_path / "o").exists()
+
     def long_panel(self, n_periods=12):
         # Period variances differ, so a swapped pair would give wrong truths.
         cov = np.diag(0.3 + 0.05 * np.arange(n_periods)) + 0.1
@@ -274,6 +315,8 @@ class TestMonteCarlo:
             ({"orders": [[0, 1]]}, "orders"),
             ({"orders": [[1, 1], [1, 1]]}, "orders"),
             ({"pairs": [[0, 1], [0, 1]]}, "pairs"),
+            ({"cross_section_order": "two"}, "cross_section_order"),
+            ({"cross_section_order": 0}, "cross_section_order"),
         ],
     )
     def test_bad_estimator_spec_exit_2(self, tmp_path, capsys, estimator, field):
@@ -302,7 +345,8 @@ class TestMonteCarlo:
         assert_config_error(capsys, "pairs")
 
     @pytest.mark.parametrize("field, value", [("beta", [float("nan")]),
-                                              ("error_cov", [[0.25, 0.0], [0.0, float("inf")]])])
+                                              ("error_cov", [[0.25, 0.0], [0.0, float("inf")]]),
+                                              ("n_individuals", "300")])
     def test_non_finite_panel_exit_2(self, tmp_path, capsys, field, value):
         cfg = self.mc_config(tmp_path)
         payload = json.loads(open(cfg).read())
@@ -345,6 +389,25 @@ class TestVerify:
         cfg = write_config(tmp_path, "v.json", {"rho_max": 0.999})
         assert main(["verify", "--config", cfg, "--out", str(tmp_path / "v")]) == 2
         assert json.loads(capsys.readouterr().err)["field"] == "rho_max"
+
+    @pytest.mark.parametrize(
+        "override, field",
+        [
+            ({"n_points": "x"}, "n_points"),
+            ({"tolerance": "a"}, "tolerance"),
+            ({"mu_range": [1]}, "mu_range"),
+            ({"sigma2_range": [0.0, 1.0]}, "sigma2_range"),
+            ({"orders": [[0, 1]]}, "orders"),
+            ({"orders": [[5, 5]]}, "orders"),
+            ({"orders": [[4, 4]]}, "orders"),  # k + m = 8, but the identity needs order 9
+            ({"grid_seed": -1}, "grid_seed"),
+        ],
+    )
+    def test_bad_field_exit_2(self, tmp_path, capsys, override, field):
+        cfg = write_config(tmp_path, "v.json", {"n_points": 2, **override})
+        assert main(["verify", "--config", cfg, "--out", str(tmp_path / "v")]) == 2
+        assert_config_error(capsys, field)
+        assert not (tmp_path / "v").exists()
 
     def test_unattainable_tolerance_exit_4(self, tmp_path, capsys):
         cfg = write_config(

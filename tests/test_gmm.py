@@ -1,5 +1,6 @@
 """Solver tests: hand formulas, invariances, and the concentrated search."""
 
+import json
 from dataclasses import replace
 
 import numpy as np
@@ -186,7 +187,7 @@ class TestNonlinearGMM:
                     instruments=sys_.instruments,
                     cluster=sys_.cluster,
                     params=[p for p in sys_.params if p.kind != "r"],
-                    periods=sys_.periods,
+                    periods=np.zeros((sys_.n_rows, 1), dtype=int),
                 )
             )
             assert np.allclose(theta, direct.estimates, atol=1e-10)
@@ -214,6 +215,18 @@ class TestNonlinearGMM:
         assert res.objective_value >= 0.0
         assert res.iterations > 0
         assert res.j_statistic is not None and res.j_statistic >= 0.0
+
+    def test_result_dict_keys(self):
+        _, sys_ = factor_loading_panel((1.0, 1.5), seed=13, n=4000)
+        d = nonlinear_gmm(sys_).to_dict()
+        assert set(d) == {
+            "param_names", "estimates", "se", "covariance", "n_rows", "n_clusters",
+            "condition_number", "j_statistic", "j_dof", "converged",
+            "iterations", "objective_value",
+        }
+        assert d["param_names"] == ["beta0", "r_10", "a_10", "b_10"]
+        assert len(d["covariance"]) == 16
+        json.dumps(d)
 
 
 class TestSEShrinkage:

@@ -11,6 +11,7 @@ from tobitiv import (
     Param,
     ShiftedHalfNormalDist,
     replication_seed,
+    run_replication,
     run_study,
     true_parameter_values,
 )
@@ -86,6 +87,29 @@ class TestRunStudy:
         assert a.n_replications == 4 and a.n_failed == 0
         assert np.array_equal(a.mean_estimate, b.mean_estimate)
         assert len(a.records) == 4
+
+    def test_record_keeps_solver_result(self):
+        cfg = indep_config()
+        spec = EstimatorSpec(instruments="levels_squares")
+        summary = run_study(cfg, spec, 2, master_seed=7)[0]
+        for rec in summary.records:
+            res = rec.result
+            assert not rec.failed and rec.error is None
+            assert res.param_names == summary.param_names
+            assert res.converged
+            assert res.condition_number >= 1.0
+            assert 0 < res.n_clusters <= rec.sample_size
+            assert res.j_dof == 2  # 5 levels_squares columns, 3 parameters
+        est = np.vstack([r.result.estimates for r in summary.records])
+        assert np.array_equal(summary.mean_estimate, est.mean(axis=0))
+
+    def test_failed_record_has_no_result(self):
+        cfg = indep_config(
+            x_dist=NormalDist(-9.0, 0.5), fe_dist=LinearIndexDist(0.0, 0.1)
+        )
+        rec = run_replication(cfg, EstimatorSpec(), 0, master_seed=1)
+        assert rec.failed and rec.result is None
+        assert rec.error.startswith("EmptySystemError")
 
     def test_sample_size_sweep(self):
         cfg = indep_config()
