@@ -202,7 +202,8 @@ def _summary_rows(summaries):
 def cmd_montecarlo(args) -> int:
     cfg = _load_json(args.config)
     replications = cfg.get("replications", 0)
-    _check(is_int(replications) and replications >= 1, "replications", "an integer >= 1")
+    _check(is_int(replications) and 1 <= replications <= 100_000, "replications",
+           "an integer in [1, 100000]")  # every record is held until the summary
     sizes = cfg.get("sample_sizes")
     _check(sizes is None or (
         isinstance(sizes, list) and len(sizes) > 0

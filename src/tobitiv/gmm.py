@@ -3,10 +3,11 @@
 The dependent variables here are cubic in the outcomes, so columns can be
 badly scaled; everything runs through column rescaling and orthogonal
 decompositions rather than raw normal equations. One pivoted QR of the
-rescaled instruments both prunes redundant columns and, in 2SLS, gives the
-orthonormal basis of the projection: its first `rank` Q columns span the
-kept instruments. Rows are grouped by cluster with at most one sort per
-solve.
+rescaled instruments both prunes redundant columns and, in 2SLS, is the one
+instrument basis: fit, rank check, covariance and J all come from its Q and
+R factors (Golub & Van Loan, *Matrix Computations*, 5.3). Rows are grouped by
+cluster at most once per solve, and one pass of cluster sums serves both the
+covariance and J.
 """
 
 from __future__ import annotations
@@ -117,19 +118,20 @@ def _check_rank(M: np.ndarray, param_names) -> float:
 
 
 def _pivoted_qr(Z: np.ndarray, scale: np.ndarray, mode: str):
-    """Pivoted QR of the rescaled instruments: (Q or raw factors, rank, kept columns).
+    """Pivoted QR of the rescaled instruments: (Q or raw factors, R11, kept columns).
 
     The default instrument list is deliberately redundant (x_t - x_s lies in
     the span of x_t and x_s); the projection space is unchanged by pruning,
     but the J degrees of freedom and the moment covariance require a
     full-rank instrument matrix. The kept columns are the first `rank`
-    pivots, so the first `rank` columns of Q span them.
+    pivots, so the first `rank` columns of Q span them; times R11, the
+    leading block of R, they give the rescaled kept columns in pivot order.
     """
     Zs = np.divide(Z, scale, order="F")  # LAPACK's layout, factorised in place
     Q, R, piv = sla.qr(Zs, mode=mode, pivoting=True, overwrite_a=True)
     diag = np.abs(np.diag(R))
     rank = int(np.sum(diag > RANK_RTOL * diag[0])) if diag.size else 0
-    return Q, rank, np.sort(piv[:rank])
+    return Q, R[:rank, :rank], np.sort(piv[:rank])
 
 
 def _independent_instrument_columns(Z: np.ndarray) -> np.ndarray:
@@ -155,8 +157,8 @@ def two_stage_least_squares(system: MomentSystem) -> LinearIVResult:
     """
     y = system.dependent
     W = system.regressors
-    dZ = _column_scale(system.instruments)
-    Q, q, kept = _pivoted_qr(system.instruments, dZ, mode="economic")
+    Q, R, _ = _pivoted_qr(system.instruments, _column_scale(system.instruments), "economic")
+    q = R.shape[0]
     Q = Q[:, :q]  # orthonormal basis of the kept instruments' span
     n, p = W.shape
     if n < p:
@@ -166,40 +168,31 @@ def two_stage_least_squares(system: MomentSystem) -> LinearIVResult:
 
     dW = _column_scale(W)
     Ws = W / dW
-    Zs = system.instruments[:, kept]
-    Zs /= dZ[kept]
-
-    cross = Zs.T @ Ws / n
-    cond = _check_rank(cross, system.param_names)
-
     QtW = Q.T @ Ws
-    What = Q @ QtW
-    # Q is orthonormal, so fitting What = Q QtW to y is fitting QtW to Q'y.
-    theta_s, *_ = np.linalg.lstsq(QtW, Q.T @ y, rcond=None)
+    # R'QtW/n is the kept instruments' cross moment with Ws, rows in pivot order.
+    cond = _check_rank(R.T @ QtW / n, system.param_names)
+    # Q is orthonormal, so fitting the projection Q QtW to y is fitting QtW to Q'y.
+    Qty = Q.T @ y
+    theta_s, *_ = np.linalg.lstsq(QtW, Qty, rcond=None)
     estimates = theta_s / dW
     u = y - W @ estimates
 
-    A = QtW.T @ QtW  # = What' Ws
     clusters = _Clusters(system.cluster)
-    H = clusters.sums(What * u[:, None])
-    B = H.T @ H
-    Ainv_B = np.linalg.solve(A, B)
-    Vs = np.linalg.solve(A, Ainv_B.T).T
-    covariance = Vs / np.outer(dW, dW)
-    covariance = 0.5 * (covariance + covariance.T)
+    Gc = clusters.sums(Q * u[:, None])  # per-cluster moments in the Q basis
+    # Sandwich A^-1 H'H A^-1 = M M' with bread A = QtW'QtW, meat rows H = Gc QtW
+    # and M = A^-1 QtW' Gc': the solve takes q right-hand sides, not one per cluster.
+    M = np.linalg.solve(QtW.T @ QtW, QtW.T) @ Gc.T
+    covariance = (M @ M.T) / np.outer(dW, dW)
 
     j_stat = None
-    dof = max(q - p, 0)
     if q > p:
-        Gc = clusters.sums(Zs * u[:, None])
-        S = Gc.T @ Gc / n
-        Gz = cross
-        gy = Zs.T @ y / n
-        SinvG = _spd_solve(S, Gz)
-        Sinvgy = _spd_solve(S, gy)
-        theta2 = np.linalg.solve(Gz.T @ SinvG, Gz.T @ Sinvgy)
-        gbar = gy - Gz @ theta2
-        j_stat = float(n * gbar @ _spd_solve(S, gbar))
+        # J does not change under a nonsingular change of instrument basis, and
+        # the 1/n factors of the moments and of their covariance S cancel in it.
+        S = Gc.T @ Gc
+        SinvG = _spd_solve(S, QtW)
+        theta2 = np.linalg.solve(QtW.T @ SinvG, SinvG.T @ Qty)
+        gbar = Qty - QtW @ theta2
+        j_stat = float(gbar @ _spd_solve(S, gbar))
 
     return LinearIVResult(
         params=list(system.params),
@@ -209,7 +202,7 @@ def two_stage_least_squares(system: MomentSystem) -> LinearIVResult:
         n_clusters=clusters.count,
         condition_number=cond,
         j_statistic=j_stat,
-        j_dof=dof,
+        j_dof=q - p,
     )
 
 

@@ -313,23 +313,14 @@ def _pair_arrays(dataset: PanelDataset, t: int, s: int):
 def build_pairwise_independent(
     dataset: PanelDataset, t: int, s: int, instruments: str = "default"
 ) -> MomentSystem:
-    """Pairwise rows under errors independent over time.
+    """The k = m = 1 nonstationary rows under errors independent over time.
 
     y_t^2 y_s - y_s^2 y_t = y_t y_s (x_t - x_s)' beta + y_s sigma_t^2
                             - y_t sigma_s^2 + xi.
     """
-    idx, y_t, y_s, x_t, x_s = _pair_arrays(dataset, t, s)
-    dep = y_t**2 * y_s - y_s**2 * y_t
-    reg = np.column_stack([(y_t * y_s)[:, None] * (x_t - x_s), y_s, -y_t])
-    return MomentSystem(
-        dependent=dep,
-        regressors=reg,
-        instruments=instrument_set("pair", instruments)(x_t, x_s),
-        cluster=idx,
-        params=_beta_params(x_t.shape[1])
-        + [Param("sigma2_t", (t,)), Param("sigma2_t", (s,))],
-        periods=np.broadcast_to([t, s], (idx.size, 2)).copy(),
-    )
+    system = build_pairwise_nonstationary(dataset, t, s, instruments=instruments)
+    system.params[-2:] = [Param("sigma2_t", (t,)), Param("sigma2_t", (s,))]
+    return system
 
 
 def build_pairwise_nonstationary(

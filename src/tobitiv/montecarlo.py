@@ -230,6 +230,8 @@ def run_replication(
             result = nonlinear_gmm(system)
         else:
             result = two_stage_least_squares(system)
+    except ConfigurationError:
+        raise  # the config is at fault, not this replication
     except TobitIVError as exc:
         error = f"{type(exc).__name__}: {exc}"
     wall = 1e3 * (time.perf_counter() - start)

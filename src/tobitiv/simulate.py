@@ -305,6 +305,7 @@ class PanelDataset:
         return self.x.shape[2]
 
 
+@np.errstate(all="ignore")  # overflow shows as non-finite draws, checked below
 def _draw_batch(config: PanelConfig, rng, n: int):
     """One batch of n individuals; fixed draw order keeps output reproducible."""
     T, K = config.n_periods, config.n_regressors
@@ -344,6 +345,8 @@ def _draw_batch(config: PanelConfig, rng, n: int):
         fe_term = alpha[:, None]
 
     latent = index + fe_term + eps
+    if not np.isfinite(latent).all():  # a non-finite x or z makes latent non-finite too
+        raise ConfigurationError("drawn panel values overflow to inf or NaN", field="panel")
     return x, z, alpha, sigma_i_sq, latent
 
 

@@ -152,10 +152,19 @@ def _gauss_legendre(n: int):
     return x, w
 
 
-def _panel_nodes(hi: float, n_panels: int, n_nodes: int):
-    """Composite Gauss-Legendre nodes and weights on [0, hi]."""
-    x, w = _gauss_legendre(n_nodes)
-    edges = np.linspace(0.0, hi, n_panels + 1)
+def _axis_nodes(mu: float, sigma: float, pps: int):
+    """Composite Gauss-Legendre nodes and weights, ``pps`` panels per sigma.
+
+    The axis ends 10 sigma past a mean above 0; past a mean far below 0 it ends
+    about 32 sigma^2 / |mu| past 0, 32 e-folds of the truncated density.
+    """
+    lo = max(0.0, mu - 10.0 * sigma)
+    hi = mu + max(10.0 * sigma, math.hypot(min(mu, 0.0), 8.0 * sigma))
+    if not hi > lo:
+        raise DomainError(f"mean {mu!r} cannot be resolved at standard deviation {sigma!r}")
+    n_panels = max(2, int(math.ceil((hi - lo) / sigma * pps)))
+    x, w = _gauss_legendre(20)
+    edges = np.linspace(lo, hi, n_panels + 1)
     half = 0.5 * np.diff(edges)
     mid = 0.5 * (edges[:-1] + edges[1:])
     nodes = (mid[:, None] + half[:, None] * x[None, :]).ravel()
@@ -171,12 +180,8 @@ def _raw_quadrant_integrals(spec: BivariateNormalSpec, amax: int, bmax: int, pps
     deviation along each axis.
     """
     s1, s2, rho = spec.sigma1, spec.sigma2, spec.rho
-    hi1 = spec.mu1 + 10.0 * s1
-    hi2 = spec.mu2 + 10.0 * s2
-    n1 = max(2, int(math.ceil(hi1 / s1 * pps)))
-    n2 = max(2, int(math.ceil(hi2 / s2 * pps)))
-    u1, w1 = _panel_nodes(hi1, n1, 20)
-    u2, w2 = _panel_nodes(hi2, n2, 20)
+    u1, w1 = _axis_nodes(spec.mu1, s1, pps)
+    u2, w2 = _axis_nodes(spec.mu2, s2, pps)
 
     z1 = (u1 - spec.mu1) / s1
     z2 = (u2 - spec.mu2) / s2
@@ -214,6 +219,9 @@ def quadrant_moments(
     err = math.inf
     for pps in (1, 2, 4, 8):
         raw = _raw_quadrant_integrals(spec, amax, bmax, pps)
+        if not raw[0, 0] > 0.0:
+            raise ConvergenceError(f"quadrant probability underflows to 0 at "
+                                   f"mu = ({spec.mu1!r}, {spec.mu2!r})")
         cond = raw / raw[0, 0]
         if prev is not None:
             err = max(abs(cond[a, b] - prev[a, b]) for a, b in exponent_pairs)

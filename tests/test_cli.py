@@ -15,11 +15,20 @@ def write_config(tmp_path, name, payload):
     return str(path)
 
 
-def assert_config_error(capsys, field):
-    """Exactly one stderr line: a ConfigurationError JSON object naming `field`."""
+def single_json_line(capsys):
+    """The one stderr line, parsed as strict JSON (no NaN or Infinity)."""
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1
-    payload = json.loads(err[0])
+
+    def reject(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+
+    return json.loads(err[0], parse_constant=reject)
+
+
+def assert_config_error(capsys, field):
+    """Exactly one stderr line: a ConfigurationError JSON object naming `field`."""
+    payload = single_json_line(capsys)
     assert payload["error"] == "ConfigurationError"
     assert payload["field"] == field
 
@@ -273,6 +282,7 @@ class TestMonteCarlo:
             ({"sample_sizes": []}, "sample_sizes"),
             ({"panel": "x"}, "panel"),
             ({"estimator": "x"}, "estimator"),
+            ({"replications": 10**40}, "replications"),
         ],
     )
     def test_bad_study_field_exit_2(self, tmp_path, capsys, override, field):
@@ -344,18 +354,24 @@ class TestMonteCarlo:
         assert main(["montecarlo", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
         assert_config_error(capsys, "pairs")
 
-    @pytest.mark.parametrize("field, value", [("beta", [float("nan")]),
-                                              ("error_cov", [[0.25, 0.0], [0.0, float("inf")]]),
-                                              ("n_individuals", "300")])
-    def test_non_finite_panel_exit_2(self, tmp_path, capsys, field, value):
+    @pytest.mark.parametrize(
+        "field, value, reported",
+        [("beta", [float("nan")], "beta"),
+         ("error_cov", [[0.25, 0.0], [0.0, float("inf")]], "error_cov"),
+         ("n_individuals", "300", "n_individuals"),
+         # finite parameters whose draws overflow to inf
+         ("x_dist", {"type": "normal", "mu": 1.0, "sigma": 1e308}, "panel")],
+        ids=["beta-value0", "error_cov-value1", "n_individuals-300", "overflowing_draws"],
+    )
+    def test_non_finite_panel_exit_2(self, tmp_path, capsys, field, value, reported):
         cfg = self.mc_config(tmp_path)
         payload = json.loads(open(cfg).read())
         payload["panel"][field] = value
         cfg = write_config(tmp_path, "mc.json", payload)
         assert main(["montecarlo", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
-        assert_config_error(capsys, field)
+        assert_config_error(capsys, reported)
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "ds")]) == 2
-        assert_config_error(capsys, field)
+        assert_config_error(capsys, reported)
         assert not (tmp_path / "ds" / "y.csv").exists()
 
     def test_zero_replications_rejected(self, tmp_path, capsys):
@@ -408,6 +424,15 @@ class TestVerify:
         assert main(["verify", "--config", cfg, "--out", str(tmp_path / "v")]) == 2
         assert_config_error(capsys, field)
         assert not (tmp_path / "v").exists()
+
+    @pytest.mark.parametrize("mu_range", [[-50, -50], [1e300, 1e300]])
+    def test_unresolvable_mean_exit_3(self, tmp_path, capsys, mu_range):
+        # At -50 sd the quadrant probability underflows; 1e300 cannot be told
+        # apart from its own 10 sd integration range.
+        cfg = write_config(tmp_path, "v.json",
+                           {"n_points": 2, "orders": [[1, 1]], "mu_range": mu_range})
+        assert main(["verify", "--config", cfg, "--out", str(tmp_path / "v")]) == 3
+        assert single_json_line(capsys)["error"] in ("ConvergenceError", "DomainError")
 
     def test_unattainable_tolerance_exit_4(self, tmp_path, capsys):
         cfg = write_config(

@@ -1,6 +1,8 @@
 """Solver invariants: row order, instrument scale, dense cluster sums, and the
 cached factor-loading objective."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 
 from tobitiv import MomentSystem, Param, nonlinear_gmm, stack_systems, two_stage_least_squares
 from tobitiv.gmm import (
+    _column_scale,
     _independent_instrument_columns,
     _whiten_instruments,
     concentrated_linear_solve,
@@ -76,9 +79,14 @@ def test_2sls_invariant_to_row_order_and_instrument_scale(case):
 
 def test_cluster_covariance_and_j_match_dense_indicator_formulas():
     rng = np.random.default_rng(31)
-    system = stack_systems([block(rng, 300, 3, 6, 150), block(rng, 250, 3, 5, 150)])
+    # The last block's last instrument is a combination of two others, so the
+    # pivoted QR prunes one column; the dense formulas use the rest.
+    redundant = block(rng, 200, 3, 5, 150)
+    Z = redundant.instruments
+    redundant = replace(redundant, instruments=np.column_stack([Z, Z[:, 1] - 2.0 * Z[:, 3]]))
+    system = stack_systems([block(rng, 300, 3, 6, 150), block(rng, 250, 3, 5, 150), redundant])
     res = two_stage_least_squares(system)
-    y, W, Z = system.dependent, system.regressors, system.instruments
+    y, W, Z = system.dependent, system.regressors, system.instruments[:, :-1]
     n = y.size
     ids = np.unique(system.cluster)
     D = (system.cluster[:, None] == ids[None, :]).astype(float)  # row-by-cluster
@@ -96,10 +104,17 @@ def test_cluster_covariance_and_j_match_dense_indicator_formulas():
     gbar = g - G @ theta2
     J = n * gbar @ S_inv @ gbar
 
+    kept = _independent_instrument_columns(system.instruments)
+    Zs = system.instruments[:, kept] / _column_scale(system.instruments)[kept]
+    cross = Zs.T @ (W / _column_scale(W)) / n
+
     assert res.n_clusters == ids.size
+    assert res.j_dof == Z.shape[1] - W.shape[1]
     np.testing.assert_allclose(res.estimates, theta, rtol=REL)
     np.testing.assert_allclose(res.covariance, V, rtol=REL, atol=REL * np.abs(V).max())
+    assert np.array_equal(res.covariance, res.covariance.T)
     assert res.j_statistic == pytest.approx(J, rel=REL)
+    assert res.condition_number == pytest.approx(np.linalg.cond(cross), rel=REL)
 
 
 def objective_from_linear_parts(system, r, Zw, Wmat):

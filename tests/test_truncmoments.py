@@ -166,6 +166,13 @@ class TestMomentIdentityResidual:
         res = moment_identity_residual(spec, MomentQuery(*km), tol=1e-9)
         assert abs(res) < 1e-9
 
+    def test_far_censored_point(self):
+        # Both means lie 8-12 sd below the quadrant: the integration range must
+        # follow the truncated density, which decays within about sigma^2 / |mu|.
+        spec = BivariateNormalSpec(-12.0, -8.0, 1.0, 1.0, 0.3)
+        res = moment_identity_residual(spec, MomentQuery(1, 1), tol=1e-9)
+        assert abs(res) < 1e-9
+
     def test_symmetric_point_exchangeable(self):
         # k = m at an exchangeable parameter point: both sides coincide term
         # by term, so the residual sits at quadrature-noise level.
