@@ -107,10 +107,17 @@ def _estimator_spec(cfg: dict, config: PanelConfig) -> EstimatorSpec:
 
 
 def _out_dir(args, cfg: dict) -> str:
+    """The output directory, checked before any work. Commands create it just
+    before their first write, so a run that fails leaves no directory."""
     out = args.out or cfg.get("output_dir")
     if not out:
         raise ConfigurationError("no output directory (--out or output_dir)")
-    os.makedirs(out, exist_ok=True)
+    existing = os.path.abspath(out)
+    while not os.path.exists(existing):
+        existing = os.path.dirname(existing)
+    if not os.path.isdir(existing):
+        raise ConfigurationError(f"output directory {out} cannot be created: "
+                                 f"{existing} is not a directory")
     return out
 
 
@@ -142,6 +149,7 @@ def cmd_estimate(args) -> int:
     out = _out_dir(args, cfg)
     system = build_estimation_system(dataset, dataset.config, spec)
     result = _solve(system)
+    os.makedirs(out, exist_ok=True)
     with open(os.path.join(out, "result.json"), "w") as fh:
         json.dump(result.to_dict(), fh, indent=2)
         fh.write("\n")
@@ -221,6 +229,7 @@ def cmd_montecarlo(args) -> int:
     )
     rep_header, rep_rows = _replication_rows(summaries)
     sum_header, sum_rows = _summary_rows(summaries)
+    os.makedirs(out, exist_ok=True)
     if args.format == "json":
         with open(os.path.join(out, "replications.json"), "w") as fh:
             json.dump([dict(zip(rep_header, r)) for r in rep_rows], fh, indent=2)
@@ -322,6 +331,7 @@ def cmd_verify(args) -> int:
         if worst is None or max_abs > worst[2]:
             worst = (k, m, max_abs, best_point)
         print(f"(k={k}, m={m}): max |residual| = {max_abs:.3e}")
+    os.makedirs(out, exist_ok=True)
     _write_csv(
         os.path.join(out, "verification.csv"),
         ["k", "m", "max_abs_residual", "mu1", "mu2", "sigma1_sq", "sigma2_sq", "rho"],

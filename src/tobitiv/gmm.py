@@ -5,9 +5,12 @@ badly scaled; everything runs through column rescaling and orthogonal
 decompositions rather than raw normal equations. One pivoted QR of the
 rescaled instruments both prunes redundant columns and, in 2SLS, is the one
 instrument basis: fit, rank check, covariance and J all come from its Q and
-R factors (Golub & Van Loan, *Matrix Computations*, 5.3). Rows are grouped by
-cluster at most once per solve, and one pass of cluster sums serves both the
-covariance and J.
+R factors (Golub & Van Loan, *Matrix Computations*, 5.3). A stacked system's
+instrument matrix is block-diagonal, so 2SLS factorises each row block on its
+own and stacks the small per-block products; the zero-padded matrix is never
+formed. Rows are grouped by cluster at most once per solve, and one pass of
+cluster sums serves both the covariance and J. Both solvers reject input
+that is not finite, or whose squares overflow, before any arithmetic.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ from scipy import linalg as sla
 
 from .errors import (
     BracketError,
+    DomainError,
     IdentificationError,
     InsufficientObservationsError,
     NotApplicableError,
@@ -97,6 +101,19 @@ def _column_scale(mat: np.ndarray) -> np.ndarray:
     return scale
 
 
+def _finite_column_scales(what: str, *arrays) -> list:
+    """`_column_scale` of each array (columns of a 1-d array: itself).
+
+    A scale is finite exactly when its column is finite and the column's sum
+    of squares does not overflow, so checking the scales checks the arrays.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        scales = [_column_scale(a.reshape(a.shape[0], -1)) for a in arrays]
+    if not all(np.isfinite(s).all() for s in scales):
+        raise DomainError(f"{what} hold non-finite values or values whose squares overflow")
+    return scales
+
+
 def _check_rank(M: np.ndarray, param_names) -> float:
     """SVD rank check of the instrument-regressor cross-moment matrix."""
     svals = np.linalg.svd(M, compute_uv=False)
@@ -154,31 +171,53 @@ def two_stage_least_squares(system: MomentSystem) -> LinearIVResult:
     two-step linear GMM point (weight = inverse clustered moment covariance
     evaluated at the 2SLS residuals), so its null distribution is the usual
     chi-squared with (instruments - parameters) degrees of freedom.
+
+    The instrument basis Q is block-diagonal like the instruments: each row
+    block has its own pivoted QR, and the pieces Q'Ws, Q'y and R'Q'Ws are
+    stacked block by block in column order.
     """
     y = system.dependent
     W = system.regressors
-    Q, R, _ = _pivoted_qr(system.instruments, _column_scale(system.instruments), "economic")
-    q = R.shape[0]
-    Q = Q[:, :q]  # orthonormal basis of the kept instruments' span
+    blocks = system.instrument_blocks
+    *z_scales, dW, _ = _finite_column_scales(
+        "instruments, regressors or dependent variable", *blocks, W, y
+    )
     n, p = W.shape
     if n < p:
         raise InsufficientObservationsError(f"{n} rows for {p} parameters")
+
+    Ws = W / dW
+    parts = []  # per block: rows, Q, Q'Ws, Q'y, R'Q'Ws
+    r0 = 0
+    for Z, scale in zip(blocks, z_scales):
+        rows = slice(r0, r0 + Z.shape[0])
+        r0 = rows.stop
+        # RMS over all n rows, as in the dense matrix: every column has norm
+        # sqrt(n), so pivots and the rank threshold match one QR of it.
+        Q, R, _ = _pivoted_qr(Z, scale * math.sqrt(Z.shape[0] / n), "economic")
+        Q = Q[:, : R.shape[0]]  # orthonormal basis of the kept instruments' span
+        QtW_b = Q.T @ Ws[rows]
+        parts.append((rows, Q, QtW_b, Q.T @ y[rows], R.T @ QtW_b))
+    block_rows, Qs, QtWs, Qtys, RtQtWs = zip(*parts)
+    QtW, Qty = np.concatenate(QtWs), np.concatenate(Qtys)
+    q = QtW.shape[0]
     if q < p:
         raise IdentificationError(f"{q} instruments for {p} parameters")
 
-    dW = _column_scale(W)
-    Ws = W / dW
-    QtW = Q.T @ Ws
     # R'QtW/n is the kept instruments' cross moment with Ws, rows in pivot order.
-    cond = _check_rank(R.T @ QtW / n, system.param_names)
+    cond = _check_rank(np.concatenate(RtQtWs) / n, system.param_names)
     # Q is orthonormal, so fitting the projection Q QtW to y is fitting QtW to Q'y.
-    Qty = Q.T @ y
     theta_s, *_ = np.linalg.lstsq(QtW, Qty, rcond=None)
     estimates = theta_s / dW
     u = y - W @ estimates
 
+    Qu = np.zeros((n, q), order="F")  # Q * u, block-diagonal like Q
+    c0 = 0
+    for rows, Q in zip(block_rows, Qs):
+        np.multiply(Q, u[rows, None], out=Qu[rows, c0 : c0 + Q.shape[1]])
+        c0 += Q.shape[1]
     clusters = _Clusters(system.cluster)
-    Gc = clusters.sums(Q * u[:, None])  # per-cluster moments in the Q basis
+    Gc = clusters.sums(Qu)  # per-cluster moments in the Q basis
     # Sandwich A^-1 H'H A^-1 = M M' with bread A = QtW'QtW, meat rows H = Gc QtW
     # and M = A^-1 QtW' Gc': the solve takes q right-hand sides, not one per cluster.
     M = np.linalg.solve(QtW.T @ QtW, QtW.T) @ Gc.T
@@ -275,21 +314,15 @@ def concentrated_linear_solve(system: NonlinearMomentSystem, r: float, Zw, Wmat)
     """Inner GMM solve of the linear block (beta, a, b) at fixed r.
 
     With Wmat = I on the whitened instruments this is exactly 2SLS on the
-    r-transformed linear system. Wmat None stands for I and skips the
-    products by it, which would change no bit.
+    r-transformed linear system.
     """
     n = system.n_rows
     dep, X = system.shared_linear_parts(r)
     G = Zw.T @ X / n
     gd = Zw.T @ dep / n
-    if Wmat is None:
-        WG, Wgd = G, gd
-    else:
-        WG, Wgd = Wmat @ G, Wmat @ gd
-    theta = np.linalg.solve(G.T @ WG, G.T @ Wgd)
+    theta = np.linalg.solve(G.T @ (Wmat @ G), G.T @ (Wmat @ gd))
     gbar = gd - G @ theta
-    value = float(gbar @ (gbar if Wmat is None else Wmat @ gbar))
-    return theta, value, gbar
+    return theta, float(gbar @ (Wmat @ gbar)), gbar
 
 
 def nonlinear_gmm(system: NonlinearMomentSystem) -> NonlinearGMMResult:
@@ -302,6 +335,10 @@ def nonlinear_gmm(system: NonlinearMomentSystem) -> NonlinearGMMResult:
     instruments (equivalent to 2SLS); step two reweights with the inverse
     clustered moment covariance from step one.
     """
+    # The model parts at r = 1 stand for those at every r in the bracket.
+    with np.errstate(over="ignore", invalid="ignore"):
+        parts = system.shared_linear_parts(1.0)
+    _finite_column_scales("instruments or model parts", system.instruments, *parts)
     n = system.n_rows
     Z = system.instruments[:, _independent_instrument_columns(system.instruments)]
     q = Z.shape[1]
@@ -336,8 +373,9 @@ def nonlinear_gmm(system: NonlinearMomentSystem) -> NonlinearGMMResult:
         return math.exp(x), fx
 
     # step 1: 2SLS-equivalent weighting (the identity)
-    r1, _ = _search(None)
-    theta_lin1, _, _ = concentrated_linear_solve(system, r1, Zw, None)
+    identity = np.eye(q)
+    r1, _ = _search(identity)
+    theta_lin1, _, _ = concentrated_linear_solve(system, r1, Zw, identity)
 
     def _full_theta(r, theta_lin):
         return np.concatenate([theta_lin[:K], [r], theta_lin[K:]])

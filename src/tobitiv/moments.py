@@ -18,6 +18,7 @@ from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
+from scipy import linalg as sla
 
 from .errors import ConfigurationError, DomainError, EmptySystemError
 from .simulate import PanelDataset
@@ -55,19 +56,31 @@ class Param:
 
 @dataclass
 class MomentSystem:
-    """Linear-in-parameters stacked estimating equations."""
+    """Linear-in-parameters stacked estimating equations.
+
+    The instrument matrix is block-diagonal: `instrument_blocks` holds its
+    row blocks in row order, each with its own columns. A built system has
+    one block; `stack_systems` keeps one per source system.
+    """
 
     dependent: np.ndarray  # (n,)
     regressors: np.ndarray  # (n, p)
-    instruments: np.ndarray  # (n, q)
+    instrument_blocks: list  # (n_b, q_b) per row block; the n_b sum to n
     cluster: np.ndarray  # (n,) individual index
     params: list  # Param per regressor column
     periods: np.ndarray  # (n, #referenced periods)
 
     def __post_init__(self):
         n = self.dependent.shape[0]
-        assert self.regressors.shape[0] == n and self.instruments.shape[0] == n
+        assert self.regressors.shape[0] == n
+        assert sum(Z.shape[0] for Z in self.instrument_blocks) == n
         assert self.regressors.shape[1] == len(self.params)
+
+    @property
+    def instruments(self) -> np.ndarray:
+        """The dense (n, q) instrument matrix, zeros off the diagonal blocks."""
+        blocks = self.instrument_blocks
+        return blocks[0] if len(blocks) == 1 else sla.block_diag(*blocks)
 
     @property
     def param_names(self) -> list:
@@ -295,7 +308,7 @@ def build_cross_section(
     return MomentSystem(
         dependent=dep,
         regressors=reg,
-        instruments=instrument_set("cell", instruments)(x),
+        instrument_blocks=[instrument_set("cell", instruments)(x)],
         cluster=idx // T,
         params=_beta_params(K) + [Param("sigma2")],
         periods=(idx % T)[:, None],
@@ -350,7 +363,7 @@ def build_pairwise_nonstationary(
     return MomentSystem(
         dependent=dep,
         regressors=reg,
-        instruments=instrument_set("pair", instruments)(x_t, x_s),
+        instrument_blocks=[instrument_set("pair", instruments)(x_t, x_s)],
         cluster=idx,
         params=_beta_params(x_t.shape[1]) + [Param("dvar", (t, s)), Param("dvar", (s, t))],
         periods=np.broadcast_to([t, s], (idx.size, 2)).copy(),
@@ -417,7 +430,7 @@ def build_triple_variance_fe(
     return MomentSystem(
         dependent=dep,
         regressors=beta_block,
-        instruments=instrument_set("triple", instruments)(x, t, s, tau),
+        instrument_blocks=[instrument_set("triple", instruments)(x, t, s, tau)],
         cluster=idx,
         params=_beta_params(x.shape[2]),
         periods=np.broadcast_to([t, s, tau], (idx.size, 3)).copy(),
@@ -451,7 +464,7 @@ def build_triple_additive_variance(
     return MomentSystem(
         dependent=dep,
         regressors=reg,
-        instruments=instrument_set("triple", instruments)(x, t, s, tau),
+        instrument_blocks=[instrument_set("triple", instruments)(x, t, s, tau)],
         cluster=idx,
         params=_beta_params(x.shape[2])
         + [Param("dvar_ref", (s, tau)), Param("dvar_ref", (t, tau))],
@@ -484,7 +497,7 @@ def build_pairwise_slope_fe(
     return MomentSystem(
         dependent=dep,
         regressors=reg,
-        instruments=instrument_set("pair", instruments)(x_t, x_s, z_t, z_s),
+        instrument_blocks=[instrument_set("pair", instruments)(x_t, x_s, z_t, z_s)],
         cluster=idx,
         params=_beta_params(x_t.shape[1])
         + [Param("sigma2_t", (t,)), Param("sigma2_t", (s,))]
@@ -497,8 +510,10 @@ def stack_systems(systems: Sequence[MomentSystem]) -> MomentSystem:
     """Stack several linear systems, sharing equal parameters.
 
     Rows keep their original cluster ids, so pairs from one individual stay
-    in one cluster. Instruments are stacked block-diagonally (each source
-    system's orthogonality conditions are kept separate).
+    in one cluster. Each source system's orthogonality conditions stay
+    separate: the stacked instrument matrix is block-diagonal, and its blocks
+    are the sources' own block arrays, listed in row order and never copied
+    into a zero-padded matrix.
     """
     if not systems:
         raise EmptySystemError("no systems to stack")
@@ -507,26 +522,21 @@ def stack_systems(systems: Sequence[MomentSystem]) -> MomentSystem:
     params = list(dict.fromkeys(p for sys_ in systems for p in sys_.params))
     column = {p: j for j, p in enumerate(params)}
     n_total = sum(s.n_rows for s in systems)
-    q_total = sum(s.instruments.shape[1] for s in systems)
     max_periods = max(s.periods.shape[1] for s in systems)
     reg = np.zeros((n_total, len(params)))
-    inst = np.zeros((n_total, q_total))
     periods = np.full((n_total, max_periods), -1, dtype=int)
     dep = np.concatenate([s.dependent for s in systems])
     cluster = np.concatenate([s.cluster for s in systems])
-    r0 = c0 = 0
+    r0 = 0
     for sys_ in systems:
         cols = [column[p] for p in sys_.params]
         reg[r0 : r0 + sys_.n_rows, cols] = sys_.regressors
-        qs = sys_.instruments.shape[1]
-        inst[r0 : r0 + sys_.n_rows, c0 : c0 + qs] = sys_.instruments
         periods[r0 : r0 + sys_.n_rows, : sys_.periods.shape[1]] = sys_.periods
         r0 += sys_.n_rows
-        c0 += qs
     return MomentSystem(
         dependent=dep,
         regressors=reg,
-        instruments=inst,
+        instrument_blocks=[Z for sys_ in systems for Z in sys_.instrument_blocks],
         cluster=cluster,
         params=params,
         periods=periods,
@@ -539,6 +549,7 @@ def all_pairs(n_periods: int) -> list:
 
 def system_to_csv(system: MomentSystem, path: str) -> None:
     """Export rows for external solver cross-checks."""
+    inst = system.instruments
     with open(path, "w", newline="\n") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         header = (
@@ -546,7 +557,7 @@ def system_to_csv(system: MomentSystem, path: str) -> None:
             + [f"period{j}" for j in range(system.periods.shape[1])]
             + ["dependent"]
             + [f"reg_{nm}" for nm in system.param_names]
-            + [f"inst{j}" for j in range(system.instruments.shape[1])]
+            + [f"inst{j}" for j in range(inst.shape[1])]
         )
         writer.writerow(header)
         for i in range(system.n_rows):
@@ -555,6 +566,6 @@ def system_to_csv(system: MomentSystem, path: str) -> None:
                 + [int(p) for p in system.periods[i]]
                 + [f"{system.dependent[i]:.17g}"]
                 + [f"{v:.17g}" for v in system.regressors[i]]
-                + [f"{v:.17g}" for v in system.instruments[i]]
+                + [f"{v:.17g}" for v in inst[i]]
             )
             writer.writerow(row)

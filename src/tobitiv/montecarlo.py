@@ -157,10 +157,15 @@ def replication_seed(master_seed: int, j: int) -> int:
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def build_estimation_system(
     dataset: PanelDataset, config: PanelConfig, spec: EstimatorSpec
 ) -> Union[MomentSystem, NonlinearMomentSystem]:
-    """Variant-appropriate moment system, built with the spec's instrument set."""
+    """Variant-appropriate moment system, built with the spec's instrument set.
+
+    Rows whose powers overflow come out inf or nan, without a warning; the
+    solvers reject them with a DomainError.
+    """
     variant = config.variant
     kind = spec.instruments
     pairs = list(spec.pairs) if spec.pairs else all_pairs(config.n_periods)

@@ -13,7 +13,6 @@ import json
 import math
 import os
 import sys
-import time
 from dataclasses import astuple, dataclass, field
 from enum import Enum
 from typing import Optional
@@ -437,7 +436,6 @@ def save_dataset(dataset: PanelDataset, out_dir: str) -> None:
         "has_z": dataset.z is not None,
         "n_drawn": dataset.n_drawn,
         "config": dataset.config.to_dict(),
-        "created_unix": time.time(),
     }
     if dataset.config.sampling is Sampling.CENSORED:
         meta["censoring_rate"] = censoring_rate(dataset)

@@ -269,7 +269,7 @@ def test_criterion_7_identity_suite(capsys):
     base = two_stage_least_squares(b).estimates
     b_scaled = MomentSystem(
         dependent=b.dependent, regressors=b.regressors,
-        instruments=137.0 * b.instruments, cluster=b.cluster,
+        instrument_blocks=[137.0 * b.instruments], cluster=b.cluster,
         params=b.params, periods=b.periods,
     )
     scale = np.allclose(base, two_stage_least_squares(b_scaled).estimates, atol=1e-10)
@@ -277,7 +277,7 @@ def test_criterion_7_identity_suite(capsys):
     # Just-identified IV equals the hand ratio formula.
     hand_sys = MomentSystem(
         dependent=np.array([2.0, 4.0]), regressors=np.array([[1.0], [2.0]]),
-        instruments=np.array([[1.0], [1.0]]), cluster=np.arange(2),
+        instrument_blocks=[np.array([[1.0], [1.0]])], cluster=np.arange(2),
         params=[Param("beta", (0,))], periods=np.zeros((2, 1), dtype=int),
     )
     hand = abs(two_stage_least_squares(hand_sys).estimates[0] - 2.0) < 1e-12

@@ -65,9 +65,9 @@ class TestSimulate:
         a, b = tmp_path / "a", tmp_path / "b"
         assert main(["simulate", "--config", cfg, "--out", str(a)]) == 0
         assert main(["simulate", "--config", cfg, "--out", str(b)]) == 0
-        # Data files byte-identical; only meta.json carries a timestamp.
-        assert (a / "y.csv").read_bytes() == (b / "y.csv").read_bytes()
-        assert (a / "x.csv").read_bytes() == (b / "x.csv").read_bytes()
+        # Every file is byte-identical: a dataset is reproducible from its seed.
+        for name in ("meta.json", "y.csv", "x.csv"):
+            assert (a / name).read_bytes() == (b / name).read_bytes()
 
     def test_seed_override_changes_data(self, tmp_path):
         cfg = sim_config(tmp_path)
@@ -372,7 +372,35 @@ class TestMonteCarlo:
         assert_config_error(capsys, reported)
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "ds")]) == 2
         assert_config_error(capsys, reported)
-        assert not (tmp_path / "ds" / "y.csv").exists()
+        assert not (tmp_path / "o").exists()
+        assert not (tmp_path / "ds").exists()
+
+    # Draws finite, but the solver's column scales (1e100) or the moment rows
+    # themselves (1e150) overflow: every replication fails with a DomainError,
+    # and no warning reaches stderr.
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("sigma", [1e100, 1e150])
+    def test_overflowing_moment_rows_exit_3(self, tmp_path, capsys, sigma):
+        cfg = self.mc_config(tmp_path)
+        payload = json.loads(open(cfg).read())
+        payload["panel"]["x_dist"]["sigma"] = sigma
+        cfg = write_config(tmp_path, "mc.json", payload)
+        assert main(["montecarlo", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
+        error = single_json_line(capsys)
+        assert error["error"] == "ConvergenceError"
+        assert "3/3 replications failed" in error["message"]
+        assert "DomainError" in error["message"]
+        assert not (tmp_path / "o").exists()
+
+    def test_output_under_a_file_exit_2_before_work(self, tmp_path, capsys, monkeypatch):
+        def no_study(*args, **kwargs):
+            raise AssertionError("the study ran before the output path was checked")
+
+        monkeypatch.setattr("tobitiv.cli.run_study", no_study)
+        cfg = self.mc_config(tmp_path)
+        (tmp_path / "f").write_text("")
+        assert main(["montecarlo", "--config", cfg, "--out", str(tmp_path / "f" / "o")]) == 2
+        assert single_json_line(capsys)["error"] == "ConfigurationError"
 
     def test_zero_replications_rejected(self, tmp_path, capsys):
         cfg = self.mc_config(tmp_path, replications=0)

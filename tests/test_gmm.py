@@ -40,7 +40,7 @@ def linear_system(dep, reg, inst, cluster=None):
     return MomentSystem(
         dependent=dep,
         regressors=reg,
-        instruments=inst,
+        instrument_blocks=[inst],
         cluster=np.arange(n) if cluster is None else np.asarray(cluster),
         params=[Param("beta", (j,)) for j in range(reg.shape[1])],
         periods=np.zeros((n, 1), dtype=int),
@@ -77,7 +77,7 @@ class TestTwoStageLeastSquares:
     def test_instrument_scale_invariance(self):
         sys_, _ = random_system(0)
         base = two_stage_least_squares(sys_).estimates
-        scaled_sys = replace(sys_, instruments=7.3 * sys_.instruments)
+        scaled_sys = replace(sys_, instrument_blocks=[7.3 * sys_.instruments])
         scaled = two_stage_least_squares(scaled_sys).estimates
         assert np.allclose(base, scaled, atol=1e-10)
 
@@ -110,7 +110,7 @@ class TestTwoStageLeastSquares:
         sys_, theta = random_system(5)
         Z = sys_.instruments
         Z = np.hstack([Z, Z[:, :2] @ np.array([[1.0], [2.0]])])
-        res = two_stage_least_squares(replace(sys_, instruments=Z))
+        res = two_stage_least_squares(replace(sys_, instrument_blocks=[Z]))
         assert np.all(np.abs(res.estimates - theta) < 5 * res.se)
 
     def test_too_few_rows(self):
@@ -184,7 +184,7 @@ class TestNonlinearGMM:
                 MomentSystem(
                     dependent=dep,
                     regressors=X,
-                    instruments=sys_.instruments,
+                    instrument_blocks=[sys_.instruments],
                     cluster=sys_.cluster,
                     params=[p for p in sys_.params if p.kind != "r"],
                     periods=np.zeros((sys_.n_rows, 1), dtype=int),

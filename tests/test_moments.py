@@ -277,7 +277,7 @@ class TestInstruments:
             )
             full = build_triple_variance_fe(simulate(cfg), 0, 1, 2)
             _, first = np.unique(full.instruments, axis=1, return_index=True)
-            distinct = replace(full, instruments=full.instruments[:, np.sort(first)])
+            distinct = replace(full, instrument_blocks=[full.instruments[:, np.sort(first)]])
             assert (full.instruments.shape[1], distinct.instruments.shape[1]) == (25, 19)
             a, b = two_stage_least_squares(full), two_stage_least_squares(distinct)
             assert a.j_dof == b.j_dof
@@ -313,13 +313,23 @@ class TestStacking:
             "beta0", "sigma2_t0", "sigma2_t1", "sigma2_t2"
         }
         assert stacked.n_rows == sum(s.n_rows for s in subs)
-        assert stacked.instruments.shape[1] == sum(
-            s.instruments.shape[1] for s in subs
-        )
-        # Block-diagonal: the first sub-system's rows carry zeros in the
-        # later instrument blocks.
-        q0 = subs[0].instruments.shape[1]
-        assert np.all(stacked.instruments[: subs[0].n_rows, q0:] == 0.0)
+        # The blocks are the sources' own arrays, not copies.
+        assert len(stacked.instrument_blocks) == len(subs)
+        for Z, sub in zip(stacked.instrument_blocks, subs):
+            assert Z is sub.instrument_blocks[0]
+        # The dense view is block-diagonal: each source's rows carry its own
+        # instruments in its own columns and zeros everywhere else.
+        expected = np.zeros((stacked.n_rows, sum(Z.shape[1] for Z in stacked.instrument_blocks)))
+        r0 = c0 = 0
+        for Z in stacked.instrument_blocks:
+            expected[r0 : r0 + Z.shape[0], c0 : c0 + Z.shape[1]] = Z
+            r0, c0 = r0 + Z.shape[0], c0 + Z.shape[1]
+        assert np.array_equal(stacked.instruments, expected)
+        # A stack of stacks lists every source block.
+        nested = stack_systems([stack_systems(subs[:2]), subs[2]])
+        assert len(nested.instrument_blocks) == len(subs)
+        assert all(Z is s.instrument_blocks[0] for Z, s in zip(nested.instrument_blocks, subs))
+        assert np.array_equal(nested.instruments, stack_systems(subs).instruments)
 
     def test_stack_single_passthrough(self):
         ds = self.make_panel()

@@ -27,7 +27,7 @@ def block(rng, n, p, q, n_individuals):
     X = Z[:, :p] @ rng.normal(size=(p, p)) + 0.3 * rng.normal(size=(n, p))
     y = X @ rng.normal(size=p) + rng.normal(size=n)
     return MomentSystem(
-        dependent=y, regressors=X, instruments=Z,
+        dependent=y, regressors=X, instrument_blocks=[Z],
         cluster=rng.integers(0, n_individuals, n),
         params=[Param("beta", (j,)) for j in range(p)],
         periods=np.zeros((n, 1), dtype=int),
@@ -52,6 +52,7 @@ def assert_same_fit(a, b):
     assert a.j_dof == b.j_dof
     np.testing.assert_allclose(a.estimates, b.estimates, rtol=REL, atol=0)
     np.testing.assert_allclose(a.se, b.se, rtol=REL, atol=0)
+    assert b.condition_number == pytest.approx(a.condition_number, rel=REL)
     if a.j_statistic is None:
         assert b.j_statistic is None
     else:
@@ -59,9 +60,10 @@ def assert_same_fit(a, b):
 
 
 def with_rows(system, rows, scale=1.0):
+    """The chosen rows, their instruments passed as one dense block."""
     return MomentSystem(
         dependent=system.dependent[rows], regressors=system.regressors[rows],
-        instruments=system.instruments[rows] * scale, cluster=system.cluster[rows],
+        instrument_blocks=[system.instruments[rows] * scale], cluster=system.cluster[rows],
         params=system.params, periods=system.periods[rows],
     )
 
@@ -83,7 +85,9 @@ def test_cluster_covariance_and_j_match_dense_indicator_formulas():
     # pivoted QR prunes one column; the dense formulas use the rest.
     redundant = block(rng, 200, 3, 5, 150)
     Z = redundant.instruments
-    redundant = replace(redundant, instruments=np.column_stack([Z, Z[:, 1] - 2.0 * Z[:, 3]]))
+    redundant = replace(
+        redundant, instrument_blocks=[np.column_stack([Z, Z[:, 1] - 2.0 * Z[:, 3]])]
+    )
     system = stack_systems([block(rng, 300, 3, 6, 150), block(rng, 250, 3, 5, 150), redundant])
     res = two_stage_least_squares(system)
     y, W, Z = system.dependent, system.regressors, system.instruments[:, :-1]
@@ -138,9 +142,9 @@ def test_cached_objective_equals_linear_parts_bit_for_bit():
     A = np.random.default_rng(3).normal(size=(q, q))
     efficient = A @ A.T + q * np.eye(q)
     for r in (0.3, 1.0, 1.5, 7.0, 1.5):
-        for Wmat, cached in ((np.eye(q), None), (efficient, efficient)):
+        for Wmat in (np.eye(q), efficient):
             want = objective_from_linear_parts(system, r, Zw, Wmat)
-            got = concentrated_linear_solve(system, r, Zw, cached)
+            got = concentrated_linear_solve(system, r, Zw, Wmat)
             assert np.array_equal(got[0], want[0])
             assert got[1] == want[1]
             assert np.array_equal(got[2], want[2])
