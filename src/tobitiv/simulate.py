@@ -204,6 +204,13 @@ class PanelConfig:
             dist = getattr(self, name)
             if dist is None and name in ("fe_dist", "x_dist"):
                 raise ConfigurationError(f"{name} is required", field=name)
+            # fe_dist alone is drawn around the regressor index; the others by shape.
+            if dist is not None and isinstance(dist, LinearIndexDist) != (name == "fe_dist"):
+                raise ConfigurationError(
+                    f"{name} cannot have type {dist.to_dict()['type']!r}: fe_dist takes "
+                    "linear_index, the others normal, lognormal or shifted_halfnormal",
+                    field=name,
+                )
             if dist is not None and not all(is_number(v) for v in astuple(dist)):
                 raise ConfigurationError(f"{name} parameters must be finite numbers",
                                          field=name)

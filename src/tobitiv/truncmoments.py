@@ -7,6 +7,18 @@ Three independent routes are provided:
   moments, with interval-halving error control,
 * a rejection-sampling Monte Carlo estimator.
 
+Both univariate routes (the recursion and its 1D adaptive-quadrature oracle)
+accept any finite mean: below a standardised mean of -3 they switch to forms
+that follow the truncated density to 0 (a backward continued fraction, and a
+quadrature of the density's shape relative to its value at 0). They raise
+``DomainError`` when a moment overflows or the mean cannot be told apart from
+its own integration range.
+
+The bivariate quadrature builds one weighted density grid per point and
+refinement level and keeps the last two, so consecutive calls at the same
+point share its grids; only the small power-matrix product
+``pow1.T @ grid @ pow2`` is computed per call.
+
 ``moment_identity_residual`` combines five quadrature moments to check the
 identity that the panel moment conditions in :mod:`tobitiv.moments` rest on.
 """
@@ -112,12 +124,51 @@ def _mills_ratio(a: float) -> float:
     return phi / Phi
 
 
+# Below this standardised mean a = mu / sigma the univariate routes switch to
+# their far-censored forms. The upward recursion cancels there: its k = 8
+# moment is off by 1.2e-10 relative at a = -3 and by 1.4e-4 at a = -8.
+_FAR_CENSORED = -3.0
+
+# Start depth of the backward continued fraction; for a < -3 and k <= 8 it is
+# exact to rounding from depth 80 on (1e-9 relative error from depth 40).
+_CF_DEPTH = 80
+
+
+def _check_moment(value, spec: UnivariateNormalSpec, k: int):
+    if not math.isfinite(value):
+        raise _overflow(spec, k)
+    return value
+
+
+def _overflow(spec: UnivariateNormalSpec, k: int) -> DomainError:
+    return DomainError(f"E[U^{k} | U > 0] overflows at mu = {spec.mu!r}, "
+                       f"sigma2 = {spec.sigma2!r}")
+
+
+def _far_censored_moment(a: float, sigma: float, k: int) -> float:
+    """E[U^k | U > 0] for a = mu / sigma below ``_FAR_CENSORED``.
+
+    The ratios r_j = E[Z^j | Z > 0] / E[Z^{j-1} | Z > 0] of the standardised
+    variable Z = U / sigma satisfy r_j = j / (r_{j+1} - a), the upward
+    recursion read backwards. Every term is positive, so nothing cancels.
+    """
+    moment, r = 1.0, 0.0
+    for j in range(_CF_DEPTH, 0, -1):
+        r = j / (r - a)
+        if j <= k:
+            moment *= sigma * r
+    return moment
+
+
+@np.errstate(over="ignore", invalid="ignore")  # overflow shows as a non-finite moment
 def univariate_truncated_moment(spec: UnivariateNormalSpec, k: int) -> float:
     """E[U^k | U > 0] for U ~ N(mu, sigma2), by upward recursion.
 
     The recursion E[U^{k+1}|U>0] = mu E[U^k|U>0] + sigma2 k E[U^{k-1}|U>0]
     starts from k = 0 (unity) and k = 1 (mean of the one-sided truncated
-    normal, evaluated through the complementary error function).
+    normal, evaluated through the complementary error function). For a mean
+    more than 3 sigma below 0 the recursion runs backwards instead, as a
+    continued fraction. Raises ``DomainError`` when the moment overflows.
     """
     if k < 0 or k != int(k):
         raise DomainError(f"k must be a non-negative integer, got {k!r}")
@@ -126,24 +177,58 @@ def univariate_truncated_moment(spec: UnivariateNormalSpec, k: int) -> float:
     if k == 0:
         return 1.0
     sigma = spec.sigma
+    a = spec.mu / sigma
+    if a < _FAR_CENSORED:
+        return _check_moment(_far_censored_moment(a, sigma, k), spec, k)
     m_prev = 1.0
-    m_cur = spec.mu + sigma * _mills_ratio(spec.mu / sigma)
+    m_cur = spec.mu + sigma * _mills_ratio(a)
     for j in range(1, k):
         m_prev, m_cur = m_cur, spec.mu * m_cur + spec.sigma2 * j * m_prev
-    return m_cur
+    return _check_moment(m_cur, spec, k)
 
 
 def univariate_truncated_moment_quad(spec: UnivariateNormalSpec, k: int) -> float:
-    """Independent 1D adaptive-quadrature oracle for E[U^k | U > 0]."""
+    """Independent 1D adaptive-quadrature oracle for E[U^k | U > 0].
+
+    Integrates u^k times the density over [max(0, mu - 12 sigma), mu + 12 sigma]
+    and divides by Phi(mu / sigma). For a mean more than 3 sigma below 0 it
+    integrates the density's shape relative to its value at 0 instead, over
+    [0, hi] where that shape has fallen by e^-72, and divides by the integral
+    of the same shape, so neither integral underflows. Raises ``DomainError``
+    when the moment overflows or the range cannot be resolved.
+    """
     sigma = spec.sigma
-    hi = spec.mu + 12.0 * sigma
+    a = spec.mu / sigma
+    try:
+        if a < _FAR_CENSORED:
+            # hi = sigma * h, with ((h - a)^2 - a^2) / 2 = 72 solved without cancellation
+            h = 144.0 / (math.hypot(a, 12.0) - a)
+            if not h > 0.0:
+                raise DomainError(f"mean {spec.mu!r} cannot be resolved at "
+                                  f"standard deviation {sigma!r}")
 
-    def integrand(u):
-        z = (u - spec.mu) / sigma
-        return u**k * math.exp(-0.5 * z * z) / (_SQRT_2PI * sigma)
+            def shape(t):  # density at u = sigma h t over the density at 0
+                return math.exp(-0.5 * h * t * (h * t - 2.0 * a))
 
-    num, _ = integrate.quad(integrand, 0.0, hi, epsabs=1e-13, epsrel=1e-13, limit=400)
-    return num / special.ndtr(spec.mu / sigma)
+            opts = dict(epsabs=0.0, epsrel=1e-13, limit=400)
+            num, _ = integrate.quad(lambda t: t**k * shape(t), 0.0, 1.0, **opts)
+            mass, _ = integrate.quad(shape, 0.0, 1.0, **opts)
+            return _check_moment((sigma * h) ** k * (num / mass), spec, k)
+
+        lo = max(0.0, spec.mu - 12.0 * sigma)
+        hi = spec.mu + 12.0 * sigma
+        if not hi > lo:
+            raise DomainError(f"mean {spec.mu!r} cannot be resolved at "
+                              f"standard deviation {sigma!r}")
+
+        def integrand(u):
+            z = (u - spec.mu) / sigma
+            return u**k * math.exp(-0.5 * z * z) / (_SQRT_2PI * sigma)
+
+        num, _ = integrate.quad(integrand, lo, hi, epsabs=1e-13, epsrel=1e-13, limit=400)
+        return _check_moment(num / special.ndtr(a), spec, k)
+    except OverflowError:  # u**k on Python floats
+        raise _overflow(spec, k) from None
 
 
 @lru_cache(maxsize=8)
@@ -172,12 +257,14 @@ def _axis_nodes(mu: float, sigma: float, pps: int):
     return nodes, weights
 
 
-def _raw_quadrant_integrals(spec: BivariateNormalSpec, amax: int, bmax: int, pps: int):
-    """Integrals of u1^a u2^b f(u1, u2) over the positive quadrant.
+@lru_cache(maxsize=2)  # one entry per refinement level a converged call uses
+def _weighted_density_grid(spec: BivariateNormalSpec, pps: int):
+    """Quadrature nodes and the density times the weights on their tensor grid.
 
-    Returns an (amax+1, bmax+1) matrix; entry (0, 0) is the quadrant
-    probability. ``pps`` is the number of quadrature panels per standard
-    deviation along each axis.
+    Returns read-only ``(u1, u2, weighted)``. The grid is built in one buffer
+    in place, by the same steps in the same order as the textbook expression
+    ``w1 * exp(-0.5 * (z1^2 - 2 rho z1 z2 + z2^2) / (1 - rho^2)) / c * w2``,
+    so every entry has the bits that expression gives.
     """
     s1, s2, rho = spec.sigma1, spec.sigma2, spec.rho
     u1, w1 = _axis_nodes(spec.mu1, s1, pps)
@@ -186,12 +273,28 @@ def _raw_quadrant_integrals(spec: BivariateNormalSpec, amax: int, bmax: int, pps
     z1 = (u1 - spec.mu1) / s1
     z2 = (u2 - spec.mu2) / s2
     one_minus_r2 = 1.0 - rho * rho
-    quad_form = (
-        z1[:, None] ** 2 - 2.0 * rho * z1[:, None] * z2[None, :] + z2[None, :] ** 2
-    ) / one_minus_r2
-    dens = np.exp(-0.5 * quad_form) / (2.0 * math.pi * s1 * s2 * math.sqrt(one_minus_r2))
+    grid = np.multiply.outer(2.0 * rho * z1, z2)
+    np.subtract((z1 * z1)[:, None], grid, out=grid)
+    grid += z2 * z2
+    grid /= one_minus_r2
+    grid *= -0.5
+    np.exp(grid, out=grid)
+    grid /= 2.0 * math.pi * s1 * s2 * math.sqrt(one_minus_r2)
+    grid *= w1[:, None]
+    grid *= w2
+    for arr in (u1, u2, grid):
+        arr.flags.writeable = False
+    return u1, u2, grid
 
-    weighted = (w1[:, None] * dens) * w2[None, :]
+
+def _raw_quadrant_integrals(spec: BivariateNormalSpec, amax: int, bmax: int, pps: int):
+    """Integrals of u1^a u2^b f(u1, u2) over the positive quadrant.
+
+    Returns an (amax+1, bmax+1) matrix; entry (0, 0) is the quadrant
+    probability. ``pps`` is the number of quadrature panels per standard
+    deviation along each axis.
+    """
+    u1, u2, weighted = _weighted_density_grid(spec, pps)
     pow1 = np.vander(u1, amax + 1, increasing=True)  # (len(u1), amax+1)
     pow2 = np.vander(u2, bmax + 1, increasing=True)
     return pow1.T @ weighted @ pow2

@@ -6,7 +6,8 @@ import json
 import numpy as np
 import pytest
 
-from tobitiv.cli import main
+from tobitiv.cli import _fmt, main
+from tobitiv.truncmoments import _weighted_density_grid, moment_identity_residual
 
 
 def write_config(tmp_path, name, payload):
@@ -375,6 +376,24 @@ class TestMonteCarlo:
         assert not (tmp_path / "o").exists()
         assert not (tmp_path / "ds").exists()
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("fe_dist", {"type": "normal", "mu": 0.0, "sigma": 1.0}),
+         ("x_dist", {"type": "linear_index", "index_coef": 1.0, "noise_sigma": 0.5})],
+    )
+    def test_wrong_distribution_type_exit_2(self, tmp_path, capsys, field, value):
+        # fe_dist is drawn around the regressor index, x_dist by shape.
+        cfg = self.mc_config(tmp_path)
+        payload = json.loads(open(cfg).read())
+        payload["panel"][field] = value
+        cfg = write_config(tmp_path, "mc.json", payload)
+        assert main(["montecarlo", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert_config_error(capsys, field)
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "ds")]) == 2
+        assert_config_error(capsys, field)
+        assert not (tmp_path / "o").exists()
+        assert not (tmp_path / "ds").exists()
+
     # Draws finite, but the solver's column scales (1e100) or the moment rows
     # themselves (1e150) overflow: every replication fails with a DomainError,
     # and no warning reaches stderr.
@@ -428,6 +447,42 @@ class TestVerify:
         report = (out / "verification.csv").read_text().splitlines()
         assert len(report) == 3
         assert "all residuals below" in capsys.readouterr().out
+
+    def test_one_identity_call_per_point_and_order(self, tmp_path, monkeypatch):
+        # The CSV must match a loop over orders, then points, on the same calls.
+        calls = []
+
+        def counting(spec, q, **kwargs):
+            res = moment_identity_residual(spec, q, **kwargs)
+            calls.append((spec, (q.k, q.m), res))
+            return res
+
+        monkeypatch.setattr("tobitiv.cli.moment_identity_residual", counting)
+        orders = [[1, 1], [2, 1]]
+        cfg = write_config(tmp_path, "v.json", {"n_points": 3, "orders": orders})
+        out = tmp_path / "v"
+        assert main(["verify", "--config", cfg, "--out", str(out)]) == 0
+        assert len(calls) == 6
+        points = list(dict.fromkeys(spec for spec, _, _ in calls))
+        residual = {(spec, km): res for spec, km, res in calls}
+        assert len(points) == 3 and len(residual) == 6
+        want = []
+        for k, m in orders:
+            max_abs, best = -1.0, None
+            for spec in points:
+                if abs(residual[(spec, (k, m))]) > max_abs:
+                    max_abs, best = abs(residual[(spec, (k, m))]), spec
+            want.append([str(k), str(m)] + [_fmt(v) for v in (
+                max_abs, best.mu1, best.mu2, best.sigma1_sq, best.sigma2_sq, best.rho)])
+        with open(out / "verification.csv", newline="") as f:
+            assert list(csv.reader(f))[1:] == want
+
+    def test_default_grid_builds_one_density_grid_per_point_and_level(self, tmp_path):
+        _weighted_density_grid.cache_clear()
+        assert main(["verify", "--out", str(tmp_path / "v")]) == 0
+        info = _weighted_density_grid.cache_info()
+        # 50 points x 2 refinement levels; the other 8 orders at each point reuse them
+        assert (info.misses, info.hits) == (100, 800)
 
     def test_near_singular_rho_excluded(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "v.json", {"rho_max": 0.999})

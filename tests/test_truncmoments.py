@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.special import ndtr
+from scipy.special import erfcx, ndtr
 
 from tobitiv import (
     BivariateNormalSpec,
@@ -21,6 +21,12 @@ from tobitiv.errors import (
     DomainError,
     InsufficientAcceptanceError,
     UnsupportedOrderError,
+)
+from tobitiv.truncmoments import (
+    MAX_TOTAL_ORDER,
+    _axis_nodes,
+    _raw_quadrant_integrals,
+    _weighted_density_grid,
 )
 
 
@@ -67,6 +73,34 @@ class TestUnivariate:
         spec = UnivariateNormalSpec(3.0, 1.0)
         vals = [univariate_truncated_moment(spec, k) for k in range(6)]
         assert all(b > a for a, b in zip(vals, vals[1:]))
+
+    @pytest.mark.parametrize("mu", [-13.0, -40.0])
+    def test_far_censored_mean(self, mu):
+        # phi(mu) / Phi(mu) through erfcx, which does not underflow (Phi(-40) does).
+        want = mu + math.sqrt(2.0 / math.pi) / erfcx(-mu / math.sqrt(2.0))
+        spec = UnivariateNormalSpec(mu, 1.0)
+        assert univariate_truncated_moment(spec, 1) == pytest.approx(want, rel=1e-11)
+        assert univariate_truncated_moment_quad(spec, 1) == pytest.approx(want, rel=1e-11)
+        for k in range(MAX_TOTAL_ORDER + 1):
+            rec = univariate_truncated_moment(spec, k)
+            assert rec > 0.0
+            assert univariate_truncated_moment_quad(spec, k) == pytest.approx(rec, rel=1e-12)
+
+    def test_far_positive_mean(self):
+        # The quadrature range starts at mu - 12 sigma, not at 0, so it holds the
+        # mass; rounding u near mu costs about eps * mu / sigma relative.
+        spec = UnivariateNormalSpec(1e6, 1.0)
+        for k in (1, MAX_TOTAL_ORDER):
+            rec = univariate_truncated_moment(spec, k)
+            assert univariate_truncated_moment_quad(spec, k) == pytest.approx(rec, rel=1e-10)
+
+    @pytest.mark.parametrize("mu, sigma2, k", [(1e300, 1.0, 2), (1e100, 1e180, 8)])
+    def test_overflowing_moment_raises(self, mu, sigma2, k):
+        spec = UnivariateNormalSpec(mu, sigma2)
+        with pytest.raises(DomainError):
+            univariate_truncated_moment(spec, k)
+        with pytest.raises(DomainError):
+            univariate_truncated_moment_quad(spec, k)
 
     def test_domain_errors(self):
         with pytest.raises(DomainError):
@@ -184,3 +218,65 @@ class TestMomentIdentityResidual:
         spec = BivariateNormalSpec(0.0, 0.0, 1.0, 1.0, 0.0)
         with pytest.raises(DomainError):
             moment_identity_residual(spec, MomentQuery(0, 1))
+
+
+def textbook_quadrant_integrals(spec, amax, bmax, pps):
+    """The quadrant integrals as one out-of-place expression, uncached."""
+    s1, s2, rho = spec.sigma1, spec.sigma2, spec.rho
+    u1, w1 = _axis_nodes(spec.mu1, s1, pps)
+    u2, w2 = _axis_nodes(spec.mu2, s2, pps)
+    z1 = (u1 - spec.mu1) / s1
+    z2 = (u2 - spec.mu2) / s2
+    one_minus_r2 = 1.0 - rho * rho
+    quad_form = (
+        z1[:, None] ** 2 - 2.0 * rho * z1[:, None] * z2[None, :] + z2[None, :] ** 2
+    ) / one_minus_r2
+    dens = np.exp(-0.5 * quad_form) / (2.0 * math.pi * s1 * s2 * math.sqrt(one_minus_r2))
+    weighted = (w1[:, None] * dens) * w2[None, :]
+    pow1 = np.vander(u1, amax + 1, increasing=True)
+    pow2 = np.vander(u2, bmax + 1, increasing=True)
+    return pow1.T @ weighted @ pow2
+
+
+class TestDensityGridCache:
+    SPECS = [
+        BivariateNormalSpec(0.5, -0.5, 1.0, 2.0, 0.8),
+        BivariateNormalSpec(-1.0, 1.5, 0.25, 4.0, -0.6),
+        BivariateNormalSpec(-12.0, -8.0, 1.0, 1.0, 0.3),
+    ]
+    ORDERS = [(1, 1), (2, 1), (3, 3)]
+
+    @pytest.mark.parametrize("pps", [1, 2, 4])
+    def test_cached_grid_has_the_textbook_bits(self, pps):
+        for spec in self.SPECS:
+            for amax, bmax in [(0, 0), (2, 1), (4, 3)]:
+                got = _raw_quadrant_integrals(spec, amax, bmax, pps)
+                assert np.array_equal(got, textbook_quadrant_integrals(spec, amax, bmax, pps))
+
+    def evaluate(self, i, km):
+        spec = self.SPECS[i]
+        # 4 panels per sigma, asked for between the two levels verify uses, evicts entries
+        raw = [_raw_quadrant_integrals(spec, km[0] + 1, km[1] + 1, pps).tolist()
+               for pps in (1, 4, 2)]
+        return moment_identity_residual(spec, MomentQuery(*km)), raw
+
+    @pytest.mark.parametrize("schedule", ["order_outer", "point_outer", "interleaved"])
+    def test_warm_cache_gives_cold_cache_bits(self, schedule):
+        calls = [(i, km) for i in range(len(self.SPECS)) for km in self.ORDERS]
+        cold = {}
+        for call in calls:
+            _weighted_density_grid.cache_clear()
+            cold[call] = self.evaluate(*call)
+        if schedule == "order_outer":
+            calls.sort(key=lambda call: self.ORDERS.index(call[1]))
+        elif schedule == "interleaved":
+            calls = [calls[j] for j in np.random.default_rng(5).permutation(len(calls))]
+        _weighted_density_grid.cache_clear()
+        for call in calls:
+            assert self.evaluate(*call) == cold[call]
+
+    def test_cached_arrays_are_read_only(self):
+        for arr in _weighted_density_grid(self.SPECS[0], 1):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
