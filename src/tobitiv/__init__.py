@@ -41,6 +41,7 @@ from .moments import (
     build_factor_loading,
     build_pairwise_independent,
     build_pairwise_nonstationary,
+    build_pairwise_nonstationary_orders,
     build_pairwise_slope_fe,
     build_triple_additive_variance,
     build_triple_variance_fe,

@@ -18,7 +18,7 @@ import sys
 
 import numpy as np
 
-from .errors import ConfigurationError, TobitIVError
+from .errors import ConfigurationError, ConvergenceError, TobitIVError
 from .gmm import nonlinear_gmm, two_stage_least_squares
 from .moments import NonlinearMomentSystem
 from .montecarlo import EstimatorSpec, build_estimation_system, run_study
@@ -313,14 +313,24 @@ def cmd_verify(args) -> int:
             )
         )
     tol = cfg["tolerance"]
+    quad_tol = cfg["quadrature_tol"]
     orders = cfg["orders"]
     # Points outer, orders inner: every order at a point reuses its density grids.
     maxima = [-1.0] * len(orders)
     argmax = [None] * len(orders)
     for spec in points:
         for i, (k, m) in enumerate(orders):
-            res = abs(moment_identity_residual(spec, MomentQuery(k=k, m=m),
-                                               tol=cfg["quadrature_tol"]))
+            try:
+                res = abs(moment_identity_residual(spec, MomentQuery(k=k, m=m), tol=quad_tol))
+            except ConvergenceError as exc:
+                if exc.achieved is None:
+                    raise
+                # The identity asks its moments for tol / 10; name the value the config set.
+                raise ConvergenceError(
+                    f"quadrature did not converge to quadrature_tol / 10 = {quad_tol / 10:g} "
+                    f"(quadrature_tol = {quad_tol:g}); achieved {exc.achieved:.3e}",
+                    achieved=exc.achieved, field="quadrature_tol",
+                ) from None
             if res > maxima[i]:
                 maxima[i], argmax[i] = res, spec
     rows = []

@@ -16,9 +16,10 @@ class UnsupportedOrderError(TobitIVError):
 class ConvergenceError(TobitIVError):
     """An iterative numeric routine failed to reach the requested accuracy."""
 
-    def __init__(self, message, achieved=None):
+    def __init__(self, message, achieved=None, field=None):
         super().__init__(message)
         self.achieved = achieved
+        self.field = field  # the config field whose value could not be reached
 
 
 class InsufficientAcceptanceError(TobitIVError):

@@ -7,10 +7,14 @@ rescaled instruments both prunes redundant columns and, in 2SLS, is the one
 instrument basis: fit, rank check, covariance and J all come from its Q and
 R factors (Golub & Van Loan, *Matrix Computations*, 5.3). A stacked system's
 instrument matrix is block-diagonal, so 2SLS factorises each row block on its
-own and stacks the small per-block products; the zero-padded matrix is never
-formed. Rows are grouped by cluster at most once per solve, and one pass of
-cluster sums serves both the covariance and J. Both solvers reject input
-that is not finite, or whose squares overflow, before any arithmetic.
+own and stacks the small per-block products; a block array that several
+blocks share (one pair's instruments, held by each of its orders) is scaled
+and factorised once. The per-cluster moments Gc (clusters x instruments)
+are summed block by block, each block over its own rows into its own
+columns, so neither the zero-padded instrument matrix nor any other n-by-q
+matrix is formed. Each block's rows are grouped by cluster at most once per
+solve, and the one Gc serves both the covariance and J. Both solvers reject
+input that is not finite, or whose squares overflow, before any arithmetic.
 """
 
 from __future__ import annotations
@@ -78,13 +82,21 @@ class _Clusters:
     """Rows grouped by cluster id, with at most one (stable) sort."""
 
     def __init__(self, cluster: np.ndarray):
-        cluster = np.asarray(cluster)
+        self._cluster = cluster = np.asarray(cluster)
         self.order = None
         if np.any(cluster[1:] < cluster[:-1]):
             self.order = np.argsort(cluster, kind="stable")
             cluster = cluster[self.order]
+        self._sorted = cluster
         self.starts = np.flatnonzero(np.r_[True, cluster[1:] != cluster[:-1]])
         self.count = self.starts.size if cluster.size else 0
+
+    @property
+    def ids(self) -> np.ndarray:
+        """The cluster id of each row of `sums`."""
+        if self.count == self._cluster.size:
+            return self._cluster
+        return self._sorted[self.starts]
 
     def sums(self, rows: np.ndarray) -> np.ndarray:
         """Per-cluster column sums of `rows`, one row per cluster."""
@@ -93,6 +105,32 @@ class _Clusters:
         if self.order is not None:
             rows = rows[self.order]
         return np.add.reduceat(rows, self.starts, axis=0)
+
+
+def _block_cluster_sums(cluster, block_rows, Qs, u) -> np.ndarray:
+    """Per-cluster sums of the block-diagonal product Q * u, one row per cluster.
+
+    Block b's columns are zero outside its rows, so they are the cluster sums
+    of Q_b * u over those rows alone, written into the rows of the block's
+    clusters; the n-by-q product is never formed. Rows come in the order that
+    `_Clusters(cluster).sums` gives. Where a block holds at most one row of
+    each cluster, as every built pair or triple block does, the sums equal
+    those of the dense product bit for bit; otherwise they agree to rounding,
+    since numpy adds long runs pairwise and the dense zeros regroup them.
+    """
+    groups = [_Clusters(cluster[rows]) for rows in block_rows]
+    if len(groups) == 1:
+        return groups[0].sums(Qs[0] * u[:, None])
+    ids, slot = np.unique(np.concatenate([g.ids for g in groups]), return_inverse=True)
+    if ids.size == cluster.size:
+        slot = np.arange(ids.size)  # one row per cluster: `sums` keeps the row order
+    Gc = np.zeros((ids.size, sum(Q.shape[1] for Q in Qs)))
+    r0 = c0 = 0
+    for g, rows, Q in zip(groups, block_rows, Qs):
+        Gc[slot[r0 : r0 + g.count], c0 : c0 + Q.shape[1]] = g.sums(Q * u[rows, None])
+        r0 += g.count
+        c0 += Q.shape[1]
+    return Gc
 
 
 def _column_scale(mat: np.ndarray) -> np.ndarray:
@@ -172,30 +210,37 @@ def two_stage_least_squares(system: MomentSystem) -> LinearIVResult:
     evaluated at the 2SLS residuals), so its null distribution is the usual
     chi-squared with (instruments - parameters) degrees of freedom.
 
-    The instrument basis Q is block-diagonal like the instruments: each row
-    block has its own pivoted QR, and the pieces Q'Ws, Q'y and R'Q'Ws are
-    stacked block by block in column order.
+    The instrument basis Q is block-diagonal like the instruments: each
+    distinct block array has one pivoted QR, and the pieces Q'Ws, Q'y and
+    R'Q'Ws are stacked block by block in column order.
     """
     y = system.dependent
     W = system.regressors
     blocks = system.instrument_blocks
+    # One scale and one QR per distinct block array: orders built on one pair share it.
+    distinct = list({id(Z): Z for Z in blocks}.values())
     *z_scales, dW, _ = _finite_column_scales(
-        "instruments, regressors or dependent variable", *blocks, W, y
+        "instruments, regressors or dependent variable", *distinct, W, y
     )
     n, p = W.shape
     if n < p:
         raise InsufficientObservationsError(f"{n} rows for {p} parameters")
 
-    Ws = W / dW
-    parts = []  # per block: rows, Q, Q'Ws, Q'y, R'Q'Ws
-    r0 = 0
-    for Z, scale in zip(blocks, z_scales):
-        rows = slice(r0, r0 + Z.shape[0])
-        r0 = rows.stop
+    bases = {}  # id of a block array -> (Q, R11)
+    for Z, scale in zip(distinct, z_scales):
         # RMS over all n rows, as in the dense matrix: every column has norm
         # sqrt(n), so pivots and the rank threshold match one QR of it.
         Q, R, _ = _pivoted_qr(Z, scale * math.sqrt(Z.shape[0] / n), "economic")
-        Q = Q[:, : R.shape[0]]  # orthonormal basis of the kept instruments' span
+        # The first rank columns of Q are an orthonormal basis of the kept columns' span.
+        bases[id(Z)] = Q[:, : R.shape[0]], R
+
+    Ws = W / dW
+    parts = []  # per block: rows, Q, Q'Ws, Q'y, R'Q'Ws
+    r0 = 0
+    for Z in blocks:
+        rows = slice(r0, r0 + Z.shape[0])
+        r0 = rows.stop
+        Q, R = bases[id(Z)]
         QtW_b = Q.T @ Ws[rows]
         parts.append((rows, Q, QtW_b, Q.T @ y[rows], R.T @ QtW_b))
     block_rows, Qs, QtWs, Qtys, RtQtWs = zip(*parts)
@@ -211,13 +256,7 @@ def two_stage_least_squares(system: MomentSystem) -> LinearIVResult:
     estimates = theta_s / dW
     u = y - W @ estimates
 
-    Qu = np.zeros((n, q), order="F")  # Q * u, block-diagonal like Q
-    c0 = 0
-    for rows, Q in zip(block_rows, Qs):
-        np.multiply(Q, u[rows, None], out=Qu[rows, c0 : c0 + Q.shape[1]])
-        c0 += Q.shape[1]
-    clusters = _Clusters(system.cluster)
-    Gc = clusters.sums(Qu)  # per-cluster moments in the Q basis
+    Gc = _block_cluster_sums(system.cluster, block_rows, Qs, u)  # moments in the Q basis
     # Sandwich A^-1 H'H A^-1 = M M' with bread A = QtW'QtW, meat rows H = Gc QtW
     # and M = A^-1 QtW' Gc': the solve takes q right-hand sides, not one per cluster.
     M = np.linalg.solve(QtW.T @ QtW, QtW.T) @ Gc.T
@@ -238,7 +277,7 @@ def two_stage_least_squares(system: MomentSystem) -> LinearIVResult:
         estimates=estimates,
         covariance=covariance,
         n_rows=n,
-        n_clusters=clusters.count,
+        n_clusters=Gc.shape[0],
         condition_number=cond,
         j_statistic=j_stat,
         j_dof=q - p,

@@ -349,25 +349,46 @@ def build_pairwise_nonstationary(
     Only the variance differences d_t = sigma_t^2 - sigma_ts and
     d_s = sigma_s^2 - sigma_ts are identified.
     """
-    if k < 1 or m < 1:
-        raise DomainError(f"k and m must be >= 1, got k={k}, m={m}")
+    (system,) = build_pairwise_nonstationary_orders(dataset, t, s, [(k, m)], instruments)
+    return system
+
+
+def build_pairwise_nonstationary_orders(
+    dataset: PanelDataset, t: int, s: int, orders, instruments: str = "default"
+) -> list:
+    """`build_pairwise_nonstationary` at each order (k, m), one system per order.
+
+    The rows of a pair are the same at every order, so its instrument set is
+    built once and every system holds that one array as its block; 2SLS then
+    factorises it once for all of them.
+    """
+    for k, m in orders:
+        if k < 1 or m < 1:
+            raise DomainError(f"k and m must be >= 1, got k={k}, m={m}")
     idx, y_t, y_s, x_t, x_s = _pair_arrays(dataset, t, s)
-    dep = y_t ** (k + 1) * y_s**m - y_s ** (m + 1) * y_t**k
-    reg = np.column_stack(
-        [
-            (y_t**k * y_s**m)[:, None] * (x_t - x_s),
-            k * y_t ** (k - 1) * y_s**m,
-            -m * y_s ** (m - 1) * y_t**k,
-        ]
-    )
-    return MomentSystem(
-        dependent=dep,
-        regressors=reg,
-        instrument_blocks=[instrument_set("pair", instruments)(x_t, x_s)],
-        cluster=idx,
-        params=_beta_params(x_t.shape[1]) + [Param("dvar", (t, s)), Param("dvar", (s, t))],
-        periods=np.broadcast_to([t, s], (idx.size, 2)).copy(),
-    )
+    Z = instrument_set("pair", instruments)(x_t, x_s)
+    params = _beta_params(x_t.shape[1]) + [Param("dvar", (t, s)), Param("dvar", (s, t))]
+    systems = []
+    for k, m in orders:
+        dep = y_t ** (k + 1) * y_s**m - y_s ** (m + 1) * y_t**k
+        reg = np.column_stack(
+            [
+                (y_t**k * y_s**m)[:, None] * (x_t - x_s),
+                k * y_t ** (k - 1) * y_s**m,
+                -m * y_s ** (m - 1) * y_t**k,
+            ]
+        )
+        systems.append(
+            MomentSystem(
+                dependent=dep,
+                regressors=reg,
+                instrument_blocks=[Z],
+                cluster=idx,
+                params=list(params),  # own list: build_pairwise_independent renames two
+                periods=np.broadcast_to([t, s], (idx.size, 2)).copy(),
+            )
+        )
+    return systems
 
 
 def build_factor_loading(

@@ -26,7 +26,7 @@ from .moments import (
     build_cross_section,
     build_factor_loading,
     build_pairwise_independent,
-    build_pairwise_nonstationary,
+    build_pairwise_nonstationary_orders,
     build_pairwise_slope_fe,
     build_triple_additive_variance,
     build_triple_variance_fe,
@@ -38,6 +38,7 @@ from .moments import (
     stack_systems,
 )
 from .simulate import SYSTEM_SHAPES, ModelVariant, PanelConfig, PanelDataset, is_int, simulate
+from .truncmoments import MAX_TOTAL_ORDER
 
 FAILURE_FRACTION_LIMIT = 0.2
 
@@ -78,15 +79,21 @@ class EstimatorSpec:
 
         The instrument kind must be one the variant's system shape offers;
         each pair, or the triple, must hold distinct periods in [0, T); each
-        order (k, m), and the cross-section order, must hold integers >= 1;
-        no pair or order may repeat, and the single-pair variants take at
-        most one pair.
+        order (k, m), and the cross-section order k, must hold integers >= 1
+        whose rows' highest moment order, k + m + 1 or k + 1, is at most
+        MAX_TOTAL_ORDER, the highest order the `truncmoments` oracle computes;
+        no pair or order may repeat, and the single-pair variants take at most
+        one pair.
         """
-        _check_entries(self.orders, "orders", "must be two integers >= 1",
-                       lambda o: len(o) == 2 and all(is_int(v) and v >= 1 for v in o))
-        if not (is_int(self.cross_section_order) and self.cross_section_order >= 1):
-            raise ConfigurationError("cross_section_order must be an integer >= 1",
-                                     field="cross_section_order")
+        _check_entries(self.orders, "orders",
+                       f"must be two integers >= 1 with k + m + 1 <= {MAX_TOTAL_ORDER}",
+                       lambda o: len(o) == 2 and all(is_int(v) and v >= 1 for v in o)
+                       and o[0] + o[1] + 1 <= MAX_TOTAL_ORDER)
+        if not (is_int(self.cross_section_order)
+                and 1 <= self.cross_section_order < MAX_TOTAL_ORDER):
+            raise ConfigurationError(
+                f"cross_section_order must be an integer in [1, {MAX_TOTAL_ORDER - 1}]",
+                field="cross_section_order")
         shape = SYSTEM_SHAPES[config.variant]
         instrument_set(shape, self.instruments)
         if shape == "cell":
@@ -179,9 +186,11 @@ def build_estimation_system(
     if variant is ModelVariant.NON_STATIONARY:
         return stack_systems(
             [
-                build_pairwise_nonstationary(dataset, t, s, k, m, instruments=kind)
+                system
                 for t, s in pairs
-                for k, m in spec.orders
+                for system in build_pairwise_nonstationary_orders(
+                    dataset, t, s, spec.orders, instruments=kind
+                )
             ]
         )
     if variant is ModelVariant.FACTOR_LOADING:

@@ -325,9 +325,12 @@ class TestMonteCarlo:
             ({"pairs": [[0, 15]]}, "pairs"),
             ({"orders": [[0, 1]]}, "orders"),
             ({"orders": [[1, 1], [1, 1]]}, "orders"),
+            ({"orders": [[1000000, 1]]}, "orders"),  # its moment rows would overflow
+            ({"orders": [[4, 4]]}, "orders"),  # k + m + 1 = 9: no oracle certifies it
             ({"pairs": [[0, 1], [0, 1]]}, "pairs"),
             ({"cross_section_order": "two"}, "cross_section_order"),
             ({"cross_section_order": 0}, "cross_section_order"),
+            ({"cross_section_order": 1000000}, "cross_section_order"),
         ],
     )
     def test_bad_estimator_spec_exit_2(self, tmp_path, capsys, estimator, field):
@@ -516,6 +519,19 @@ class TestVerify:
                            {"n_points": 2, "orders": [[1, 1]], "mu_range": mu_range})
         assert main(["verify", "--config", cfg, "--out", str(tmp_path / "v")]) == 3
         assert single_json_line(capsys)["error"] in ("ConvergenceError", "DomainError")
+
+    def test_unreachable_quadrature_tol_names_the_field_exit_3(self, tmp_path, capsys):
+        # The identity asks its moments for quadrature_tol / 10 = 1e-14, below rounding.
+        cfg = write_config(tmp_path, "v.json",
+                           {"n_points": 4, "orders": [[1, 1], [2, 2]], "quadrature_tol": 1e-13})
+        assert main(["verify", "--config", cfg, "--out", str(tmp_path / "v")]) == 3
+        error = single_json_line(capsys)
+        assert error["error"] == "ConvergenceError"
+        assert error["field"] == "quadrature_tol"
+        assert "quadrature_tol = 1e-13" in error["message"]
+        assert "quadrature_tol / 10 = 1e-14" in error["message"]
+        assert error["achieved"] > 1e-14
+        assert not (tmp_path / "v").exists()
 
     def test_unattainable_tolerance_exit_4(self, tmp_path, capsys):
         cfg = write_config(

@@ -15,7 +15,8 @@ from tobitiv import (
     run_study,
     true_parameter_values,
 )
-from tobitiv.errors import ConvergenceError
+from tobitiv.errors import ConfigurationError, ConvergenceError
+from tobitiv.truncmoments import MAX_TOTAL_ORDER
 
 
 def indep_config(**over):
@@ -76,6 +77,20 @@ class TestTruth:
     def test_unknown_label_rejected(self):
         with pytest.raises(ValueError):
             Param("mystery")
+
+
+class TestOrderBound:
+    def test_orders_up_to_the_oracle_bound_pass(self):
+        config = indep_config(variant="NonStationary")
+        top = MAX_TOTAL_ORDER - 2  # k + m + 1 = MAX_TOTAL_ORDER
+        EstimatorSpec(orders=((1, top), (top, 1), (1, 1)),
+                      cross_section_order=MAX_TOTAL_ORDER - 1).validate(config)
+
+    @pytest.mark.parametrize("order", [(1, MAX_TOTAL_ORDER - 1), (10**6, 1)])
+    def test_orders_past_it_are_config_errors(self, order):
+        with pytest.raises(ConfigurationError, match="k \\+ m \\+ 1 <=") as exc:
+            EstimatorSpec(orders=(order,)).validate(indep_config(variant="NonStationary"))
+        assert exc.value.field == "orders"
 
 
 class TestRunStudy:

@@ -1,5 +1,5 @@
-"""Solver invariants: row order, instrument scale, dense cluster sums, and the
-cached factor-loading objective."""
+"""Solver invariants: row order, instrument scale, cluster labels, shared
+instrument blocks, dense cluster sums, and the cached factor-loading objective."""
 
 from dataclasses import replace
 
@@ -8,7 +8,20 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from tobitiv import MomentSystem, Param, nonlinear_gmm, stack_systems, two_stage_least_squares
+from tobitiv import (
+    EstimatorSpec,
+    LinearIndexDist,
+    MomentSystem,
+    NormalDist,
+    PanelConfig,
+    Param,
+    build_estimation_system,
+    build_pairwise_nonstationary,
+    nonlinear_gmm,
+    simulate,
+    stack_systems,
+    two_stage_least_squares,
+)
 from tobitiv.gmm import (
     _column_scale,
     _independent_instrument_columns,
@@ -21,14 +34,17 @@ from test_gmm import factor_loading_panel
 REL = 1e-10
 
 
-def block(rng, n, p, q, n_individuals):
-    """One linear system with unsorted, repeated cluster ids and shared params."""
+def block(rng, n, p, q, n_individuals, ids=None):
+    """One linear system with unsorted, repeated cluster ids and shared params.
+
+    The ids are drawn from `ids` when given, else from range(n_individuals).
+    """
     Z = np.column_stack([np.ones(n), rng.normal(size=(n, q - 1))])
     X = Z[:, :p] @ rng.normal(size=(p, p)) + 0.3 * rng.normal(size=(n, p))
     y = X @ rng.normal(size=p) + rng.normal(size=n)
     return MomentSystem(
         dependent=y, regressors=X, instrument_blocks=[Z],
-        cluster=rng.integers(0, n_individuals, n),
+        cluster=rng.integers(0, n_individuals, n) if ids is None else rng.choice(ids, n),
         params=[Param("beta", (j,)) for j in range(p)],
         periods=np.zeros((n, 1), dtype=int),
     )
@@ -77,6 +93,89 @@ def test_2sls_invariant_to_row_order_and_instrument_scale(case):
     assert_same_fit(base, two_stage_least_squares(with_rows(system, perm)))
     scale = np.exp(rng.uniform(-7.0, 7.0, system.instruments.shape[1]))
     assert_same_fit(base, two_stage_least_squares(with_rows(system, slice(None), scale)))
+
+
+@st.composite
+def multi_block_systems(draw):
+    """Two to four blocks. Each draws its cluster ids from its own half of the
+    individuals, with more rows than ids, so some cluster repeats within every
+    block and half the clusters are missing from each block."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    p = draw(st.integers(1, 3))
+    rng = np.random.default_rng(seed)
+    n_individuals = draw(st.integers(40, 100))
+    blocks = []
+    for _ in range(draw(st.integers(2, 4))):
+        ids = rng.choice(n_individuals, n_individuals // 2, replace=False)
+        n = draw(st.integers(60, 200))
+        blocks.append(block(rng, n, p, p + draw(st.integers(0, 3)), n_individuals, ids))
+    return stack_systems(blocks), rng
+
+
+def permuted_within_blocks(system, rng):
+    """The rows of each block permuted in place, and the cluster ids relabelled
+    by a random permutation; the block structure is kept."""
+    rows, blocks, r0 = [], [], 0
+    for Z in system.instrument_blocks:
+        perm = rng.permutation(Z.shape[0])
+        blocks.append(Z[perm])
+        rows.append(r0 + perm)
+        r0 += Z.shape[0]
+    rows = np.concatenate(rows)
+    relabel = rng.permutation(system.cluster.max() + 1)
+    return MomentSystem(
+        dependent=system.dependent[rows], regressors=system.regressors[rows],
+        instrument_blocks=blocks, cluster=relabel[system.cluster[rows]],
+        params=system.params, periods=system.periods[rows],
+    )
+
+
+@given(multi_block_systems())
+def test_2sls_invariant_to_row_order_within_blocks_and_cluster_labels(case):
+    system, rng = case
+    r0 = 0
+    for Z in system.instrument_blocks:
+        ids = system.cluster[r0 : r0 + Z.shape[0]]
+        r0 += Z.shape[0]
+        assert np.unique(ids).size < ids.size  # a cluster repeats within the block
+        assert np.setdiff1d(system.cluster, ids).size > 0  # and some are missing from it
+    moved = permuted_within_blocks(system, rng)
+    assert len(moved.instrument_blocks) == len(system.instrument_blocks) > 1
+    assert_same_fit(two_stage_least_squares(system), two_stage_least_squares(moved))
+
+
+def test_shared_block_arrays_match_copies_bit_for_bit():
+    """Every order of a pair holds one instrument array, factorised once; the
+    fit equals that of the system with a copy per block, and the system equals
+    the one stacked from single-order builds."""
+    config = PanelConfig(
+        variant="NonStationary", n_individuals=600, n_periods=3, n_regressors=1,
+        beta=(1.0,), error_cov=((0.5, 0.2, 0.0), (0.2, 0.5, 0.2), (0.0, 0.2, 0.5)),
+        seed=8, fe_dist=LinearIndexDist(1.0, 0.5), x_dist=NormalDist(1.0, 1.0),
+    )
+    orders = ((1, 1), (2, 1), (1, 2))
+    dataset = simulate(config)
+    system = build_estimation_system(dataset, config, EstimatorSpec(orders=orders))
+    blocks = system.instrument_blocks
+    assert len(blocks) == 9 and len({id(Z) for Z in blocks}) == 3
+    assert all(blocks[i] is blocks[3 * (i // 3)] for i in range(9))
+
+    one_by_one = stack_systems([
+        build_pairwise_nonstationary(dataset, t, s, k, m)
+        for t, s in ((0, 1), (0, 2), (1, 2)) for k, m in orders
+    ])
+    for name in ("dependent", "regressors", "cluster", "periods"):
+        assert np.array_equal(getattr(system, name), getattr(one_by_one, name))
+    assert all(np.array_equal(a, b) for a, b in zip(blocks, one_by_one.instrument_blocks))
+    assert system.params == one_by_one.params
+
+    shared = two_stage_least_squares(system)
+    copied = two_stage_least_squares(replace(system, instrument_blocks=[Z.copy() for Z in blocks]))
+    for a, b in ((shared, copied), (shared, two_stage_least_squares(one_by_one))):
+        assert np.array_equal(a.estimates, b.estimates)
+        assert np.array_equal(a.covariance, b.covariance)
+        assert (a.j_statistic, a.j_dof, a.condition_number, a.n_clusters) == (
+            b.j_statistic, b.j_dof, b.condition_number, b.n_clusters)
 
 
 def test_cluster_covariance_and_j_match_dense_indicator_formulas():
