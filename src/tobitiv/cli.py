@@ -309,13 +309,13 @@ def cmd_verify(args) -> int:
                 mu2=rng.uniform(mu_lo, mu_hi),
                 sigma1_sq=s1_sq,
                 sigma2_sq=s2_sq,
-                sigma12=rho * np.sqrt(s1_sq * s2_sq),
+                sigma12=rho * math.sqrt(s1_sq) * math.sqrt(s2_sq),  # s1_sq * s2_sq may overflow
             )
         )
     tol = cfg["tolerance"]
     quad_tol = cfg["quadrature_tol"]
     orders = cfg["orders"]
-    # Points outer, orders inner: every order at a point reuses its density grids.
+    # Points outer, orders inner: every order at a point slices its full-order integrals.
     maxima = [-1.0] * len(orders)
     argmax = [None] * len(orders)
     for spec in points:

@@ -194,12 +194,15 @@ def _independent_instrument_columns(Z: np.ndarray) -> np.ndarray:
     return _pivoted_qr(Z, _column_scale(Z), mode="raw")[2]
 
 
-def _spd_solve(S: np.ndarray, B: np.ndarray) -> np.ndarray:
+def _spd_solver(S: np.ndarray):
+    """``B -> S^-1 B`` from one Cholesky factor of S, or from its pseudo-inverse
+    when S is not positive definite."""
     try:
-        c, low = sla.cho_factor(S)
-        return sla.cho_solve((c, low), B)
+        factor = sla.cho_factor(S)
     except np.linalg.LinAlgError:
-        return np.linalg.pinv(S) @ B
+        S_pinv = np.linalg.pinv(S)
+        return lambda B: S_pinv @ B
+    return lambda B: sla.cho_solve(factor, B)
 
 
 def two_stage_least_squares(system: MomentSystem) -> LinearIVResult:
@@ -266,11 +269,11 @@ def two_stage_least_squares(system: MomentSystem) -> LinearIVResult:
     if q > p:
         # J does not change under a nonsingular change of instrument basis, and
         # the 1/n factors of the moments and of their covariance S cancel in it.
-        S = Gc.T @ Gc
-        SinvG = _spd_solve(S, QtW)
+        S_solve = _spd_solver(Gc.T @ Gc)
+        SinvG = S_solve(QtW)
         theta2 = np.linalg.solve(QtW.T @ SinvG, SinvG.T @ Qty)
         gbar = Qty - QtW @ theta2
-        j_stat = float(gbar @ _spd_solve(S, gbar))
+        j_stat = float(gbar @ S_solve(gbar))
 
     return LinearIVResult(
         params=list(system.params),
@@ -428,7 +431,7 @@ def nonlinear_gmm(system: NonlinearMomentSystem) -> NonlinearGMMResult:
 
     # step 2: efficient weighting
     S1 = _clustered_S(_full_theta(r1, theta_lin1))
-    W2 = _spd_solve(S1, np.eye(q))
+    W2 = _spd_solver(S1)(np.eye(q))
     W2 = 0.5 * (W2 + W2.T)
     r2, obj2 = _search(W2, r1)
     theta_lin2, _, gbar = concentrated_linear_solve(system, r2, Zw, W2)
@@ -454,7 +457,7 @@ def nonlinear_gmm(system: NonlinearMomentSystem) -> NonlinearGMMResult:
     covariance = 0.5 * (covariance + covariance.T)
 
     grad = 2.0 * GW @ gbar
-    j_stat = float(n * gbar @ _spd_solve(S, gbar)) if q > p else None
+    j_stat = float(n * gbar @ _spd_solver(S)(gbar)) if q > p else None
 
     return NonlinearGMMResult(
         params=list(system.params),

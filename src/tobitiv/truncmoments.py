@@ -14,10 +14,12 @@ quadrature of the density's shape relative to its value at 0). They raise
 ``DomainError`` when a moment overflows or the mean cannot be told apart from
 its own integration range.
 
-The bivariate quadrature builds one weighted density grid per point and
-refinement level and keeps the last two, so consecutive calls at the same
-point share its grids; only the small power-matrix product
-``pow1.T @ grid @ pow2`` is computed per call.
+The bivariate quadrature forms, per point and refinement level, one matrix of
+raw quadrant integrals at the full order ``MAX_TOTAL_ORDER`` and keeps the last
+two, so consecutive calls at the same point, whatever orders they ask for, take
+slices of one product ``pow1.T @ grid @ pow2``. The weighted density grid is
+built for that product and then freed; no grid is retained. A requested
+moment that overflows raises ``DomainError``.
 
 ``moment_identity_residual`` combines five quadrature moments to check the
 identity that the panel moment conditions in :mod:`tobitiv.moments` rest on.
@@ -82,10 +84,12 @@ class BivariateNormalSpec:
             _check_finite(name, getattr(self, name))
         if self.sigma1_sq <= 0.0 or self.sigma2_sq <= 0.0:
             raise DomainError("variances must be strictly positive")
-        if self.sigma12**2 >= self.sigma1_sq * self.sigma2_sq:
+        # compared unsquared: sigma12**2 overflows for large finite covariances
+        if abs(self.sigma12) >= self.sigma1 * self.sigma2:
             raise DomainError(
                 "covariance matrix is not strictly positive definite: "
-                f"sigma12^2 = {self.sigma12**2} >= {self.sigma1_sq * self.sigma2_sq}"
+                f"|sigma12| = {abs(self.sigma12)} >= sigma1 * sigma2 = "
+                f"{self.sigma1 * self.sigma2}"
             )
 
     @property
@@ -257,12 +261,11 @@ def _axis_nodes(mu: float, sigma: float, pps: int):
     return nodes, weights
 
 
-@lru_cache(maxsize=2)  # one entry per refinement level a converged call uses
 def _weighted_density_grid(spec: BivariateNormalSpec, pps: int):
     """Quadrature nodes and the density times the weights on their tensor grid.
 
-    Returns read-only ``(u1, u2, weighted)``. The grid is built in one buffer
-    in place, by the same steps in the same order as the textbook expression
+    Returns ``(u1, u2, weighted)``. The grid is built in one buffer in place,
+    by the same steps in the same order as the textbook expression
     ``w1 * exp(-0.5 * (z1^2 - 2 rho z1 z2 + z2^2) / (1 - rho^2)) / c * w2``,
     so every entry has the bits that expression gives.
     """
@@ -282,22 +285,36 @@ def _weighted_density_grid(spec: BivariateNormalSpec, pps: int):
     grid /= 2.0 * math.pi * s1 * s2 * math.sqrt(one_minus_r2)
     grid *= w1[:, None]
     grid *= w2
-    for arr in (u1, u2, grid):
-        arr.flags.writeable = False
     return u1, u2, grid
+
+
+@lru_cache(maxsize=2)  # one entry per refinement level a converged call uses
+def _full_power_integrals(spec: BivariateNormalSpec, pps: int):
+    """Read-only ``_raw_quadrant_integrals`` at the full order, in both exponents.
+
+    Entry (a, b), for a, b <= ``MAX_TOTAL_ORDER``, is the integral of
+    u1^a u2^b f(u1, u2) over the positive quadrant. Entries whose powers
+    overflow are not finite; they leave the other entries untouched, since
+    each entry is its own dot product.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        u1, u2, weighted = _weighted_density_grid(spec, pps)
+        pow1 = np.vander(u1, MAX_TOTAL_ORDER + 1, increasing=True)  # (len(u1), 9)
+        pow2 = np.vander(u2, MAX_TOTAL_ORDER + 1, increasing=True)
+        raw = pow1.T @ weighted @ pow2
+    raw.flags.writeable = False
+    return raw
 
 
 def _raw_quadrant_integrals(spec: BivariateNormalSpec, amax: int, bmax: int, pps: int):
     """Integrals of u1^a u2^b f(u1, u2) over the positive quadrant.
 
-    Returns an (amax+1, bmax+1) matrix; entry (0, 0) is the quadrant
-    probability. ``pps`` is the number of quadrature panels per standard
-    deviation along each axis.
+    Returns a read-only (amax+1, bmax+1) view of the point's shared full-order
+    matrix; entry (0, 0) is the quadrant probability. ``pps`` is the number of
+    quadrature panels per standard deviation along each axis. Entries whose
+    powers overflow are not finite.
     """
-    u1, u2, weighted = _weighted_density_grid(spec, pps)
-    pow1 = np.vander(u1, amax + 1, increasing=True)  # (len(u1), amax+1)
-    pow2 = np.vander(u2, bmax + 1, increasing=True)
-    return pow1.T @ weighted @ pow2
+    return _full_power_integrals(spec, pps)[: amax + 1, : bmax + 1]
 
 
 def quadrant_moments(
@@ -307,9 +324,11 @@ def quadrant_moments(
 ) -> dict[tuple[int, int], float]:
     """Conditional moments E[U1^a U2^b | U1>0, U2>0] for several (a, b) at once.
 
-    All requested moments are evaluated on a shared quadrature grid, which is
-    refined (panels halved) until every moment is stable to within ``tol``
-    absolute.
+    All requested moments are slices of one full-order matrix of raw quadrant
+    integrals per refinement level, shared with every other call at the same
+    point; the grid is refined (panels halved) until every moment is stable to
+    within ``tol`` absolute. Raises ``DomainError`` when a requested moment
+    overflows.
     """
     if tol <= 0.0:
         raise DomainError(f"tol must be positive, got {tol}")
@@ -325,7 +344,15 @@ def quadrant_moments(
         if not raw[0, 0] > 0.0:
             raise ConvergenceError(f"quadrant probability underflows to 0 at "
                                    f"mu = ({spec.mu1!r}, {spec.mu2!r})")
-        cond = raw / raw[0, 0]
+        with np.errstate(over="ignore"):
+            cond = raw / raw[0, 0]
+        for a, b in exponent_pairs:
+            if not math.isfinite(cond[a, b]):
+                raise DomainError(
+                    f"E[U1^{a} U2^{b} | U1 > 0, U2 > 0] overflows at "
+                    f"mu = ({spec.mu1!r}, {spec.mu2!r}), "
+                    f"sigma_sq = ({spec.sigma1_sq!r}, {spec.sigma2_sq!r})"
+                )
         if prev is not None:
             err = max(abs(cond[a, b] - prev[a, b]) for a, b in exponent_pairs)
             if err <= tol:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from tobitiv.cli import _fmt, main
-from tobitiv.truncmoments import _weighted_density_grid, moment_identity_residual
+from tobitiv.truncmoments import _full_power_integrals, moment_identity_residual
 
 
 def write_config(tmp_path, name, payload):
@@ -480,11 +480,11 @@ class TestVerify:
         with open(out / "verification.csv", newline="") as f:
             assert list(csv.reader(f))[1:] == want
 
-    def test_default_grid_builds_one_density_grid_per_point_and_level(self, tmp_path):
-        _weighted_density_grid.cache_clear()
+    def test_default_grid_forms_one_full_order_matrix_per_point_and_level(self, tmp_path):
+        _full_power_integrals.cache_clear()
         assert main(["verify", "--out", str(tmp_path / "v")]) == 0
-        info = _weighted_density_grid.cache_info()
-        # 50 points x 2 refinement levels; the other 8 orders at each point reuse them
+        info = _full_power_integrals.cache_info()
+        # 50 points x 2 refinement levels; the other 8 orders at each point slice them
         assert (info.misses, info.hits) == (100, 800)
 
     def test_near_singular_rho_excluded(self, tmp_path, capsys):
@@ -519,6 +519,17 @@ class TestVerify:
                            {"n_points": 2, "orders": [[1, 1]], "mu_range": mu_range})
         assert main(["verify", "--config", cfg, "--out", str(tmp_path / "v")]) == 3
         assert single_json_line(capsys)["error"] in ("ConvergenceError", "DomainError")
+
+    @pytest.mark.parametrize("sigma_sq", [1e100, 1e160])
+    def test_overflowing_moment_exit_3(self, tmp_path, capsys, sigma_sq):
+        # Powers of u ~ 1e50 overflow by order 7; at 1e160, s1_sq * s2_sq itself does.
+        cfg = write_config(tmp_path, "v.json", {"n_points": 2, "orders": [[3, 3]],
+                                                "sigma2_range": [sigma_sq, sigma_sq]})
+        assert main(["verify", "--config", cfg, "--out", str(tmp_path / "v")]) == 3
+        error = single_json_line(capsys)
+        assert error["error"] == "DomainError"
+        assert "overflows" in error["message"]
+        assert not (tmp_path / "v").exists()
 
     def test_unreachable_quadrature_tol_names_the_field_exit_3(self, tmp_path, capsys):
         # The identity asks its moments for quadrature_tol / 10 = 1e-14, below rounding.

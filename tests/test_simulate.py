@@ -1,9 +1,12 @@
 """Simulator tests: determinism, marginal oracles, selection mechanics."""
 
 import math
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.special import ndtr
 
 from tobitiv import (
@@ -22,6 +25,7 @@ from tobitiv.errors import (
     InsufficientAcceptanceError,
     UnsupportedModeError,
 )
+from tobitiv.simulate import SHAPE_PERIODS, SYSTEM_SHAPES, ModelVariant, Sampling
 
 
 def indep_config(**overrides):
@@ -182,6 +186,49 @@ class TestSerialization:
     def test_config_dict_round_trip(self):
         cfg = indep_config()
         assert PanelConfig.from_dict(cfg.to_dict()) == cfg
+
+
+@st.composite
+def simulated_panels(draw, variant):
+    """A small simulated panel of either sampling; positive indices keep truncated
+    sampling's acceptance well above its 1-in-100 floor."""
+    T = draw(st.integers(SHAPE_PERIODS[SYSTEM_SHAPES[variant]], 4))
+    K = draw(st.integers(1, 3))
+    extra = {
+        ModelVariant.FACTOR_LOADING: {"factor_loadings": (1.0,) + (1.5,) * (T - 1)},
+        ModelVariant.VARIANCE_FE: {"variance_fe_dist": ShiftedHalfNormalDist(0.5, 0.5)},
+        ModelVariant.ADDITIVE_VARIANCE: {"variance_fe_dist": ShiftedHalfNormalDist(0.5, 0.5)},
+        ModelVariant.SLOPE_FE: {"z_dist": LogNormalDist(0.0, 0.25)},
+    }.get(variant, {})
+    cfg = PanelConfig(
+        variant=variant,
+        sampling=draw(st.sampled_from(list(Sampling))),
+        n_individuals=draw(st.integers(1, 30)),
+        n_periods=T,
+        n_regressors=K,
+        beta=tuple(draw(st.floats(0.5, 1.5)) for _ in range(K)),
+        error_cov=0.5 * np.eye(T),
+        seed=draw(st.integers(0, 2**64 - 1)),
+        fe_dist=LinearIndexDist(1.0, 0.5),
+        x_dist=NormalDist(1.0, 1.0),
+        **extra,
+    )
+    return simulate(cfg)
+
+
+@pytest.mark.parametrize("variant", list(ModelVariant))
+@given(data=st.data())
+def test_save_load_round_trip(variant, data):
+    ds = data.draw(simulated_panels(variant))
+    with tempfile.TemporaryDirectory() as out:
+        save_dataset(ds, out)
+        back = load_dataset(out)
+    assert np.array_equal(back.y, ds.y)
+    assert np.array_equal(back.x, ds.x)
+    assert (back.z is None) == (ds.z is None)
+    assert ds.z is None or np.array_equal(back.z, ds.z)
+    assert back.config.to_dict() == ds.config.to_dict()
+    assert back.n_drawn == ds.n_drawn
 
 
 class TestValidation:

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.special import erfcx, ndtr
 
 from tobitiv import (
@@ -25,6 +27,7 @@ from tobitiv.errors import (
 from tobitiv.truncmoments import (
     MAX_TOTAL_ORDER,
     _axis_nodes,
+    _full_power_integrals,
     _raw_quadrant_integrals,
     _weighted_density_grid,
 )
@@ -238,7 +241,7 @@ def textbook_quadrant_integrals(spec, amax, bmax, pps):
     return pow1.T @ weighted @ pow2
 
 
-class TestDensityGridCache:
+class TestFullPowerIntegralsCache:
     SPECS = [
         BivariateNormalSpec(0.5, -0.5, 1.0, 2.0, 0.8),
         BivariateNormalSpec(-1.0, 1.5, 0.25, 4.0, -0.6),
@@ -247,11 +250,13 @@ class TestDensityGridCache:
     ORDERS = [(1, 1), (2, 1), (3, 3)]
 
     @pytest.mark.parametrize("pps", [1, 2, 4])
-    def test_cached_grid_has_the_textbook_bits(self, pps):
+    def test_cached_integrals_have_the_textbook_bits(self, pps):
         for spec in self.SPECS:
+            want = textbook_quadrant_integrals(spec, MAX_TOTAL_ORDER, MAX_TOTAL_ORDER, pps)
+            assert np.array_equal(_full_power_integrals(spec, pps), want)
             for amax, bmax in [(0, 0), (2, 1), (4, 3)]:
                 got = _raw_quadrant_integrals(spec, amax, bmax, pps)
-                assert np.array_equal(got, textbook_quadrant_integrals(spec, amax, bmax, pps))
+                assert np.array_equal(got, want[: amax + 1, : bmax + 1])
 
     def evaluate(self, i, km):
         spec = self.SPECS[i]
@@ -265,18 +270,66 @@ class TestDensityGridCache:
         calls = [(i, km) for i in range(len(self.SPECS)) for km in self.ORDERS]
         cold = {}
         for call in calls:
-            _weighted_density_grid.cache_clear()
+            _full_power_integrals.cache_clear()
             cold[call] = self.evaluate(*call)
         if schedule == "order_outer":
             calls.sort(key=lambda call: self.ORDERS.index(call[1]))
         elif schedule == "interleaved":
             calls = [calls[j] for j in np.random.default_rng(5).permutation(len(calls))]
-        _weighted_density_grid.cache_clear()
+        _full_power_integrals.cache_clear()
         for call in calls:
             assert self.evaluate(*call) == cold[call]
 
     def test_cached_arrays_are_read_only(self):
-        for arr in _weighted_density_grid(self.SPECS[0], 1):
+        full = _full_power_integrals(self.SPECS[0], 1)
+        for arr in (full, _raw_quadrant_integrals(self.SPECS[0], 2, 1, 1)):
             assert not arr.flags.writeable
             with pytest.raises(ValueError):
-                arr[0] = 0.0
+                arr[0, 0] = 0.0
+
+
+@st.composite
+def verify_default_specs(draw):
+    """Points from `tobitiv verify`'s default ranges, built as verify builds them."""
+    unit = st.floats(0.0, 1.0)
+    s1_sq, s2_sq = 0.25 + 3.75 * draw(unit), 0.25 + 3.75 * draw(unit)
+    rho = 0.9 * (2.0 * draw(unit) - 1.0)
+    return BivariateNormalSpec(
+        mu1=4.0 * draw(unit) - 2.0,
+        mu2=4.0 * draw(unit) - 2.0,
+        sigma1_sq=s1_sq,
+        sigma2_sq=s2_sq,
+        sigma12=rho * math.sqrt(s1_sq) * math.sqrt(s2_sq),
+    )
+
+
+# Every term of these sums is >= 0, so nothing cancels: a double product of
+# ~420 x 400 terms stays within a few eps of the exact sum (at most 4.2e-15
+# relative over 600 default-range points and levels).
+FULL_ORDER_REL_BOUND = 1e-14
+
+
+@given(verify_default_specs(), st.sampled_from([1, 2]))
+def test_full_order_integrals_match_a_long_double_product(spec, pps):
+    u1, u2, weighted = _weighted_density_grid(spec, pps)
+    full = np.longdouble
+    pow1 = np.vander(u1.astype(full), MAX_TOTAL_ORDER + 1, increasing=True)
+    pow2 = np.vander(u2.astype(full), MAX_TOTAL_ORDER + 1, increasing=True)
+    want = pow1.T @ weighted.astype(full) @ pow2
+    got = _full_power_integrals(spec, pps)
+    assert np.all(want > 0.0)
+    assert np.max(np.abs(got - want) / want) < FULL_ORDER_REL_BOUND
+
+
+class TestOverflow:
+    @pytest.mark.parametrize("sigma_sq", [1e100, 1e160, 1e300])
+    def test_overflowing_quadrant_moment_raises(self, sigma_sq):
+        spec = BivariateNormalSpec(0.5, -0.5, sigma_sq, sigma_sq, 0.3 * sigma_sq)
+        with pytest.raises(DomainError, match="overflows"):
+            quadrant_moments(spec, [(0, 0), (4, 4)])
+
+    def test_covariance_check_does_not_square_large_variances(self):
+        # sigma12**2 overflows a Python float here; the check must not
+        BivariateNormalSpec(0.0, 0.0, 1e300, 1e300, 0.5e300)
+        with pytest.raises(DomainError, match="positive definite"):
+            BivariateNormalSpec(0.0, 0.0, 1e300, 1e300, 1e300)
