@@ -2,9 +2,9 @@
 
 Subcommands: `simulate`, `estimate`, `montecarlo`, `verify`. Configuration
 is declarative JSON; results are CSV/JSON with 17-significant-digit
-numerics. Exit codes: 0 success, 2 config error, 3 estimation error,
-4 verification failure. Every error path writes a machine-parsable JSON
-object to stderr.
+numerics. Exit codes: 0 success, 2 config error, 3 estimation error or
+out of memory, 4 verification failure. Every error path writes a
+machine-parsable JSON object to stderr.
 """
 
 from __future__ import annotations
@@ -21,7 +21,13 @@ import numpy as np
 from .errors import ConfigurationError, ConvergenceError, TobitIVError
 from .gmm import nonlinear_gmm, two_stage_least_squares
 from .moments import NonlinearMomentSystem
-from .montecarlo import EstimatorSpec, build_estimation_system, run_study
+from .montecarlo import (
+    IDENTITY_ORDER_RULE,
+    EstimatorSpec,
+    build_estimation_system,
+    is_identity_order,
+    run_study,
+)
 from .simulate import (
     PanelConfig,
     Sampling,
@@ -32,12 +38,7 @@ from .simulate import (
     save_dataset,
     simulate,
 )
-from .truncmoments import (
-    MAX_TOTAL_ORDER,
-    BivariateNormalSpec,
-    MomentQuery,
-    moment_identity_residual,
-)
+from .truncmoments import BivariateNormalSpec, MomentQuery, moment_identity_residual
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -187,23 +188,18 @@ def _replication_rows(summaries):
     return header, rows
 
 
+# The per-parameter StudySummary fields, in column order.
+_SUMMARY_STATS = ("truth", "mean_estimate", "mean_bias", "se_of_mean", "rmse", "median_se",
+                  "coverage95")
+
+
 def _summary_rows(summaries):
-    header = [
-        "sample_size", "parameter", "truth", "mean_estimate", "mean_bias",
-        "se_of_mean", "rmse", "median_se", "coverage95",
-        "n_replications", "n_failed",
+    header = ["sample_size", "parameter", *_SUMMARY_STATS, "n_replications", "n_failed"]
+    rows = [
+        [s.sample_size, name, *(_fmt(getattr(s, stat)[i]) for stat in _SUMMARY_STATS),
+         s.n_replications, s.n_failed]
+        for s in summaries for i, name in enumerate(s.param_names)
     ]
-    rows = []
-    for s in summaries:
-        for i, name in enumerate(s.param_names):
-            rows.append(
-                [
-                    s.sample_size, name, _fmt(s.truth[i]), _fmt(s.mean_estimate[i]),
-                    _fmt(s.mean_bias[i]), _fmt(s.se_of_mean[i]), _fmt(s.rmse[i]),
-                    _fmt(s.median_se[i]), _fmt(s.coverage95[i]),
-                    s.n_replications, s.n_failed,
-                ]
-            )
     return header, rows
 
 
@@ -220,6 +216,7 @@ def cmd_montecarlo(args) -> int:
     ), "sample_sizes", "a list of positive, strictly increasing integers")
     master_seed = args.seed if args.seed is not None else cfg.get("master_seed", 0)
     _check(is_int(master_seed) and master_seed >= 0, "master_seed", "an integer >= 0")
+    _check(args.workers >= 1, "workers", "an integer >= 1")
     config = _panel_config(cfg, None)
     spec = _estimator_spec(cfg, config)
     out = _out_dir(args, cfg)
@@ -258,28 +255,25 @@ def _is_range(v, above=-math.inf) -> bool:
             and above < v[0] <= v[1])
 
 
-def _is_identity_order(o) -> bool:
-    # The identity at (k, m) takes moments of total order k + m + 1.
-    return (isinstance(o, list) and len(o) == 2 and all(is_int(v) and v >= 1 for v in o)
-            and o[0] + o[1] + 1 <= MAX_TOTAL_ORDER)
-
-
 # Each verify field: its default, the test a value must pass, and the rule it states.
 _VERIFY_FIELDS = {
-    "n_points": (50, lambda v: is_int(v) and v >= 1, "an integer >= 1"),
+    "n_points": (50, lambda v: is_int(v) and 1 <= v <= 100_000, "an integer in [1, 100000]"),
     "mu_range": ([-2.0, 2.0], _is_range, "[lo, hi] with finite lo <= hi"),
     "sigma2_range": ([0.25, 4.0], lambda v: _is_range(v, above=0.0),
                      "[lo, hi] with finite 0 < lo <= hi"),
     "rho_max": (0.9, lambda v: is_number(v) and 0.0 <= v <= RHO_CAP,
                 f"a number in [0, {RHO_CAP}]; near-singular covariances are excluded"),
     "orders": ([[k, m] for k in (1, 2, 3) for m in (1, 2, 3)],
-               lambda v: isinstance(v, list) and len(v) > 0
-               and all(_is_identity_order(o) for o in v),
-               f"a non-empty list of [k, m], integers >= 1 with k + m + 1 <= {MAX_TOTAL_ORDER}"),
+               lambda v: isinstance(v, list) and len(v) > 0 and all(map(is_identity_order, v)),
+               f"a non-empty list of [k, m], {IDENTITY_ORDER_RULE}"),
     "tolerance": (1e-6, lambda v: is_number(v) and v > 0, "a positive number"),
     "quadrature_tol": (1e-7, lambda v: is_number(v) and v > 0, "a positive number"),
     "grid_seed": (20260823, lambda v: is_int(v) and v >= 0, "an integer >= 0"),
 }
+
+
+# The coordinates that name a verify point, in the CSV and in a failure's JSON.
+_POINT_COORDS = ("mu1", "mu2", "sigma1_sq", "sigma2_sq", "rho")
 
 
 def cmd_verify(args) -> int:
@@ -336,21 +330,13 @@ def cmd_verify(args) -> int:
     rows = []
     worst = None
     for (k, m), max_abs, best_point in zip(orders, maxima, argmax):
-        rows.append(
-            [k, m, _fmt(max_abs)]
-            + [_fmt(v) for v in (best_point.mu1, best_point.mu2,
-                                 best_point.sigma1_sq, best_point.sigma2_sq,
-                                 best_point.rho)]
-        )
+        rows.append([k, m, _fmt(max_abs)] + [_fmt(getattr(best_point, c)) for c in _POINT_COORDS])
         if worst is None or max_abs > worst[2]:
             worst = (k, m, max_abs, best_point)
         print(f"(k={k}, m={m}): max |residual| = {max_abs:.3e}")
     os.makedirs(out, exist_ok=True)
-    _write_csv(
-        os.path.join(out, "verification.csv"),
-        ["k", "m", "max_abs_residual", "mu1", "mu2", "sigma1_sq", "sigma2_sq", "rho"],
-        rows,
-    )
+    _write_csv(os.path.join(out, "verification.csv"),
+               ["k", "m", "max_abs_residual", *_POINT_COORDS], rows)
     if worst[2] >= tol:
         k, m, max_abs, pt = worst
         print(
@@ -359,11 +345,7 @@ def cmd_verify(args) -> int:
                     "error": "VerificationFailure",
                     "message": f"residual {max_abs:.3e} >= tolerance {tol:g}",
                     "k": k, "m": m,
-                    "point": {
-                        "mu1": pt.mu1, "mu2": pt.mu2,
-                        "sigma1_sq": pt.sigma1_sq, "sigma2_sq": pt.sigma2_sq,
-                        "rho": pt.rho,
-                    },
+                    "point": {c: getattr(pt, c) for c in _POINT_COORDS},
                 }
             ),
             file=sys.stderr,
@@ -405,7 +387,7 @@ def main(argv=None) -> int:
     except ConfigurationError as exc:
         _emit_error(exc)
         return EXIT_CONFIG
-    except TobitIVError as exc:
+    except (TobitIVError, MemoryError) as exc:
         _emit_error(exc)
         return EXIT_ESTIMATION
     except OSError as exc:

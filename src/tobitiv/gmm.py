@@ -205,6 +205,14 @@ def _spd_solver(S: np.ndarray):
     return lambda B: sla.cho_solve(factor, B)
 
 
+def _nonsingular_solve(A, B, what: str):
+    """`np.linalg.solve`, reporting an exactly singular A as an IdentificationError."""
+    try:
+        return np.linalg.solve(A, B)
+    except np.linalg.LinAlgError:
+        raise IdentificationError(f"{what} is singular") from None
+
+
 def two_stage_least_squares(system: MomentSystem) -> LinearIVResult:
     """Classic 2SLS with individual-clustered sandwich covariance.
 
@@ -237,14 +245,13 @@ def two_stage_least_squares(system: MomentSystem) -> LinearIVResult:
         # The first rank columns of Q are an orthonormal basis of the kept columns' span.
         bases[id(Z)] = Q[:, : R.shape[0]], R
 
-    Ws = W / dW
-    parts = []  # per block: rows, Q, Q'Ws, Q'y, R'Q'Ws
+    parts = []  # per block: rows, Q, Q'Ws, Q'y, R'Q'Ws, with Ws = W / dW
     r0 = 0
     for Z in blocks:
         rows = slice(r0, r0 + Z.shape[0])
         r0 = rows.stop
         Q, R = bases[id(Z)]
-        QtW_b = Q.T @ Ws[rows]
+        QtW_b = (Q.T @ W[rows]) / dW  # scaling the q x p product, not an n x p copy of W
         parts.append((rows, Q, QtW_b, Q.T @ y[rows], R.T @ QtW_b))
     block_rows, Qs, QtWs, Qtys, RtQtWs = zip(*parts)
     QtW, Qty = np.concatenate(QtWs), np.concatenate(Qtys)
@@ -271,7 +278,8 @@ def two_stage_least_squares(system: MomentSystem) -> LinearIVResult:
         # the 1/n factors of the moments and of their covariance S cancel in it.
         S_solve = _spd_solver(Gc.T @ Gc)
         SinvG = S_solve(QtW)
-        theta2 = np.linalg.solve(QtW.T @ SinvG, SinvG.T @ Qty)
+        theta2 = _nonsingular_solve(QtW.T @ SinvG, SinvG.T @ Qty,
+                                    "the two-step GMM matrix for J")
         gbar = Qty - QtW @ theta2
         j_stat = float(gbar @ S_solve(gbar))
 
@@ -362,7 +370,8 @@ def concentrated_linear_solve(system: NonlinearMomentSystem, r: float, Zw, Wmat)
     dep, X = system.shared_linear_parts(r)
     G = Zw.T @ X / n
     gd = Zw.T @ dep / n
-    theta = np.linalg.solve(G.T @ (Wmat @ G), G.T @ (Wmat @ gd))
+    theta = _nonsingular_solve(G.T @ (Wmat @ G), G.T @ (Wmat @ gd),
+                               f"the linear block's GMM matrix at r = {r:.6g}")
     gbar = gd - G @ theta
     return theta, float(gbar @ (Wmat @ gbar)), gbar
 
@@ -451,7 +460,10 @@ def nonlinear_gmm(system: NonlinearMomentSystem) -> NonlinearGMMResult:
 
     S = _clustered_S(theta)
     GW = G.T @ W2
-    bread = np.linalg.inv(GW @ G)
+    try:
+        bread = np.linalg.inv(GW @ G)
+    except np.linalg.LinAlgError:
+        raise IdentificationError("the moment Jacobian's GMM matrix is singular") from None
     meat = GW @ S @ GW.T
     covariance = bread @ meat @ bread / n
     covariance = 0.5 * (covariance + covariance.T)

@@ -9,6 +9,7 @@ than 20% of replications fail.
 
 from __future__ import annotations
 
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -85,10 +86,8 @@ class EstimatorSpec:
         no pair or order may repeat, and the single-pair variants take at most
         one pair.
         """
-        _check_entries(self.orders, "orders",
-                       f"must be two integers >= 1 with k + m + 1 <= {MAX_TOTAL_ORDER}",
-                       lambda o: len(o) == 2 and all(is_int(v) and v >= 1 for v in o)
-                       and o[0] + o[1] + 1 <= MAX_TOTAL_ORDER)
+        _check_entries(self.orders, "orders", f"must be two {IDENTITY_ORDER_RULE}",
+                       is_identity_order)
         if not (is_int(self.cross_section_order)
                 and 1 <= self.cross_section_order < MAX_TOTAL_ORDER):
             raise ConfigurationError(
@@ -111,6 +110,17 @@ class EstimatorSpec:
                 f"variant {config.variant.value} takes one pair, got {len(entries)}",
                 field="pairs",
             )
+
+
+IDENTITY_ORDER_RULE = f"integers >= 1 with k + m + 1 <= {MAX_TOTAL_ORDER}"
+
+
+def is_identity_order(o) -> bool:
+    """True for an order (k, m) of two integers >= 1 whose identity's highest
+    moment order, k + m + 1, is at most MAX_TOTAL_ORDER: the rule for the
+    orders of nonstationary rows and of `verify`."""
+    return (isinstance(o, (list, tuple)) and len(o) == 2
+            and all(is_int(v) and v >= 1 for v in o) and o[0] + o[1] + 1 <= MAX_TOTAL_ORDER)
 
 
 def _check_entries(entries, field_name: str, rule: str, valid) -> None:
@@ -252,6 +262,13 @@ def run_replication(
     return ReplicationRecord(j, cfg.n_individuals, wall, result, error)
 
 
+def available_cpus() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):  # Linux
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _run_replication_args(args):
     return run_replication(*args)
 
@@ -299,16 +316,20 @@ def run_study(
     """One StudySummary per sample size, replications in deterministic order.
 
     Worker-pool execution returns results in replication order, so output is
-    identical to sequential execution.
+    identical to sequential execution. The pool has at most `workers`
+    processes, and no more than there are replications or available CPUs.
     """
     spec.validate(config)
     sizes = list(sample_sizes) if sample_sizes is not None else [config.n_individuals]
+    configs = [replace(config, n_individuals=int(size)) for size in sizes]
+    for cfg in configs:
+        cfg.validate()
+    n_workers = min(workers, n_replications, available_cpus())
     summaries = []
-    for size in sizes:
-        cfg = replace(config, n_individuals=int(size))
+    for cfg in configs:
         tasks = [(cfg, spec, j, master_seed) for j in range(n_replications)]
-        if workers > 1:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
+        if n_workers > 1:
+            with ProcessPoolExecutor(max_workers=n_workers) as pool:
                 records = list(pool.map(_run_replication_args, tasks, chunksize=4))
         else:
             records = [run_replication(*t) for t in tasks]
@@ -316,7 +337,7 @@ def run_study(
         if n_failed > FAILURE_FRACTION_LIMIT * n_replications:
             reasons = {r.error for r in records if r.failed}
             raise ConvergenceError(
-                f"{n_failed}/{n_replications} replications failed at N={size}: "
+                f"{n_failed}/{n_replications} replications failed at N={cfg.n_individuals}: "
                 + "; ".join(sorted(reasons))
             )
         params = next(r.result.params for r in records if not r.failed)

@@ -13,7 +13,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import astuple, dataclass, field
+from dataclasses import asdict, astuple, dataclass, field, fields, is_dataclass
 from enum import Enum
 from typing import Optional
 
@@ -60,9 +60,6 @@ class NormalDist:
     def sample(self, rng, shape):
         return self.mu + self.sigma * rng.standard_normal(shape)
 
-    def to_dict(self):
-        return {"type": "normal", "mu": self.mu, "sigma": self.sigma}
-
 
 @dataclass(frozen=True)
 class LogNormalDist:
@@ -74,9 +71,6 @@ class LogNormalDist:
     def sample(self, rng, shape):
         return np.exp(self.mu + self.sigma * rng.standard_normal(shape))
 
-    def to_dict(self):
-        return {"type": "lognormal", "mu": self.mu, "sigma": self.sigma}
-
 
 @dataclass(frozen=True)
 class ShiftedHalfNormalDist:
@@ -87,9 +81,6 @@ class ShiftedHalfNormalDist:
 
     def sample(self, rng, shape):
         return self.shift + self.scale * np.abs(rng.standard_normal(shape))
-
-    def to_dict(self):
-        return {"type": "shifted_halfnormal", "shift": self.shift, "scale": self.scale}
 
 
 @dataclass(frozen=True)
@@ -108,13 +99,6 @@ class LinearIndexDist:
             mean_index.shape
         )
 
-    def to_dict(self):
-        return {
-            "type": "linear_index",
-            "index_coef": self.index_coef,
-            "noise_sigma": self.noise_sigma,
-        }
-
 
 def is_int(v) -> bool:
     """True for Python and NumPy integers, not for booleans."""
@@ -132,6 +116,21 @@ _DIST_TYPES = {
     "shifted_halfnormal": ShiftedHalfNormalDist,
     "linear_index": LinearIndexDist,
 }
+_DIST_NAMES = {cls: name for name, cls in _DIST_TYPES.items()}
+
+# The panel's distribution fields, in the order `validate` checks them.
+_DIST_FIELDS = ("fe_dist", "x_dist", "z_dist", "variance_fe_dist")
+
+# Fields a panel carries exactly when its variant is one of these.
+_VARIANT_ONLY_FIELDS = {
+    "factor_loadings": (ModelVariant.FACTOR_LOADING,),
+    "z_dist": (ModelVariant.SLOPE_FE,),
+    "variance_fe_dist": (ModelVariant.VARIANCE_FE, ModelVariant.ADDITIVE_VARIANCE),
+}
+
+
+def dist_to_dict(dist) -> dict:
+    return {"type": _DIST_NAMES[type(dist)], **asdict(dist)}
 
 
 def dist_from_dict(d: dict):
@@ -192,22 +191,30 @@ class PanelConfig:
             raise ConfigurationError(
                 f"beta has length {len(self.beta)}, expected {K}", field="beta"
             )
-        cov = np.asarray(self.error_cov, dtype=float)
+        try:
+            cov = np.asarray(self.error_cov, dtype=float)
+        except ValueError:  # rows of different lengths
+            raise ConfigurationError(f"error_cov must be {T} x {T}", field="error_cov") from None
         if cov.shape != (T, T):
             raise ConfigurationError(
                 f"error_cov has shape {cov.shape}, expected ({T}, {T})", field="error_cov"
             )
+        # x holds N * T * K float64 values; numpy cannot index more bytes than intp holds.
+        if 8 * N * T * K > np.iinfo(np.intp).max:
+            raise ConfigurationError(
+                f"an {N} x {T} x {K} regressor array exceeds the largest array this "
+                "platform can hold", field="n_individuals")
         for name in ("beta", "error_cov", "factor_loadings"):
             if not np.all(np.isfinite(np.asarray(getattr(self, name) or (), dtype=float))):
                 raise ConfigurationError(f"{name} must be finite", field=name)
-        for name in ("fe_dist", "x_dist", "z_dist", "variance_fe_dist"):
+        for name in _DIST_FIELDS:
             dist = getattr(self, name)
             if dist is None and name in ("fe_dist", "x_dist"):
                 raise ConfigurationError(f"{name} is required", field=name)
             # fe_dist alone is drawn around the regressor index; the others by shape.
             if dist is not None and isinstance(dist, LinearIndexDist) != (name == "fe_dist"):
                 raise ConfigurationError(
-                    f"{name} cannot have type {dist.to_dict()['type']!r}: fe_dist takes "
+                    f"{name} cannot have type {_DIST_NAMES[type(dist)]!r}: fe_dist takes "
                     "linear_index, the others normal, lognormal or shifted_halfnormal",
                     field=name,
                 )
@@ -222,13 +229,14 @@ class PanelConfig:
             raise ConfigurationError(
                 "error_cov must be positive definite", field="error_cov"
             ) from None
-        if (self.factor_loadings is not None) != (
-            self.variant is ModelVariant.FACTOR_LOADING
-        ):
-            raise ConfigurationError(
-                "factor_loadings must be present exactly for the FactorLoading variant",
-                field="factor_loadings",
-            )
+        for name, variants in _VARIANT_ONLY_FIELDS.items():
+            if (getattr(self, name) is not None) != (self.variant in variants):
+                raise ConfigurationError(
+                    f"{name} must be present exactly for the "
+                    f"{' and '.join(v.value for v in variants)} "
+                    f"variant{'s' if len(variants) > 1 else ''}",
+                    field=name,
+                )
         if self.factor_loadings is not None:
             if len(self.factor_loadings) != T:
                 raise ConfigurationError(
@@ -239,47 +247,25 @@ class PanelConfig:
                     "the first factor loading is the scale normalization and must be 1",
                     field="factor_loadings",
                 )
-        if (self.z_dist is not None) != (self.variant is ModelVariant.SLOPE_FE):
-            raise ConfigurationError(
-                "z_dist must be present exactly for the SlopeFE variant", field="z_dist"
-            )
-        needs_var_fe = self.variant in (
-            ModelVariant.VARIANCE_FE,
-            ModelVariant.ADDITIVE_VARIANCE,
-        )
-        if (self.variance_fe_dist is not None) != needs_var_fe:
-            raise ConfigurationError(
-                "variance_fe_dist must be present exactly for the VarianceFE and "
-                "AdditiveVariance variants",
-                field="variance_fe_dist",
-            )
 
     def to_dict(self):
-        d = {
-            "variant": self.variant.value,
-            "n_individuals": self.n_individuals,
-            "n_periods": self.n_periods,
-            "n_regressors": self.n_regressors,
-            "beta": list(self.beta),
-            "error_cov": [list(r) for r in self.error_cov],
-            "seed": self.seed,
-            "sampling": self.sampling.value,
-            "fe_dist": self.fe_dist.to_dict(),
-            "x_dist": self.x_dist.to_dict(),
-        }
-        if self.factor_loadings is not None:
-            d["factor_loadings"] = list(self.factor_loadings)
-        if self.variance_fe_dist is not None:
-            d["variance_fe_dist"] = self.variance_fe_dist.to_dict()
-        if self.z_dist is not None:
-            d["z_dist"] = self.z_dist.to_dict()
-        return d
+        """Every field that is set, as JSON values: enums by value, tuples as lists."""
+
+        def plain(v):
+            if isinstance(v, Enum):
+                return v.value
+            if isinstance(v, tuple):
+                return [plain(e) for e in v]
+            return dist_to_dict(v) if is_dataclass(v) else v
+
+        return {f.name: plain(v) for f in fields(self)
+                if (v := getattr(self, f.name)) is not None}
 
     @classmethod
     def from_dict(cls, d: dict) -> "PanelConfig":
         kwargs = dict(d)
         try:
-            for key in ("fe_dist", "x_dist", "z_dist", "variance_fe_dist"):
+            for key in _DIST_FIELDS:
                 if key in kwargs and kwargs[key] is not None:
                     kwargs[key] = dist_from_dict(kwargs[key])
             return cls(**kwargs)
@@ -364,22 +350,11 @@ def simulate(config: PanelConfig) -> PanelDataset:
     config.validate()
     rng = np.random.Generator(np.random.Philox(key=config.seed))
     N = config.n_individuals
+    truncated = config.sampling is Sampling.TRUNCATED
 
-    if config.sampling is Sampling.CENSORED:
-        x, z, alpha, sig_i, latent = _draw_batch(config, rng, N)
-        return PanelDataset(
-            y=np.maximum(0.0, latent),
-            x=x,
-            z=z,
-            latent_y=latent,
-            alpha=alpha,
-            sigma_i_sq=sig_i,
-            config=config,
-            n_drawn=N,
-        )
-
-    # Truncated sampling: only individuals with all periods positive are
-    # observed at all; resample until N such individuals are collected.
+    # Censored sampling observes every individual, so its first batch is the
+    # panel. Truncated sampling observes only individuals positive in every
+    # period; it resamples until N such individuals are collected.
     parts = []
     kept = 0
     drawn = 0
@@ -393,23 +368,21 @@ def simulate(config: PanelConfig) -> PanelDataset:
         n_batch = min(N, _TRUNCATION_OVERSAMPLE_CAP * N - drawn)
         x, z, alpha, sig_i, latent = _draw_batch(config, rng, n_batch)
         drawn += n_batch
-        keep = np.all(latent > 0.0, axis=1)
+        keep = np.all(latent > 0.0, axis=1) if truncated else slice(None)
         parts.append((x[keep], None if z is None else z[keep], alpha[keep],
                       None if sig_i is None else sig_i[keep], latent[keep]))
-        kept += int(keep.sum())
+        kept += len(parts[-1][4])
 
-    def _cat(idx):
-        arrays = [p[idx] for p in parts]
-        return None if arrays[0] is None else np.concatenate(arrays)[:N]
-
-    latent = _cat(4)
+    x, z, alpha, sig_i, latent = (
+        None if arrays[0] is None else np.concatenate(arrays)[:N] for arrays in zip(*parts)
+    )
     return PanelDataset(
-        y=latent.copy(),
-        x=_cat(0),
-        z=_cat(1),
+        y=np.maximum(0.0, latent),
+        x=x,
+        z=z,
         latent_y=latent,
-        alpha=_cat(2),
-        sigma_i_sq=_cat(3),
+        alpha=alpha,
+        sigma_i_sq=sig_i,
         config=config,
         n_drawn=drawn,
     )

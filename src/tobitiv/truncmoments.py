@@ -387,7 +387,10 @@ def bivariate_truncated_moment_mc(
     rng = np.random.Generator(np.random.PCG64(seed))
     s1 = spec.sigma1
     cond_slope = spec.sigma12 / spec.sigma1_sq
-    cond_sd = math.sqrt(spec.sigma2_sq - spec.sigma12**2 / spec.sigma1_sq)
+    try:
+        cond_sd = math.sqrt(spec.sigma2_sq - spec.sigma12**2 / spec.sigma1_sq)
+    except OverflowError:
+        raise DomainError(f"sigma12**2 overflows (sigma12 = {spec.sigma12:g})") from None
 
     # chunked Welford accumulation keeps memory flat at large n_draws
     count = 0

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -96,8 +97,8 @@ class TestSimulate:
     @pytest.mark.parametrize(
         "override",
         [{"variant": "Bogus"}, {"x_dist": {"type": "normal", "mu": "one", "sigma": 1.0}},
-         {"x_dist": None}],
-        ids=["unknown_variant", "text_dist_parameter", "null_dist"],
+         {"x_dist": None}, {"error_cov": [[0.25, 0.0], [0.0]]}],
+        ids=["unknown_variant", "text_dist_parameter", "null_dist", "ragged_error_cov"],
     )
     def test_bad_panel_value_exit_2(self, tmp_path, capsys, override):
         payload = json.loads(open(sim_config(tmp_path)).read())
@@ -107,6 +108,16 @@ class TestSimulate:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1
         assert json.loads(err[0])["error"] == "ConfigurationError"
+
+    def test_out_of_memory_exit_3(self, tmp_path, capsys, monkeypatch):
+        def out_of_memory(config):
+            raise MemoryError("Unable to allocate 14.6 TiB for an array")
+
+        monkeypatch.setattr("tobitiv.cli.simulate", out_of_memory)
+        cfg = sim_config(tmp_path)
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
+        assert single_json_line(capsys)["error"] == "MemoryError"
+        assert not (tmp_path / "o").exists()
 
     def test_malformed_json(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
@@ -414,6 +425,99 @@ class TestMonteCarlo:
         assert "DomainError" in error["message"]
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize(
+        "panel, study",
+        [({"n_individuals": 2**70}, {}), ({"n_individuals": 10**18}, {}),
+         ({}, {"sample_sizes": [300, 2**70]})],
+        ids=["n_individuals-2**70", "n_individuals-10**18", "sample_sizes-2**70"],
+    )
+    def test_oversized_panel_exit_2_before_any_draw(self, tmp_path, capsys, monkeypatch,
+                                                    panel, study):
+        # No platform holds an 8 * N * T * K byte array this large.
+        def no_draw(*args, **kwargs):
+            raise AssertionError("a panel was drawn before its size was checked")
+
+        # `tobitiv.simulate` names the function; the module is patched through sys.modules.
+        monkeypatch.setattr(sys.modules["tobitiv.simulate"], "_draw_batch", no_draw)
+        payload = json.loads(open(self.mc_config(tmp_path, **study)).read())
+        payload["panel"].update(panel)
+        cfg = write_config(tmp_path, "mc.json", payload)
+        assert main(["montecarlo", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert_config_error(capsys, "n_individuals")
+        if panel:
+            assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "ds")]) == 2
+            assert_config_error(capsys, "n_individuals")
+        assert not (tmp_path / "o").exists()
+        assert not (tmp_path / "ds").exists()
+
+    @pytest.mark.parametrize(
+        "variant, panel, estimator, singular",
+        [("FactorLoading",
+          {"n_periods": 2, "error_cov": [[0.25, 0.0], [0.0, 0.25]],
+           "factor_loadings": [1.0, 1.5], "x_dist": {"type": "normal", "mu": 1.0, "sigma": 0}},
+          {"instruments": "products"}, "linear block's GMM matrix"),
+         ("FactorLoading",
+          {"n_periods": 2, "error_cov": [[0.25, 0.0], [0.0, 0.25]],
+           "factor_loadings": [1.0, 1.5], "beta": [2**63]},
+          {"instruments": "products"}, "moment Jacobian's GMM matrix"),
+         ("VarianceFE",
+          {"n_periods": 3, "n_individuals": 200, "sampling": "Truncated",
+           "error_cov": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]],
+           "fe_dist": {"type": "linear_index", "index_coef": 2**63, "noise_sigma": 0.5},
+           "variance_fe_dist": {"type": "shifted_halfnormal", "shift": 0.25, "scale": 0.2},
+           "x_dist": {"type": "normal", "mu": 1.0, "sigma": 2.0}},
+          {"instruments": "index_proxy"}, "two-step GMM matrix for J")],
+        ids=["constant_x", "huge_beta", "huge_effects"],
+    )
+    def test_singular_gmm_matrix_exit_3(self, tmp_path, capsys, variant, panel, estimator,
+                                        singular):
+        payload = json.loads(open(self.mc_config(tmp_path, variant=variant,
+                                                 estimator=estimator)).read())
+        payload["panel"].update(panel)
+        cfg = write_config(tmp_path, "mc.json", payload)
+        assert main(["montecarlo", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
+        error = single_json_line(capsys)
+        assert error["error"] == "ConvergenceError"
+        assert f"IdentificationError: the {singular}" in error["message"]
+
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_workers_below_one_exit_2(self, tmp_path, capsys, workers):
+        cfg = self.mc_config(tmp_path)
+        out = tmp_path / "o"
+        assert main(["montecarlo", "--config", cfg, "--out", str(out), f"--workers={workers}"]) == 2
+        assert_config_error(capsys, "workers")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("replications, cpus, pool_size",
+                             [(3, 4, 3), (5, 4, 4), (5, 1, None)])
+    def test_workers_capped_by_replications_and_cpus(self, tmp_path, monkeypatch,
+                                                     replications, cpus, pool_size):
+        pools = []
+
+        class RecordingPool:
+            """Records its size and maps in this process: no process is started."""
+
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks, chunksize=1):
+                return map(fn, tasks)
+
+        monkeypatch.setattr("tobitiv.montecarlo.ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr("tobitiv.montecarlo.available_cpus", lambda: cpus)
+        cfg = self.mc_config(tmp_path, replications=replications)
+        seq, par = tmp_path / "seq", tmp_path / "par"
+        assert main(["montecarlo", "--config", cfg, "--out", str(seq)]) == 0
+        assert main(["montecarlo", "--config", cfg, "--out", str(par), "--workers=1000"]) == 0
+        assert pools == ([] if pool_size is None else [pool_size])
+        assert (seq / "summary.csv").read_bytes() == (par / "summary.csv").read_bytes()
+
     def test_output_under_a_file_exit_2_before_work(self, tmp_path, capsys, monkeypatch):
         def no_study(*args, **kwargs):
             raise AssertionError("the study ran before the output path was checked")
@@ -486,6 +590,17 @@ class TestVerify:
         info = _full_power_integrals.cache_info()
         # 50 points x 2 refinement levels; the other 8 orders at each point slice them
         assert (info.misses, info.hits) == (100, 800)
+
+    @pytest.mark.parametrize("n_points", [0, 100_001, 2**70])
+    def test_n_points_bounded_exit_2_before_any_point(self, tmp_path, capsys, monkeypatch,
+                                                      n_points):
+        def no_point(**kwargs):
+            raise AssertionError("a point was drawn before n_points was checked")
+
+        monkeypatch.setattr("tobitiv.cli.BivariateNormalSpec", no_point)
+        cfg = write_config(tmp_path, "v.json", {"n_points": n_points})
+        assert main(["verify", "--config", cfg, "--out", str(tmp_path / "v")]) == 2
+        assert_config_error(capsys, "n_points")
 
     def test_near_singular_rho_excluded(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "v.json", {"rho_max": 0.999})

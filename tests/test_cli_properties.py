@@ -1,0 +1,128 @@
+"""Property test: a valid config with one field mutated never crashes the CLI.
+
+Every run must exit 0, 2 or 3 (and 4 for `verify`); an exit other than 0
+writes exactly one stderr line of strict JSON, and exit 0 writes none. Sizes
+drawn inside the valid range stay small (N <= 2000, replications <= 5).
+"""
+
+import copy
+import json
+import tempfile
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from test_cli import single_json_line
+
+from tobitiv import PanelConfig, save_dataset, simulate
+from tobitiv.cli import main
+
+_FE = {"type": "linear_index", "index_coef": 1.0, "noise_sigma": 0.5}
+
+BASES = {
+    "montecarlo": {
+        "variant": "IndependentErrors",
+        "panel": {
+            "n_individuals": 200, "n_periods": 2, "n_regressors": 2, "beta": [1.0, -0.5],
+            "error_cov": [[0.25, 0.0], [0.0, 0.375]], "seed": 0, "fe_dist": _FE,
+            "x_dist": {"type": "normal", "mu": 1.0, "sigma": 1.0},
+        },
+        "estimator": {"instruments": "levels_squares", "pairs": [[1, 0]]},
+        "replications": 3,
+        "sample_sizes": [200, 400],
+        "master_seed": 99,
+    },
+    "montecarlo_factor_loading": {
+        "variant": "FactorLoading",
+        "panel": {
+            "n_individuals": 300, "n_periods": 2, "n_regressors": 1, "beta": [1.0],
+            "error_cov": [[0.25, 0.0], [0.0, 0.25]], "factor_loadings": [1.0, 1.5], "seed": 0,
+            "fe_dist": _FE, "x_dist": {"type": "normal", "mu": 1.0, "sigma": 2.0},
+        },
+        "estimator": {"instruments": "products", "pairs": [[1, 0]]},
+        "replications": 2,
+        "master_seed": 1,
+    },
+    "montecarlo_truncated": {
+        "variant": "VarianceFE",
+        "panel": {
+            "n_individuals": 200, "n_periods": 3, "n_regressors": 1, "beta": [1.0],
+            "error_cov": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]], "seed": 0,
+            "sampling": "Truncated", "fe_dist": _FE,
+            "variance_fe_dist": {"type": "shifted_halfnormal", "shift": 0.25, "scale": 0.2},
+            "x_dist": {"type": "normal", "mu": 1.0, "sigma": 2.0},
+        },
+        "estimator": {"instruments": "index_proxy", "triple": [0, 1, 2]},
+        "replications": 3,
+        "master_seed": 5,
+    },
+    "estimate": {
+        "estimator": {"instruments": "default", "pairs": [[1, 0], [2, 1]],
+                      "orders": [[1, 1], [2, 1]], "cross_section_order": 1},
+    },
+    "verify": {
+        "n_points": 2, "mu_range": [-2.0, 2.0], "sigma2_range": [0.25, 4.0], "rho_max": 0.9,
+        "orders": [[1, 1], [2, 1]], "tolerance": 1e-6, "quadrature_tol": 1e-7, "grid_seed": 3,
+    },
+}
+
+DELETE = object()
+
+MUTATIONS = st.one_of(
+    st.just(DELETE),
+    st.sampled_from(["text", None, [], {}, True, False, 1e308, -1e308, 1e-300, -1e-300]),
+    st.integers(max_value=0),
+    st.integers(min_value=2**63, max_value=2**80),
+    st.integers(1, 5),
+)
+
+
+def paths(value, prefix=()):
+    """Every path into a JSON value, through dict keys and list indices."""
+    if isinstance(value, (dict, list)):
+        for key, child in value.items() if isinstance(value, dict) else enumerate(value):
+            yield prefix + (key,)
+            yield from paths(child, prefix + (key,))
+
+
+def mutated(config, path, value):
+    config = copy.deepcopy(config)
+    parent = config
+    for key in path[:-1]:
+        parent = parent[key]
+    if value is DELETE:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    return config
+
+
+@pytest.fixture(scope="module")
+def dataset_dir(tmp_path_factory):
+    """A small NonStationary panel over three periods for `estimate`."""
+    out = tmp_path_factory.mktemp("data")
+    save_dataset(simulate(PanelConfig(
+        variant="NonStationary", n_individuals=300, n_periods=3, n_regressors=1,
+        beta=(1.0,), error_cov=((0.25, 0.1, 0.0), (0.1, 0.5, 0.0), (0.0, 0.0, 0.4)), seed=4,
+    )), str(out))
+    return str(out)
+
+
+@pytest.mark.parametrize("base", sorted(BASES))
+@settings(max_examples=60, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data(), value=MUTATIONS)
+def test_one_mutated_field_exits_cleanly(base, data, value, dataset_dir, capsys):
+    path = data.draw(st.sampled_from(list(paths(BASES[base]))))
+    config = mutated(BASES[base], path, value)
+    command = base.split("_")[0]
+    capsys.readouterr()
+    with tempfile.TemporaryDirectory() as tmp:
+        with open(f"{tmp}/config.json", "w") as fh:
+            json.dump(config, fh)
+        argv = [command, "--config", f"{tmp}/config.json", "--out", f"{tmp}/out"]
+        code = main(argv + (["--data", dataset_dir] if command == "estimate" else []))
+    assert code in ((0, 2, 3, 4) if command == "verify" else (0, 2, 3))
+    if code == 0:
+        assert capsys.readouterr().err == ""
+    else:
+        single_json_line(capsys)

@@ -328,6 +328,11 @@ class TestOverflow:
         with pytest.raises(DomainError, match="overflows"):
             quadrant_moments(spec, [(0, 0), (4, 4)])
 
+    def test_monte_carlo_oracle_overflow_raises_domain_error(self):
+        spec = BivariateNormalSpec(0.0, 0.0, 1e300, 1e300, 0.5e300)
+        with pytest.raises(DomainError, match="overflows"):
+            bivariate_truncated_moment_mc(spec, MomentQuery(1, 1), 10000, 0)
+
     def test_covariance_check_does_not_square_large_variances(self):
         # sigma12**2 overflows a Python float here; the check must not
         BivariateNormalSpec(0.0, 0.0, 1e300, 1e300, 0.5e300)
