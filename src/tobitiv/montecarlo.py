@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
+from concurrent import futures
+from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence, Union
 
@@ -316,8 +317,9 @@ def run_study(
     """One StudySummary per sample size, replications in deterministic order.
 
     Worker-pool execution returns results in replication order, so output is
-    identical to sequential execution. The pool has at most `workers`
-    processes, and no more than there are replications or available CPUs.
+    identical to sequential execution. One pool serves every sample size. It
+    has at most `workers` processes, and no more than there are replications
+    or available CPUs.
     """
     spec.validate(config)
     sizes = list(sample_sizes) if sample_sizes is not None else [config.n_individuals]
@@ -325,22 +327,25 @@ def run_study(
     for cfg in configs:
         cfg.validate()
     n_workers = min(workers, n_replications, available_cpus())
+    chunksize = -(-n_replications // n_workers)  # one contiguous share per worker
     summaries = []
-    for cfg in configs:
-        tasks = [(cfg, spec, j, master_seed) for j in range(n_replications)]
-        if n_workers > 1:
-            with ProcessPoolExecutor(max_workers=n_workers) as pool:
-                records = list(pool.map(_run_replication_args, tasks, chunksize=4))
-        else:
-            records = [run_replication(*t) for t in tasks]
-        n_failed = sum(r.failed for r in records)
-        if n_failed > FAILURE_FRACTION_LIMIT * n_replications:
-            reasons = {r.error for r in records if r.failed}
-            raise ConvergenceError(
-                f"{n_failed}/{n_replications} replications failed at N={cfg.n_individuals}: "
-                + "; ".join(sorted(reasons))
-            )
-        params = next(r.result.params for r in records if not r.failed)
-        truth = true_parameter_values(cfg, params)
-        summaries.append(summarize(records, truth, [p.name for p in params]))
+    # futures loads the pool machinery on first access, so only a pool imports it.
+    with (futures.ProcessPoolExecutor(max_workers=n_workers) if n_workers > 1
+          else nullcontext()) as pool:
+        for cfg in configs:
+            tasks = [(cfg, spec, j, master_seed) for j in range(n_replications)]
+            if pool is None:
+                records = [run_replication(*t) for t in tasks]
+            else:
+                records = list(pool.map(_run_replication_args, tasks, chunksize=chunksize))
+            n_failed = sum(r.failed for r in records)
+            if n_failed > FAILURE_FRACTION_LIMIT * n_replications:
+                reasons = {r.error for r in records if r.failed}
+                raise ConvergenceError(
+                    f"{n_failed}/{n_replications} replications failed at "
+                    f"N={cfg.n_individuals}: " + "; ".join(sorted(reasons))
+                )
+            params = next(r.result.params for r in records if not r.failed)
+            truth = true_parameter_values(cfg, params)
+            summaries.append(summarize(records, truth, [p.name for p in params]))
     return summaries

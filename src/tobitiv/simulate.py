@@ -13,6 +13,7 @@ import json
 import math
 import os
 import sys
+import warnings
 from dataclasses import asdict, astuple, dataclass, field, fields, is_dataclass
 from enum import Enum
 from typing import Optional
@@ -438,8 +439,9 @@ def load_dataset(data_dir: str) -> PanelDataset:
     """Read a dataset directory written by :func:`save_dataset`.
 
     The returned dataset carries no latent truth (blind to estimators). The
-    tables must have the shapes meta.json gives and finite cells; anything
-    else raises ConfigurationError with field "data_dir".
+    tables must have the shapes meta.json gives and finite cells, and the
+    outcomes must be >= 0 (censored) or > 0 (truncated); anything else raises
+    ConfigurationError with field "data_dir".
     """
     meta_path = os.path.join(data_dir, "meta.json")
     if not os.path.exists(meta_path):
@@ -460,7 +462,9 @@ def load_dataset(data_dir: str) -> PanelDataset:
     def table(name, shape):
         path = os.path.join(data_dir, name)
         try:
-            values = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+            with warnings.catch_warnings():  # no data rows: the shape check below reports it
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+                values = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
         except ValueError as exc:
             raise ConfigurationError(f"{path}: {exc}", field="data_dir") from None
         if values.shape != shape:
@@ -471,8 +475,16 @@ def load_dataset(data_dir: str) -> PanelDataset:
             raise ConfigurationError(f"{path} has non-finite cells", field="data_dir")
         return values
 
+    y = table("y.csv", (N, T))
+    censored = config.sampling is Sampling.CENSORED
+    n_bad = int(np.count_nonzero(y < 0.0 if censored else y <= 0.0))
+    if n_bad:
+        raise ConfigurationError(
+            f"{os.path.join(data_dir, 'y.csv')} has {n_bad} outcomes "
+            f"{'below 0' if censored else 'at or below 0'} in {config.sampling.value} data",
+            field="data_dir")
     return PanelDataset(
-        y=table("y.csv", (N, T)),
+        y=y,
         x=table("x.csv", (N * T, K)).reshape(N, T, K),
         z=table("z.csv", (N, T)) if meta.get("has_z") else None,
         config=config,

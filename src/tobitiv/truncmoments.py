@@ -12,7 +12,8 @@ accept any finite mean: below a standardised mean of -3 they switch to forms
 that follow the truncated density to 0 (a backward continued fraction, and a
 quadrature of the density's shape relative to its value at 0). They raise
 ``DomainError`` when a moment overflows or the mean cannot be told apart from
-its own integration range.
+its own integration range. They import ``scipy.special`` (and the oracle
+``scipy.integrate``) on first use, so importing this module loads only numpy.
 
 The bivariate quadrature forms, per point and refinement level, one matrix of
 raw quadrant integrals at the full order ``MAX_TOTAL_ORDER`` and keeps the last
@@ -32,7 +33,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy import integrate, special
 
 from .errors import (
     ConvergenceError,
@@ -123,6 +123,8 @@ class MomentQuery:
 
 def _mills_ratio(a: float) -> float:
     """phi(a) / Phi(a), accurate for a down to at least -8."""
+    from scipy import special
+
     phi = math.exp(-0.5 * a * a) / _SQRT_2PI
     Phi = special.ndtr(a)
     return phi / Phi
@@ -201,6 +203,8 @@ def univariate_truncated_moment_quad(spec: UnivariateNormalSpec, k: int) -> floa
     of the same shape, so neither integral underflows. Raises ``DomainError``
     when the moment overflows or the range cannot be resolved.
     """
+    from scipy import integrate, special
+
     sigma = spec.sigma
     a = spec.mu / sigma
     try:

@@ -3,6 +3,7 @@
 import csv
 import json
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -184,6 +185,32 @@ class TestEstimate:
         y.write_text("\n".join(damage(y.read_text().splitlines())) + "\n")
         assert main(["estimate", "--data", str(ds), "--out", str(tmp_path / "o")]) == 2
         assert_config_error(capsys, "data_dir")
+
+    @pytest.mark.parametrize("text", ["t0,t1\n", ""], ids=["header_only", "empty"])
+    def test_y_without_rows_exit_2_without_warning(self, tmp_path, capsys, text):
+        ds = tmp_path / "ds"
+        assert main(["simulate", "--config", sim_config(tmp_path), "--out", str(ds)]) == 0
+        capsys.readouterr()
+        (ds / "y.csv").write_text(text)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["estimate", "--data", str(ds), "--out", str(tmp_path / "o")]) == 2
+        assert [str(w.message) for w in caught] == []
+        assert_config_error(capsys, "data_dir")
+
+    @pytest.mark.parametrize("sampling, cell", [("Censored", "-0.5"), ("Truncated", "0")])
+    def test_outcome_outside_sampling_support_exit_2(self, tmp_path, capsys, sampling, cell):
+        cfg = sim_config(tmp_path, sampling=sampling)
+        ds = tmp_path / "ds"
+        assert main(["simulate", "--config", cfg, "--out", str(ds)]) == 0
+        capsys.readouterr()
+        y = ds / "y.csv"
+        lines = y.read_text().splitlines()
+        lines[5] = cell + lines[5][lines[5].index(","):]
+        y.write_text("\n".join(lines) + "\n")
+        assert main(["estimate", "--data", str(ds), "--out", str(tmp_path / "o")]) == 2
+        assert_config_error(capsys, "data_dir")
+        assert not (tmp_path / "o").exists()
 
     def test_missing_dataset_dir(self, tmp_path, capsys):
         assert main(
@@ -488,14 +515,16 @@ class TestMonteCarlo:
         assert_config_error(capsys, "workers")
         assert not out.exists()
 
-    @pytest.mark.parametrize("replications, cpus, pool_size",
-                             [(3, 4, 3), (5, 4, 4), (5, 1, None)])
-    def test_workers_capped_by_replications_and_cpus(self, tmp_path, monkeypatch,
-                                                     replications, cpus, pool_size):
-        pools = []
+    @pytest.mark.parametrize("replications, cpus, pool_size, chunksize",
+                             [(3, 4, 3, 1), (5, 4, 4, 2), (4, 2, 2, 2), (5, 1, None, None)],
+                             ids=["3-4-3", "5-4-4", "4-2-2", "5-1-None"])
+    def test_workers_capped_by_replications_and_cpus(self, tmp_path, monkeypatch, replications,
+                                                     cpus, pool_size, chunksize):
+        # One pool serves both sample sizes, and each worker maps one contiguous share.
+        pools, chunksizes = [], []
 
         class RecordingPool:
-            """Records its size and maps in this process: no process is started."""
+            """Records its size and chunk sizes; maps in this process, starting none."""
 
             def __init__(self, max_workers):
                 pools.append(max_workers)
@@ -507,15 +536,17 @@ class TestMonteCarlo:
                 return False
 
             def map(self, fn, tasks, chunksize=1):
+                chunksizes.append(chunksize)
                 return map(fn, tasks)
 
-        monkeypatch.setattr("tobitiv.montecarlo.ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr("tobitiv.montecarlo.futures.ProcessPoolExecutor", RecordingPool)
         monkeypatch.setattr("tobitiv.montecarlo.available_cpus", lambda: cpus)
-        cfg = self.mc_config(tmp_path, replications=replications)
+        cfg = self.mc_config(tmp_path, replications=replications, sample_sizes=[300, 400])
         seq, par = tmp_path / "seq", tmp_path / "par"
         assert main(["montecarlo", "--config", cfg, "--out", str(seq)]) == 0
         assert main(["montecarlo", "--config", cfg, "--out", str(par), "--workers=1000"]) == 0
         assert pools == ([] if pool_size is None else [pool_size])
+        assert chunksizes == ([] if chunksize is None else [chunksize, chunksize])
         assert (seq / "summary.csv").read_bytes() == (par / "summary.csv").read_bytes()
 
     def test_output_under_a_file_exit_2_before_work(self, tmp_path, capsys, monkeypatch):
