@@ -51,7 +51,6 @@ from .moments import (
     levels_squares_instruments,
     pair_product_instruments,
     stack_systems,
-    system_to_csv,
 )
 from .montecarlo import (
     EstimatorSpec,

@@ -6,15 +6,17 @@ decompositions rather than raw normal equations. One pivoted QR of the
 rescaled instruments both prunes redundant columns and, in 2SLS, is the one
 instrument basis: fit, rank check, covariance and J all come from its Q and
 R factors (Golub & Van Loan, *Matrix Computations*, 5.3). A stacked system's
-instrument matrix is block-diagonal, so 2SLS factorises each row block on its
-own and stacks the small per-block products; a block array that several
-blocks share (one pair's instruments, held by each of its orders) is scaled
-and factorised once. The per-cluster moments Gc (clusters x instruments)
-are summed block by block, each block over its own rows into its own
-columns, so neither the zero-padded instrument matrix nor any other n-by-q
-matrix is formed. Each block's rows are grouped by cluster at most once per
-solve, and the one Gc serves both the covariance and J. Both solvers reject
-input that is not finite, or whose squares overflow, before any arithmetic.
+rows come in blocks, each with instrument columns of its own and regressors
+in a subset of the parameters' columns, so 2SLS factorises each row block on
+its own and writes each block's small products into its own rows and
+columns; a block array that several blocks share (one pair's instruments,
+held by each of its orders) is scaled and factorised once. The per-cluster
+moments Gc (clusters x instruments) are summed block by block, each block
+over its own rows into its own columns, so no zero-padded matrix, nor any
+other n-by-q or n-by-p matrix, is formed. Each block's rows are grouped by
+cluster at most once per solve, and the one Gc serves both the covariance
+and J. Both solvers reject input that is not finite, or whose squares
+overflow, before any arithmetic.
 """
 
 from __future__ import annotations
@@ -139,14 +141,27 @@ def _column_scale(mat: np.ndarray) -> np.ndarray:
     return scale
 
 
+def _regressor_scale(system: MomentSystem) -> np.ndarray:
+    """`_column_scale` of the dense regressor matrix, from per-block
+    column sums of squares: each block adds to its own columns only."""
+    sumsq = np.zeros(len(system.params))
+    for W, cols in zip(system.regressor_blocks, system.regressor_columns):
+        sumsq[cols] += np.sum(W**2, axis=0)
+    scale = np.sqrt(sumsq / system.n_rows)
+    scale[scale == 0.0] = 1.0
+    return scale
+
+
 def _finite_column_scales(what: str, *arrays) -> list:
-    """`_column_scale` of each array (columns of a 1-d array: itself).
+    """`_column_scale` of each array (columns of a 1-d array: itself), and
+    `_regressor_scale` of each MomentSystem among them.
 
     A scale is finite exactly when its column is finite and the column's sum
     of squares does not overflow, so checking the scales checks the arrays.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        scales = [_column_scale(a.reshape(a.shape[0], -1)) for a in arrays]
+        scales = [_regressor_scale(a) if isinstance(a, MomentSystem)
+                  else _column_scale(a.reshape(a.shape[0], -1)) for a in arrays]
     if not all(np.isfinite(s).all() for s in scales):
         raise DomainError(f"{what} hold non-finite values or values whose squares overflow")
     return scales
@@ -223,17 +238,17 @@ def two_stage_least_squares(system: MomentSystem) -> LinearIVResult:
 
     The instrument basis Q is block-diagonal like the instruments: each
     distinct block array has one pivoted QR, and the pieces Q'Ws, Q'y and
-    R'Q'Ws are stacked block by block in column order.
+    R'Q'Ws are stacked block by block in column order, each block's Q'Ws
+    nonzero in its own regressor columns only.
     """
     y = system.dependent
-    W = system.regressors
     blocks = system.instrument_blocks
+    n, p = y.shape[0], len(system.params)
     # One scale and one QR per distinct block array: orders built on one pair share it.
     distinct = list({id(Z): Z for Z in blocks}.values())
     *z_scales, dW, _ = _finite_column_scales(
-        "instruments, regressors or dependent variable", *distinct, W, y
+        "instruments, regressors or dependent variable", *distinct, system, y
     )
-    n, p = W.shape
     if n < p:
         raise InsufficientObservationsError(f"{n} rows for {p} parameters")
 
@@ -247,11 +262,12 @@ def two_stage_least_squares(system: MomentSystem) -> LinearIVResult:
 
     parts = []  # per block: rows, Q, Q'Ws, Q'y, R'Q'Ws, with Ws = W / dW
     r0 = 0
-    for Z in blocks:
+    for Z, W, cols in zip(blocks, system.regressor_blocks, system.regressor_columns):
         rows = slice(r0, r0 + Z.shape[0])
         r0 = rows.stop
         Q, R = bases[id(Z)]
-        QtW_b = (Q.T @ W[rows]) / dW  # scaling the q x p product, not an n x p copy of W
+        QtW_b = np.zeros((Q.shape[1], p))  # zero outside the block's own columns
+        QtW_b[:, cols] = (Q.T @ W) / dW[cols]  # scaling the q x p product, not a copy of W
         parts.append((rows, Q, QtW_b, Q.T @ y[rows], R.T @ QtW_b))
     block_rows, Qs, QtWs, Qtys, RtQtWs = zip(*parts)
     QtW, Qty = np.concatenate(QtWs), np.concatenate(Qtys)
@@ -264,7 +280,7 @@ def two_stage_least_squares(system: MomentSystem) -> LinearIVResult:
     # Q is orthonormal, so fitting the projection Q QtW to y is fitting QtW to Q'y.
     theta_s, *_ = np.linalg.lstsq(QtW, Qty, rcond=None)
     estimates = theta_s / dW
-    u = y - W @ estimates
+    u = system.residuals(estimates)
 
     Gc = _block_cluster_sums(system.cluster, block_rows, Qs, u)  # moments in the Q basis
     # Sandwich A^-1 H'H A^-1 = M M' with bread A = QtW'QtW, meat rows H = Gc QtW

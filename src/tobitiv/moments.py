@@ -12,7 +12,6 @@ ever touch observed fields.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Sequence
@@ -58,23 +57,35 @@ class Param:
 class MomentSystem:
     """Linear-in-parameters stacked estimating equations.
 
-    The instrument matrix is block-diagonal: `instrument_blocks` holds its
-    row blocks in row order, each with its own columns. A built system has
-    one block; `stack_systems` keeps one per source system.
+    Regressors and instruments share one layout of row blocks:
+    `regressor_blocks` and `instrument_blocks` hold the same blocks in row
+    order, and `regressor_columns` gives, per block, the position in `params`
+    of each of its regressor columns; the regressor matrix is zero outside
+    them, and the instrument matrix is block-diagonal. A built system has one
+    block that covers every parameter; `stack_systems` keeps one per source.
     """
 
     dependent: np.ndarray  # (n,)
-    regressors: np.ndarray  # (n, p)
-    instrument_blocks: list  # (n_b, q_b) per row block; the n_b sum to n
+    regressor_blocks: list  # (n_b, p_b) per row block; the n_b sum to n
+    regressor_columns: list  # int array (p_b,) per block: its columns in params
+    instrument_blocks: list  # (n_b, q_b) per row block
     cluster: np.ndarray  # (n,) individual index
-    params: list  # Param per regressor column
-    periods: np.ndarray  # (n, #referenced periods)
+    params: list  # Param per parameter
 
     def __post_init__(self):
-        n = self.dependent.shape[0]
-        assert self.regressors.shape[0] == n
-        assert sum(Z.shape[0] for Z in self.instrument_blocks) == n
-        assert self.regressors.shape[1] == len(self.params)
+        assert len(self.regressor_blocks) == len(self.regressor_columns) == len(
+            self.instrument_blocks)
+        for W, cols, Z in zip(self.regressor_blocks, self.regressor_columns,
+                              self.instrument_blocks):
+            assert W.shape == (Z.shape[0], len(cols))
+            assert all(0 <= j < len(self.params) for j in cols)
+        assert sum(Z.shape[0] for Z in self.instrument_blocks) == self.dependent.shape[0]
+
+    @classmethod
+    def one_block(cls, dependent, regressors, instruments, cluster, params) -> "MomentSystem":
+        """A system of one row block whose regressor columns are `params` in order."""
+        return cls(dependent, [regressors], [np.arange(len(params))], [instruments],
+                   cluster, params)
 
     @property
     def instruments(self) -> np.ndarray:
@@ -91,7 +102,10 @@ class MomentSystem:
         return self.dependent.shape[0]
 
     def residuals(self, theta: np.ndarray) -> np.ndarray:
-        return self.dependent - self.regressors @ np.asarray(theta)
+        """dependent - regressors @ theta, each block's rows from its own columns."""
+        theta = np.asarray(theta)
+        return self.dependent - np.concatenate(
+            [W @ theta[cols] for W, cols in zip(self.regressor_blocks, self.regressor_columns)])
 
 
 @dataclass
@@ -305,13 +319,9 @@ def build_cross_section(
     y, x = y[idx], x[idx]
     dep = y ** (k + 1)
     reg = np.column_stack([(y**k)[:, None] * x, k * y ** (k - 1)])
-    return MomentSystem(
-        dependent=dep,
-        regressors=reg,
-        instrument_blocks=[instrument_set("cell", instruments)(x)],
-        cluster=idx // T,
-        params=_beta_params(K) + [Param("sigma2")],
-        periods=(idx % T)[:, None],
+    return MomentSystem.one_block(
+        dep, reg, instrument_set("cell", instruments)(x), idx // T,
+        _beta_params(K) + [Param("sigma2")],
     )
 
 
@@ -378,16 +388,8 @@ def build_pairwise_nonstationary_orders(
                 -m * y_s ** (m - 1) * y_t**k,
             ]
         )
-        systems.append(
-            MomentSystem(
-                dependent=dep,
-                regressors=reg,
-                instrument_blocks=[Z],
-                cluster=idx,
-                params=list(params),  # own list: build_pairwise_independent renames two
-                periods=np.broadcast_to([t, s], (idx.size, 2)).copy(),
-            )
-        )
+        # Each its own params list: build_pairwise_independent renames two.
+        systems.append(MomentSystem.one_block(dep, reg, Z, idx, list(params)))
     return systems
 
 
@@ -448,13 +450,9 @@ def build_triple_variance_fe(
     """Triple-difference rows in which individual-specific variances cancel."""
     idx, y_t, y_s, y_tau, x = _triple_arrays(dataset, t, s, tau)
     dep, beta_block = _cyclic_parts(y_t, y_s, y_tau, x, t, s, tau)
-    return MomentSystem(
-        dependent=dep,
-        regressors=beta_block,
-        instrument_blocks=[instrument_set("triple", instruments)(x, t, s, tau)],
-        cluster=idx,
-        params=_beta_params(x.shape[2]),
-        periods=np.broadcast_to([t, s, tau], (idx.size, 3)).copy(),
+    return MomentSystem.one_block(
+        dep, beta_block, instrument_set("triple", instruments)(x, t, s, tau), idx,
+        _beta_params(x.shape[2]),
     )
 
 
@@ -482,14 +480,9 @@ def build_triple_additive_variance(
     dep, beta_block = _cyclic_parts(y_t, y_s, y_tau, x, t, s, tau)
     raw = additive_variance_regressors(y_t, y_s, y_tau)
     reg = np.column_stack([beta_block, raw[:, 0], raw[:, 1]])
-    return MomentSystem(
-        dependent=dep,
-        regressors=reg,
-        instrument_blocks=[instrument_set("triple", instruments)(x, t, s, tau)],
-        cluster=idx,
-        params=_beta_params(x.shape[2])
-        + [Param("dvar_ref", (s, tau)), Param("dvar_ref", (t, tau))],
-        periods=np.broadcast_to([t, s, tau], (idx.size, 3)).copy(),
+    return MomentSystem.one_block(
+        dep, reg, instrument_set("triple", instruments)(x, t, s, tau), idx,
+        _beta_params(x.shape[2]) + [Param("dvar_ref", (s, tau)), Param("dvar_ref", (t, tau))],
     )
 
 
@@ -515,15 +508,11 @@ def build_pairwise_slope_fe(
             z_t * z_s * (y_t * z_s - y_s * z_t),  # sigma_ts
         ]
     )
-    return MomentSystem(
-        dependent=dep,
-        regressors=reg,
-        instrument_blocks=[instrument_set("pair", instruments)(x_t, x_s, z_t, z_s)],
-        cluster=idx,
-        params=_beta_params(x_t.shape[1])
+    return MomentSystem.one_block(
+        dep, reg, instrument_set("pair", instruments)(x_t, x_s, z_t, z_s), idx,
+        _beta_params(x_t.shape[1])
         + [Param("sigma2_t", (t,)), Param("sigma2_t", (s,))]
         + [Param("cov", (min(t, s), max(t, s)))],
-        periods=np.broadcast_to([t, s], (idx.size, 2)).copy(),
     )
 
 
@@ -532,9 +521,10 @@ def stack_systems(systems: Sequence[MomentSystem]) -> MomentSystem:
 
     Rows keep their original cluster ids, so pairs from one individual stay
     in one cluster. Each source system's orthogonality conditions stay
-    separate: the stacked instrument matrix is block-diagonal, and its blocks
-    are the sources' own block arrays, listed in row order and never copied
-    into a zero-padded matrix.
+    separate: the stacked instrument matrix is block-diagonal. The regressor
+    and instrument blocks are the sources' own arrays, listed in row order
+    and never copied into a zero-padded matrix; only the regressor column
+    indices are remapped into the stacked `params`.
     """
     if not systems:
         raise EmptySystemError("no systems to stack")
@@ -542,51 +532,18 @@ def stack_systems(systems: Sequence[MomentSystem]) -> MomentSystem:
         return systems[0]
     params = list(dict.fromkeys(p for sys_ in systems for p in sys_.params))
     column = {p: j for j, p in enumerate(params)}
-    n_total = sum(s.n_rows for s in systems)
-    max_periods = max(s.periods.shape[1] for s in systems)
-    reg = np.zeros((n_total, len(params)))
-    periods = np.full((n_total, max_periods), -1, dtype=int)
-    dep = np.concatenate([s.dependent for s in systems])
-    cluster = np.concatenate([s.cluster for s in systems])
-    r0 = 0
-    for sys_ in systems:
-        cols = [column[p] for p in sys_.params]
-        reg[r0 : r0 + sys_.n_rows, cols] = sys_.regressors
-        periods[r0 : r0 + sys_.n_rows, : sys_.periods.shape[1]] = sys_.periods
-        r0 += sys_.n_rows
+    remaps = [np.array([column[p] for p in sys_.params], dtype=np.intp) for sys_ in systems]
     return MomentSystem(
-        dependent=dep,
-        regressors=reg,
-        instrument_blocks=[Z for sys_ in systems for Z in sys_.instrument_blocks],
-        cluster=cluster,
+        dependent=np.concatenate([s.dependent for s in systems]),
+        regressor_blocks=[W for s in systems for W in s.regressor_blocks],
+        regressor_columns=[
+            remap[cols] for s, remap in zip(systems, remaps) for cols in s.regressor_columns
+        ],
+        instrument_blocks=[Z for s in systems for Z in s.instrument_blocks],
+        cluster=np.concatenate([s.cluster for s in systems]),
         params=params,
-        periods=periods,
     )
 
 
 def all_pairs(n_periods: int) -> list:
     return [(t, s) for t in range(n_periods) for s in range(t + 1, n_periods)]
-
-
-def system_to_csv(system: MomentSystem, path: str) -> None:
-    """Export rows for external solver cross-checks."""
-    inst = system.instruments
-    with open(path, "w", newline="\n") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        header = (
-            ["individual"]
-            + [f"period{j}" for j in range(system.periods.shape[1])]
-            + ["dependent"]
-            + [f"reg_{nm}" for nm in system.param_names]
-            + [f"inst{j}" for j in range(inst.shape[1])]
-        )
-        writer.writerow(header)
-        for i in range(system.n_rows):
-            row = (
-                [int(system.cluster[i])]
-                + [int(p) for p in system.periods[i]]
-                + [f"{system.dependent[i]:.17g}"]
-                + [f"{v:.17g}" for v in system.regressors[i]]
-                + [f"{v:.17g}" for v in inst[i]]
-            )
-            writer.writerow(row)

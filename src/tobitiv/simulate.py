@@ -438,26 +438,39 @@ def save_dataset(dataset: PanelDataset, out_dir: str) -> None:
 def load_dataset(data_dir: str) -> PanelDataset:
     """Read a dataset directory written by :func:`save_dataset`.
 
-    The returned dataset carries no latent truth (blind to estimators). The
-    tables must have the shapes meta.json gives and finite cells, and the
-    outcomes must be >= 0 (censored) or > 0 (truncated); anything else raises
-    ConfigurationError with field "data_dir".
+    The returned dataset carries no latent truth (blind to estimators). Its
+    config must pass `PanelConfig.validate`, z must be present exactly for
+    the SlopeFE variant, the tables must be readable, with the shapes
+    meta.json gives and finite cells, and the outcomes must be >= 0
+    (censored) or > 0 (truncated); anything else raises ConfigurationError
+    with field "data_dir".
     """
     meta_path = os.path.join(data_dir, "meta.json")
-    if not os.path.exists(meta_path):
-        raise ConfigurationError(f"no meta.json in {data_dir}", field="data_dir")
     try:
         with open(meta_path) as fh:
             meta = json.load(fh)
         config = PanelConfig.from_dict(meta["config"])
-        N, T, K = (int(meta[k]) for k in ("n_individuals", "n_periods", "n_regressors"))
-    except (KeyError, TypeError, ValueError) as exc:
+        config.validate()
+        N, T, K = (meta[k] for k in ("n_individuals", "n_periods", "n_regressors"))
+    except FileNotFoundError:
+        raise ConfigurationError(f"no meta.json in {data_dir}", field="data_dir") from None
+    except ConfigurationError as exc:
+        where = f" (field {exc.field})" if exc.field else ""
+        raise ConfigurationError(f"bad config in {meta_path}{where}: {exc}",
+                                 field="data_dir") from None
+    except (OSError, KeyError, TypeError, ValueError) as exc:
         raise ConfigurationError(f"bad meta.json in {data_dir}: {exc!r}",
                                  field="data_dir") from None
-    if (T, K) != (config.n_periods, config.n_regressors):
+    if not all(map(is_int, (N, T, K))) or (T, K) != (config.n_periods, config.n_regressors):
         raise ConfigurationError(
-            f"meta.json gives T={T}, K={K} but its config has T={config.n_periods}, "
-            f"K={config.n_regressors}", field="data_dir")
+            f"meta.json gives N={N!r}, T={T!r}, K={K!r} but its config has "
+            f"T={config.n_periods}, K={config.n_regressors}", field="data_dir")
+    has_z = meta.get("has_z", False)
+    if has_z is not (config.variant is ModelVariant.SLOPE_FE):
+        raise ConfigurationError(
+            f"meta.json gives has_z={has_z!r}, but z is present exactly in "
+            f"{ModelVariant.SLOPE_FE.value} data and its config has variant "
+            f"{config.variant.value}", field="data_dir")
 
     def table(name, shape):
         path = os.path.join(data_dir, name)
@@ -465,6 +478,8 @@ def load_dataset(data_dir: str) -> PanelDataset:
             with warnings.catch_warnings():  # no data rows: the shape check below reports it
                 warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
                 values = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+        except OSError as exc:  # numpy's message already names the path
+            raise ConfigurationError(f"cannot read {name}: {exc}", field="data_dir") from None
         except ValueError as exc:
             raise ConfigurationError(f"{path}: {exc}", field="data_dir") from None
         if values.shape != shape:
@@ -486,7 +501,7 @@ def load_dataset(data_dir: str) -> PanelDataset:
     return PanelDataset(
         y=y,
         x=table("x.csv", (N * T, K)).reshape(N, T, K),
-        z=table("z.csv", (N, T)) if meta.get("has_z") else None,
+        z=table("z.csv", (N, T)) if has_z else None,
         config=config,
         n_drawn=meta.get("n_drawn", N),
     )

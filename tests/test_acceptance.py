@@ -39,6 +39,8 @@ from tobitiv import (
 )
 from tobitiv.moments import additive_variance_regressors
 
+from dense import dense_regressors
+
 
 def announce(capsys, number, name, passed, detail):
     with capsys.disabled():
@@ -254,7 +256,7 @@ def test_criterion_7_identity_suite(capsys):
     a = build_pairwise_nonstationary(ds, 0, 1, 1, 1)
     b = build_pairwise_independent(ds, 0, 1)
     nest = np.array_equal(a.dependent, b.dependent) and np.array_equal(
-        a.regressors, b.regressors
+        dense_regressors(a), dense_regressors(b)
     )
 
     # Triple cancellation of the individual-variance regressors.
@@ -267,18 +269,15 @@ def test_criterion_7_identity_suite(capsys):
 
     # Instrument-scale invariance of 2SLS.
     base = two_stage_least_squares(b).estimates
-    b_scaled = MomentSystem(
-        dependent=b.dependent, regressors=b.regressors,
-        instrument_blocks=[137.0 * b.instruments], cluster=b.cluster,
-        params=b.params, periods=b.periods,
+    b_scaled = MomentSystem.one_block(
+        b.dependent, dense_regressors(b), 137.0 * b.instruments, b.cluster, b.params
     )
     scale = np.allclose(base, two_stage_least_squares(b_scaled).estimates, atol=1e-10)
 
     # Just-identified IV equals the hand ratio formula.
-    hand_sys = MomentSystem(
-        dependent=np.array([2.0, 4.0]), regressors=np.array([[1.0], [2.0]]),
-        instrument_blocks=[np.array([[1.0], [1.0]])], cluster=np.arange(2),
-        params=[Param("beta", (0,))], periods=np.zeros((2, 1), dtype=int),
+    hand_sys = MomentSystem.one_block(
+        np.array([2.0, 4.0]), np.array([[1.0], [2.0]]), np.array([[1.0], [1.0]]),
+        np.arange(2), [Param("beta", (0,))],
     )
     hand = abs(two_stage_least_squares(hand_sys).estimates[0] - 2.0) < 1e-12
 

@@ -14,6 +14,8 @@ from tobitiv import (
     build_triple_variance_fe,
 )
 
+from dense import dense_regressors
+
 # Each builder at periods (t, s, tau) and orders (k, m), then with t and s
 # swapped; the nonstationary rows swap their orders along with the periods.
 SWAPS = {
@@ -63,5 +65,6 @@ def test_period_swap_flips_every_row(builder, dataset, data, k, m):
     np.testing.assert_array_equal(fwd.cluster, rev.cluster)
     assert_flipped(fwd.dependent, rev.dependent)
     assert set(fwd.params) == set(rev.params)
+    W_fwd, W_rev = dense_regressors(fwd), dense_regressors(rev)
     for j, param in enumerate(fwd.params):
-        assert_flipped(fwd.regressors[:, j], rev.regressors[:, rev.params.index(param)])
+        assert_flipped(W_fwd[:, j], W_rev[:, rev.params.index(param)])

@@ -212,6 +212,52 @@ class TestEstimate:
         assert_config_error(capsys, "data_dir")
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("damage", [
+        lambda ds: (ds / "y.csv").unlink(),
+        lambda ds: (ds / "x.csv").unlink(),
+        lambda ds: (ds / "z.csv").unlink(),
+        lambda ds: ((ds / "meta.json").unlink(), (ds / "meta.json").mkdir()),
+    ], ids=["no_y", "no_x", "no_z", "meta_is_directory"])
+    def test_unreadable_file_exit_2(self, tmp_path, capsys, damage):
+        cfg = sim_config(tmp_path, variant="SlopeFE",
+                         z_dist={"type": "lognormal", "mu": 0.0, "sigma": 0.25})
+        ds = tmp_path / "ds"
+        assert main(["simulate", "--config", cfg, "--out", str(ds)]) == 0
+        capsys.readouterr()
+        damage(ds)
+        assert main(["estimate", "--data", str(ds), "--out", str(tmp_path / "o")]) == 2
+        assert_config_error(capsys, "data_dir")
+
+    @staticmethod
+    def first_period_only(ds, meta, config):
+        """The dataset cut to its first period: tables, meta.json and config."""
+        meta["n_periods"] = config["n_periods"] = 1
+        for name, step in (("y.csv", 1), ("x.csv", 2)):
+            lines = (ds / name).read_text().splitlines()
+            rows = lines[:1] + lines[1::step]  # the header, then period 0's rows
+            (ds / name).write_text("\n".join(row.split(",")[0] for row in rows) + "\n")
+
+    @pytest.mark.parametrize("edit", [
+        lambda ds, meta, config: TestEstimate.first_period_only(ds, meta, config),
+        lambda ds, meta, config: config.update(variant="SlopeFE"),
+        lambda ds, meta, config: config.update(
+            variant="SlopeFE", z_dist={"type": "lognormal", "mu": 0.0, "sigma": 0.25}),
+        lambda ds, meta, config: meta.update(has_z=True),
+        lambda ds, meta, config: config["error_cov"][0].__setitem__(1, 0.2),
+    ], ids=["one_period", "relabelled_slope_fe", "relabelled_slope_fe_with_z_dist",
+            "z_without_slope_fe", "asymmetric_error_cov"])
+    def test_invalid_meta_config_exit_2(self, tmp_path, capsys, edit):
+        cfg = sim_config(tmp_path, variant="NonStationary", n_individuals=500,
+                         error_cov=[[0.25, 0.1], [0.1, 0.375]])
+        ds = tmp_path / "ds"
+        assert main(["simulate", "--config", cfg, "--out", str(ds)]) == 0
+        capsys.readouterr()
+        meta = json.loads((ds / "meta.json").read_text())
+        edit(ds, meta, meta["config"])
+        (ds / "meta.json").write_text(json.dumps(meta))
+        assert main(["estimate", "--data", str(ds), "--out", str(tmp_path / "o")]) == 2
+        assert_config_error(capsys, "data_dir")
+
     def test_missing_dataset_dir(self, tmp_path, capsys):
         assert main(
             ["estimate", "--data", str(tmp_path / "none"), "--out", str(tmp_path / "o")]

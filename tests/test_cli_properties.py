@@ -1,4 +1,5 @@
-"""Property test: a valid config with one field mutated never crashes the CLI.
+"""Property tests: a valid config with one field mutated, or a saved dataset
+directory with one file corrupted, never crashes the CLI.
 
 Every run must exit 0, 2 or 3 (and 4 for `verify`); an exit other than 0
 writes exactly one stderr line of strict JSON, and exit 0 writes none. Sizes
@@ -7,14 +8,16 @@ drawn inside the valid range stay small (N <= 2000, replications <= 5).
 
 import copy
 import json
+import shutil
 import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from test_cli import single_json_line
 
-from tobitiv import PanelConfig, save_dataset, simulate
+from tobitiv import LogNormalDist, PanelConfig, save_dataset, simulate
 from tobitiv.cli import main
 
 _FE = {"type": "linear_index", "index_coef": 1.0, "noise_sigma": 0.5}
@@ -122,6 +125,92 @@ def test_one_mutated_field_exits_cleanly(base, data, value, dataset_dir, capsys)
         argv = [command, "--config", f"{tmp}/config.json", "--out", f"{tmp}/out"]
         code = main(argv + (["--data", dataset_dir] if command == "estimate" else []))
     assert code in ((0, 2, 3, 4) if command == "verify" else (0, 2, 3))
+    if code == 0:
+        assert capsys.readouterr().err == ""
+    else:
+        single_json_line(capsys)
+
+
+# Dataset directories for the corruption property: every table kind is present.
+DATASETS = {
+    "NonStationary": PanelConfig(
+        variant="NonStationary", n_individuals=300, n_periods=3, n_regressors=2,
+        beta=(1.0, -0.5), error_cov=((0.25, 0.1, 0.0), (0.1, 0.5, 0.0), (0.0, 0.0, 0.4)),
+        seed=5,
+    ),
+    "SlopeFE": PanelConfig(
+        variant="SlopeFE", n_individuals=400, n_periods=2, n_regressors=1, beta=(1.0,),
+        error_cov=((0.25, 0.0), (0.0, 0.375)), seed=6, z_dist=LogNormalDist(0.0, 0.25),
+    ),
+}
+
+CELLS = ["abc", "", "1e", "--1", "nan", "inf", "-inf", "1e999", "0", "-0.5", "1e300"]
+META_VALUES = st.one_of(
+    st.sampled_from([None, True, False, "text", [], {}, 2.0, 1e400, -1]),
+    st.integers(-2, 6),
+    st.sampled_from(["CrossSection", "IndependentErrors", "NonStationary", "FactorLoading",
+                     "VarianceFE", "AdditiveVariance", "SlopeFE", "Bogus"]),
+)
+
+
+@st.composite
+def table_damage(draw, lines):
+    """One corruption of a CSV table's lines: a cut, a row or column added or
+    dropped, a cell replaced or its sign flipped. Row 0 is the header."""
+    kind = draw(st.sampled_from(["truncate", "add_row", "drop_row", "add_column",
+                                 "drop_column", "cell", "flip_sign"]))
+    row = draw(st.integers(1, len(lines) - 1))
+    if kind == "truncate":
+        text = "\n".join(lines)
+        return text[: draw(st.integers(0, len(text) - 1))]
+    if kind == "add_row":
+        lines = lines[:row] + [lines[row]] + lines[row:]
+    elif kind == "drop_row":
+        lines = lines[:row] + lines[row + 1:]
+    elif kind in ("add_column", "drop_column"):
+        every = draw(st.booleans())  # the whole table, or one row only
+        for i in range(len(lines)) if every else [row]:
+            lines[i] = lines[i] + ",1.5" if kind == "add_column" else lines[i].rpartition(",")[0]
+    else:
+        cells = lines[row].split(",")
+        col = draw(st.integers(0, len(cells) - 1))
+        cells[col] = draw(st.sampled_from(CELLS)) if kind == "cell" else (
+            cells[col][1:] if cells[col].startswith("-") else "-" + cells[col])
+        lines[row] = ",".join(cells)
+    return "\n".join(lines) + "\n"
+
+
+@pytest.fixture(scope="module")
+def saved_datasets(tmp_path_factory):
+    out = tmp_path_factory.mktemp("datasets")
+    for name, config in DATASETS.items():
+        save_dataset(simulate(config), str(out / name))
+    return out
+
+
+@pytest.mark.parametrize("base", sorted(DATASETS))
+@settings(max_examples=80, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_corrupted_dataset_exits_cleanly(base, data, saved_datasets, capsys):
+    capsys.readouterr()
+    with tempfile.TemporaryDirectory() as tmp:
+        ds = Path(tmp) / "ds"
+        shutil.copytree(saved_datasets / base, ds)
+        name = data.draw(st.sampled_from(sorted(p.name for p in ds.iterdir())))
+        path = ds / name
+        if data.draw(st.booleans(), label="delete") and name != "meta.json":
+            path.unlink()
+        elif name == "meta.json":
+            meta = json.loads(path.read_text())
+            key = data.draw(st.sampled_from(["n_periods", "n_individuals", "has_z", "variant",
+                                             "config.n_periods", "config.variant"]))
+            target = meta["config"] if key.startswith("config.") else meta
+            target[key.rpartition(".")[2]] = data.draw(META_VALUES)
+            path.write_text(json.dumps(meta))
+        else:
+            path.write_text(data.draw(table_damage(path.read_text().splitlines())))
+        code = main(["estimate", "--data", str(ds), "--out", f"{tmp}/out"])
+    assert code in (0, 2, 3)
     if code == 0:
         assert capsys.readouterr().err == ""
     else:

@@ -34,19 +34,17 @@ from tobitiv.gmm import (
     golden_section,
 )
 
+from dense import dense_regressors
+
 
 def linear_system(dep, reg, inst, cluster=None):
     dep = np.asarray(dep, dtype=float)
     reg = np.asarray(reg, dtype=float)
     inst = np.asarray(inst, dtype=float)
     n = dep.shape[0]
-    return MomentSystem(
-        dependent=dep,
-        regressors=reg,
-        instrument_blocks=[inst],
-        cluster=np.arange(n) if cluster is None else np.asarray(cluster),
-        params=[Param("beta", (j,)) for j in range(reg.shape[1])],
-        periods=np.zeros((n, 1), dtype=int),
+    return MomentSystem.one_block(
+        dep, reg, inst, np.arange(n) if cluster is None else np.asarray(cluster),
+        [Param("beta", (j,)) for j in range(reg.shape[1])],
     )
 
 
@@ -90,7 +88,7 @@ class TestTwoStageLeastSquares:
         perm = np.random.default_rng(2).permutation(sys_.n_rows)
         shuffled = linear_system(
             sys_.dependent[perm],
-            sys_.regressors[perm],
+            dense_regressors(sys_)[perm],
             sys_.instruments[perm],
             cluster=sys_.cluster[perm],
         )
@@ -184,13 +182,9 @@ class TestNonlinearGMM:
             theta, _, _ = concentrated_linear_solve(sys_, r, Zw, W)
             dep, X = sys_.linear_parts(r)
             direct = two_stage_least_squares(
-                MomentSystem(
-                    dependent=dep,
-                    regressors=X,
-                    instrument_blocks=[sys_.instruments],
-                    cluster=sys_.cluster,
-                    params=[p for p in sys_.params if p.kind != "r"],
-                    periods=np.zeros((sys_.n_rows, 1), dtype=int),
+                MomentSystem.one_block(
+                    dep, X, sys_.instruments, sys_.cluster,
+                    [p for p in sys_.params if p.kind != "r"],
                 )
             )
             assert np.allclose(theta, direct.estimates, atol=1e-10)
@@ -276,3 +270,28 @@ def test_stacked_2sls_allocates_no_dense_moment_matrix():
     finally:
         tracemalloc.stop()
     assert peak < 0.5 * 8 * n * q  # about 0.3 of it; the dense Q * u made it 1.9
+
+
+def test_stacked_build_and_solve_allocate_no_dense_regressor_matrix():
+    """Stacking lists each source's regressor block with its column indices,
+    and 2SLS works block by block; build and solve together peak below one
+    dense n-by-p array of the stacked regressors."""
+    T = 8
+    config = PanelConfig(
+        variant="NonStationary", n_individuals=2000, n_periods=T, n_regressors=1,
+        beta=(1.0,), seed=11, fe_dist=LinearIndexDist(1.0, 0.5), x_dist=NormalDist(1.0, 1.0),
+        error_cov=tuple(tuple(0.5 if i == j else 0.2 * (abs(i - j) == 1) for j in range(T))
+                        for i in range(T)),
+    )
+    spec = EstimatorSpec(orders=((1, 1), (2, 1)))  # 28 pairs x 2 orders: 56 blocks, p = 57
+    dataset = simulate(config)
+    tracemalloc.start()
+    try:
+        system = build_estimation_system(dataset, config, spec)
+        two_stage_least_squares(system)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    n, p = system.n_rows, len(system.params)
+    assert len(system.regressor_blocks) == 56 and p == 57
+    assert peak < 8 * n * p  # about a third of it; the zero-padded matrix made it twice

@@ -1,6 +1,5 @@
 """Builder tests: hand-substitution values, identities, and selection."""
 
-import csv
 from dataclasses import replace
 
 import numpy as np
@@ -23,11 +22,12 @@ from tobitiv import (
     default_instruments,
     simulate,
     stack_systems,
-    system_to_csv,
     two_stage_least_squares,
 )
 from tobitiv.errors import DomainError, EmptySystemError
 from tobitiv.moments import additive_variance_regressors
+
+from dense import dense_regressors
 
 
 def toy_dataset(y, x, z=None):
@@ -54,14 +54,14 @@ class TestCrossSection:
         ds = toy_dataset([[2.0]], [[[1.0]]])
         sys_ = build_cross_section(ds, k=1)
         assert sys_.dependent == pytest.approx([4.0])
-        assert np.allclose(sys_.regressors, [[2.0, 1.0]], atol=1e-12)
+        assert np.allclose(dense_regressors(sys_), [[2.0, 1.0]], atol=1e-12)
         assert sys_.param_names == ["beta0", "sigma2"]
 
     def test_single_cell_k2(self):
         ds = toy_dataset([[2.0]], [[[1.0]]])
         sys_ = build_cross_section(ds, k=2)
         assert sys_.dependent == pytest.approx([8.0])
-        assert np.allclose(sys_.regressors, [[4.0, 4.0]], atol=1e-12)
+        assert np.allclose(dense_regressors(sys_), [[4.0, 4.0]], atol=1e-12)
 
     def test_zero_cells_excluded(self):
         ds = toy_dataset([[2.0], [0.0]], [[[1.0]], [[1.0]]])
@@ -85,7 +85,7 @@ class TestPairwiseIndependent:
         ds = toy_dataset([[2.0, 1.0]], [[[1.0], [0.0]]])
         sys_ = build_pairwise_independent(ds, 0, 1)
         assert sys_.dependent == pytest.approx([2.0])
-        assert np.allclose(sys_.regressors, [[2.0, 1.0, -2.0]], atol=1e-12)
+        assert np.allclose(dense_regressors(sys_), [[2.0, 1.0, -2.0]], atol=1e-12)
         assert sys_.param_names == ["beta0", "sigma2_t0", "sigma2_t1"]
 
     def test_equal_periods_degenerate_row(self):
@@ -93,8 +93,8 @@ class TestPairwiseIndependent:
         ds = toy_dataset([[c, c]], [[[0.7], [0.7]]])
         sys_ = build_pairwise_independent(ds, 0, 1)
         assert sys_.dependent == pytest.approx([0.0])
-        assert sys_.regressors[0, 0] == pytest.approx(0.0)
-        assert sys_.regressors[0, 1:] == pytest.approx([c, -c])
+        assert dense_regressors(sys_)[0, 0] == pytest.approx(0.0)
+        assert dense_regressors(sys_)[0, 1:] == pytest.approx([c, -c])
 
     def test_antisymmetry(self):
         rng = np.random.default_rng(0)
@@ -106,8 +106,9 @@ class TestPairwiseIndependent:
         assert np.allclose(fwd.dependent, -rev.dependent, atol=1e-12)
         # beta block flips sign; the variance columns swap and flip.
         K = 2
-        assert np.allclose(fwd.regressors[:, :K], -rev.regressors[:, :K], atol=1e-12)
-        assert np.allclose(fwd.regressors[:, K], -rev.regressors[:, K + 1], atol=1e-12)
+        W_fwd, W_rev = dense_regressors(fwd), dense_regressors(rev)
+        assert np.allclose(W_fwd[:, :K], -W_rev[:, :K], atol=1e-12)
+        assert np.allclose(W_fwd[:, K], -W_rev[:, K + 1], atol=1e-12)
         assert rev.param_names == ["beta0", "beta1", "sigma2_t1", "sigma2_t0"]
 
     def test_selection_requires_both_positive(self):
@@ -126,14 +127,14 @@ class TestPairwiseNonstationary:
         ds = toy_dataset([[2.0, 1.0]], [[[1.0], [0.0]]])
         sys_ = build_pairwise_nonstationary(ds, 0, 1, 1, 1)
         assert sys_.dependent == pytest.approx([2.0])
-        assert np.allclose(sys_.regressors, [[2.0, 1.0, -2.0]], atol=1e-12)
+        assert np.allclose(dense_regressors(sys_), [[2.0, 1.0, -2.0]], atol=1e-12)
         assert sys_.param_names == ["beta0", "dvar0_01", "dvar1_01"]
 
     def test_substitution_k2_m1(self):
         ds = toy_dataset([[2.0, 3.0]], [[[0.0], [0.0]]])
         sys_ = build_pairwise_nonstationary(ds, 0, 1, 2, 1)
         assert sys_.dependent == pytest.approx([-12.0])
-        assert sys_.regressors[0, 1:] == pytest.approx([12.0, -4.0])
+        assert dense_regressors(sys_)[0, 1:] == pytest.approx([12.0, -4.0])
 
     def test_nesting_on_simulated_data(self):
         cfg = PanelConfig(
@@ -146,7 +147,7 @@ class TestPairwiseNonstationary:
         a = build_pairwise_nonstationary(ds, 0, 1, 1, 1)
         b = build_pairwise_independent(ds, 0, 1)
         assert np.array_equal(a.dependent, b.dependent)
-        assert np.array_equal(a.regressors, b.regressors)
+        assert np.array_equal(dense_regressors(a), dense_regressors(b))
 
     def test_orders_must_be_positive(self):
         ds = toy_dataset([[2.0, 1.0]], [[[1.0], [0.0]]])
@@ -191,7 +192,7 @@ class TestTriples:
         sys_ = build_triple_variance_fe(self.ds, 0, 1, 2)
         assert sys_.dependent == pytest.approx([2.0])
         # x = (1, 0, 0): beta block 2*1*(1-0) + 1*3*(0-0) + 3*2*(0-1) = -4.
-        assert np.allclose(sys_.regressors, [[-4.0]], atol=1e-12)
+        assert np.allclose(dense_regressors(sys_), [[-4.0]], atol=1e-12)
         assert sys_.param_names == ["beta0"]
 
     def test_cyclic_cancellation(self):
@@ -216,7 +217,7 @@ class TestTriples:
         sys_ = build_triple_additive_variance(self.ds, 0, 1, 2)
         assert sys_.param_names == ["beta0", "dvar1_ref2", "dvar0_ref2"]
         # Kept contrast columns are the first two raw regressors.
-        assert sys_.regressors[0, 1:] == pytest.approx([1.0, -2.0])
+        assert dense_regressors(sys_)[0, 1:] == pytest.approx([1.0, -2.0])
 
     def test_distinct_periods_required(self):
         with pytest.raises(DomainError):
@@ -230,7 +231,7 @@ class TestSlopeFE:
         )
         sys_ = build_pairwise_slope_fe(ds, 0, 1)
         assert sys_.dependent == pytest.approx([12.0])
-        assert sys_.regressors[0, 0] == pytest.approx(8.0)
+        assert dense_regressors(sys_)[0, 0] == pytest.approx(8.0)
         assert sys_.param_names == ["beta0", "sigma2_t0", "sigma2_t1", "cov_01"]
 
     def test_unit_z_collapses_to_pairwise_shape(self):
@@ -241,8 +242,9 @@ class TestSlopeFE:
         slope = build_pairwise_slope_fe(ds, 0, 1)
         pair = build_pairwise_independent(ds, 0, 1)
         assert np.allclose(slope.dependent, pair.dependent, atol=1e-12)
-        assert np.allclose(slope.regressors[:, :1], pair.regressors[:, :1], atol=1e-12)
-        assert np.allclose(slope.regressors[:, 1:3], pair.regressors[:, 1:3], atol=1e-12)
+        W_slope, W_pair = dense_regressors(slope), dense_regressors(pair)
+        assert np.allclose(W_slope[:, :1], W_pair[:, :1], atol=1e-12)
+        assert np.allclose(W_slope[:, 1:3], W_pair[:, 1:3], atol=1e-12)
 
     def test_nonpositive_z_rejected(self):
         ds = toy_dataset([[2.0, 1.0]], [[[1.0], [0.0]]], z=[[1.0, -2.0]])
@@ -325,11 +327,18 @@ class TestStacking:
             expected[r0 : r0 + Z.shape[0], c0 : c0 + Z.shape[1]] = Z
             r0, c0 = r0 + Z.shape[0], c0 + Z.shape[1]
         assert np.array_equal(stacked.instruments, expected)
+        # The regressor blocks are the sources' arrays as well; each block's
+        # column indices point at its own parameters in the stacked list.
+        for W, cols, sub in zip(stacked.regressor_blocks, stacked.regressor_columns, subs):
+            assert W is sub.regressor_blocks[0]
+            assert [stacked.params[j] for j in cols] == sub.params
+        assert list(stacked.regressor_columns[2]) == [0, 2, 3]  # pair (1, 2)
         # A stack of stacks lists every source block.
         nested = stack_systems([stack_systems(subs[:2]), subs[2]])
         assert len(nested.instrument_blocks) == len(subs)
         assert all(Z is s.instrument_blocks[0] for Z, s in zip(nested.instrument_blocks, subs))
         assert np.array_equal(nested.instruments, stack_systems(subs).instruments)
+        assert np.array_equal(dense_regressors(nested), dense_regressors(stacked))
 
     def test_stack_single_passthrough(self):
         ds = self.make_panel()
@@ -355,16 +364,3 @@ class TestOrthogonalityAtTruth:
         g = sys_.instruments * sys_.residuals(truth)[:, None]
         tstat = g.mean(axis=0) / (g.std(axis=0) / np.sqrt(g.shape[0]))
         assert np.all(np.abs(tstat) < 4.0)
-
-
-class TestExport:
-    def test_csv_round_trip_values(self, tmp_path):
-        ds = toy_dataset([[2.0, 1.0]], [[[1.0], [0.0]]])
-        sys_ = build_pairwise_independent(ds, 0, 1)
-        path = tmp_path / "rows.csv"
-        system_to_csv(sys_, str(path))
-        with open(path) as fh:
-            rows = list(csv.DictReader(fh))
-        assert len(rows) == 1
-        assert float(rows[0]["dependent"]) == 2.0
-        assert float(rows[0]["reg_sigma2_t1"]) == -2.0

@@ -29,6 +29,7 @@ from tobitiv.gmm import (
     concentrated_linear_solve,
 )
 
+from dense import dense_regressors
 from test_gmm import factor_loading_panel
 
 REL = 1e-10
@@ -42,11 +43,9 @@ def block(rng, n, p, q, n_individuals, ids=None):
     Z = np.column_stack([np.ones(n), rng.normal(size=(n, q - 1))])
     X = Z[:, :p] @ rng.normal(size=(p, p)) + 0.3 * rng.normal(size=(n, p))
     y = X @ rng.normal(size=p) + rng.normal(size=n)
-    return MomentSystem(
-        dependent=y, regressors=X, instrument_blocks=[Z],
-        cluster=rng.integers(0, n_individuals, n) if ids is None else rng.choice(ids, n),
-        params=[Param("beta", (j,)) for j in range(p)],
-        periods=np.zeros((n, 1), dtype=int),
+    return MomentSystem.one_block(
+        y, X, Z, rng.integers(0, n_individuals, n) if ids is None else rng.choice(ids, n),
+        [Param("beta", (j,)) for j in range(p)],
     )
 
 
@@ -77,10 +76,9 @@ def assert_same_fit(a, b):
 
 def with_rows(system, rows, scale=1.0):
     """The chosen rows, their instruments passed as one dense block."""
-    return MomentSystem(
-        dependent=system.dependent[rows], regressors=system.regressors[rows],
-        instrument_blocks=[system.instruments[rows] * scale], cluster=system.cluster[rows],
-        params=system.params, periods=system.periods[rows],
+    return MomentSystem.one_block(
+        system.dependent[rows], dense_regressors(system)[rows],
+        system.instruments[rows] * scale, system.cluster[rows], system.params,
     )
 
 
@@ -115,18 +113,19 @@ def multi_block_systems(draw):
 def permuted_within_blocks(system, rng):
     """The rows of each block permuted in place, and the cluster ids relabelled
     by a random permutation; the block structure is kept."""
-    rows, blocks, r0 = [], [], 0
-    for Z in system.instrument_blocks:
+    rows, blocks, reg_blocks, r0 = [], [], [], 0
+    for Z, W in zip(system.instrument_blocks, system.regressor_blocks):
         perm = rng.permutation(Z.shape[0])
         blocks.append(Z[perm])
+        reg_blocks.append(W[perm])
         rows.append(r0 + perm)
         r0 += Z.shape[0]
     rows = np.concatenate(rows)
     relabel = rng.permutation(system.cluster.max() + 1)
     return MomentSystem(
-        dependent=system.dependent[rows], regressors=system.regressors[rows],
-        instrument_blocks=blocks, cluster=relabel[system.cluster[rows]],
-        params=system.params, periods=system.periods[rows],
+        dependent=system.dependent[rows], regressor_blocks=reg_blocks,
+        regressor_columns=system.regressor_columns, instrument_blocks=blocks,
+        cluster=relabel[system.cluster[rows]], params=system.params,
     )
 
 
@@ -164,8 +163,9 @@ def test_shared_block_arrays_match_copies_bit_for_bit():
         build_pairwise_nonstationary(dataset, t, s, k, m)
         for t, s in ((0, 1), (0, 2), (1, 2)) for k, m in orders
     ])
-    for name in ("dependent", "regressors", "cluster", "periods"):
+    for name in ("dependent", "cluster"):
         assert np.array_equal(getattr(system, name), getattr(one_by_one, name))
+    assert np.array_equal(dense_regressors(system), dense_regressors(one_by_one))
     assert all(np.array_equal(a, b) for a, b in zip(blocks, one_by_one.instrument_blocks))
     assert system.params == one_by_one.params
 
@@ -189,7 +189,7 @@ def test_cluster_covariance_and_j_match_dense_indicator_formulas():
     )
     system = stack_systems([block(rng, 300, 3, 6, 150), block(rng, 250, 3, 5, 150), redundant])
     res = two_stage_least_squares(system)
-    y, W, Z = system.dependent, system.regressors, system.instruments[:, :-1]
+    y, W, Z = system.dependent, dense_regressors(system), system.instruments[:, :-1]
     n = y.size
     ids = np.unique(system.cluster)
     D = (system.cluster[:, None] == ids[None, :]).astype(float)  # row-by-cluster
