@@ -46,7 +46,6 @@ from .moments import (
     build_triple_additive_variance,
     build_triple_variance_fe,
     censored_index_instruments,
-    cross_section_instruments,
     default_instruments,
     levels_squares_instruments,
     pair_product_instruments,

@@ -58,7 +58,13 @@ def _emit_error(exc: Exception) -> None:
     print(json.dumps(payload), file=sys.stderr)
 
 
-def _load_json(path: str) -> dict:
+# The top-level keys a simulate, estimate or montecarlo config may hold.
+_CONFIG_KEYS = ("variant", "panel", "estimator", "replications", "sample_sizes", "master_seed",
+                "output_dir")
+
+
+def _load_json(path: str, keys=_CONFIG_KEYS) -> dict:
+    """The config object at `path`; a top-level key outside `keys` is an error."""
     try:
         with open(path) as fh:
             cfg = json.load(fh)
@@ -68,6 +74,10 @@ def _load_json(path: str) -> dict:
         raise ConfigurationError(f"config is not valid JSON: {exc}")
     if not isinstance(cfg, dict):
         raise ConfigurationError("config must be a JSON object")
+    for key in cfg:
+        if key not in keys:
+            raise ConfigurationError(
+                f"unknown config key {key!r}; expected one of {list(keys)}", field=key)
     return cfg
 
 
@@ -111,8 +121,8 @@ def _out_dir(args, cfg: dict) -> str:
     """The output directory, checked before any work. Commands create it just
     before their first write, so a run that fails leaves no directory."""
     out = args.out or cfg.get("output_dir")
-    if not out:
-        raise ConfigurationError("no output directory (--out or output_dir)")
+    _check(isinstance(out, str) and out != "", "output_dir",
+           "a non-empty path string when --out is not given")
     existing = os.path.abspath(out)
     while not os.path.exists(existing):
         existing = os.path.dirname(existing)
@@ -279,16 +289,12 @@ _POINT_COORDS = ("mu1", "mu2", "sigma1_sq", "sigma2_sq", "rho")
 def cmd_verify(args) -> int:
     cfg = {name: default for name, (default, _, _) in _VERIFY_FIELDS.items()}
     if args.config:
-        user = _load_json(args.config)
-        unknown = set(user) - set(cfg)
-        if unknown:
-            raise ConfigurationError(f"unknown verify fields: {sorted(unknown)}")
-        cfg.update(user)
+        cfg.update(_load_json(args.config, (*_VERIFY_FIELDS, "output_dir")))
     if args.seed is not None:
         cfg["grid_seed"] = args.seed
     for name, (_, valid, rule) in _VERIFY_FIELDS.items():
         _check(valid(cfg[name]), name, rule)
-    out = _out_dir(args, cfg if args.out is None else {"output_dir": args.out})
+    out = _out_dir(args, cfg)
     rng = np.random.default_rng(cfg["grid_seed"])
     mu_lo, mu_hi = cfg["mu_range"]
     s2_lo, s2_hi = cfg["sigma2_range"]

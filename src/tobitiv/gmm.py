@@ -114,18 +114,16 @@ def _block_cluster_sums(cluster, block_rows, Qs, u) -> np.ndarray:
 
     Block b's columns are zero outside its rows, so they are the cluster sums
     of Q_b * u over those rows alone, written into the rows of the block's
-    clusters; the n-by-q product is never formed. Rows come in the order that
-    `_Clusters(cluster).sums` gives. Where a block holds at most one row of
-    each cluster, as every built pair or triple block does, the sums equal
-    those of the dense product bit for bit; otherwise they agree to rounding,
-    since numpy adds long runs pairwise and the dense zeros regroup them.
+    clusters; the n-by-q product is never formed. Several blocks' rows come
+    in cluster-id order. Where a block holds at most one row of each cluster,
+    as every built pair or triple block does, the sums equal those of the
+    dense product bit for bit; otherwise they agree to rounding, since numpy
+    adds long runs pairwise and the dense zeros regroup them.
     """
     groups = [_Clusters(cluster[rows]) for rows in block_rows]
     if len(groups) == 1:
         return groups[0].sums(Qs[0] * u[:, None])
     ids, slot = np.unique(np.concatenate([g.ids for g in groups]), return_inverse=True)
-    if ids.size == cluster.size:
-        slot = np.arange(ids.size)  # one row per cluster: `sums` keeps the row order
     Gc = np.zeros((ids.size, sum(Q.shape[1] for Q in Qs)))
     r0 = c0 = 0
     for g, rows, Q in zip(groups, block_rows, Qs):

@@ -20,20 +20,31 @@ import numpy as np
 from scipy import linalg as sla
 
 from .errors import ConfigurationError, DomainError, EmptySystemError
-from .simulate import PanelDataset
+from .simulate import PanelConfig, PanelDataset
 
-# Display name of each parameter kind from its indices. dvar (t, s) is
-# sigma_t^2 - sigma_ts and dvar_ref (t, tau) is sigma_t^2 - sigma_tau^2.
-_PARAM_NAMES = {
-    "beta": "beta{}".format,  # (k,)
-    "sigma2": "sigma2".format,
-    "sigma2_t": "sigma2_t{}".format,  # (t,)
-    "dvar": lambda t, s: f"dvar{t}_{min(t, s)}{max(t, s)}",
-    "dvar_ref": "dvar{}_ref{}".format,
-    "cov": "cov_{}{}".format,  # (lo, hi)
-    "r": "r_{}{}".format,  # r, a, b: the factor-loading parameters of the pair (t, s)
-    "a": "a_{}{}".format,
-    "b": "b_{}{}".format,
+
+def _ratio(config, t, s):
+    return config.factor_loadings[t] / config.factor_loadings[s]
+
+
+# Each parameter kind: its display name and its population value under a
+# panel config, both from its indices. dvar (t, s) is sigma_t^2 - sigma_ts,
+# dvar_ref (t, tau) is sigma_t^2 - sigma_tau^2, and r, a, b are the
+# factor-loading parameters of the pair (t, s).
+_PARAM_KINDS = {
+    "beta": ("beta{}".format, lambda c, k: c.beta[k]),  # (k,)
+    "sigma2": ("sigma2".format, lambda c: c.error_cov[0][0]),
+    "sigma2_t": ("sigma2_t{}".format, lambda c, t: c.error_cov[t][t]),  # (t,)
+    "dvar": (lambda t, s: f"dvar{t}_{min(t, s)}{max(t, s)}",
+             lambda c, t, s: c.error_cov[t][t] - c.error_cov[t][s]),
+    "dvar_ref": ("dvar{}_ref{}".format,
+                 lambda c, t, tau: c.error_cov[t][t] - c.error_cov[tau][tau]),
+    "cov": ("cov_{}{}".format, lambda c, t, s: c.error_cov[t][s]),  # (lo, hi)
+    "r": ("r_{}{}".format, _ratio),
+    "a": ("a_{}{}".format,
+          lambda c, t, s: c.error_cov[s][s] * _ratio(c, t, s) - c.error_cov[t][s]),
+    "b": ("b_{}{}".format,
+          lambda c, t, s: c.error_cov[t][t] - c.error_cov[t][s] * _ratio(c, t, s)),
 }
 
 
@@ -45,12 +56,16 @@ class Param:
     indices: tuple = ()
 
     def __post_init__(self):
-        if self.kind not in _PARAM_NAMES:
+        if self.kind not in _PARAM_KINDS:
             raise ValueError(f"unknown parameter kind {self.kind!r}")
 
     @property
     def name(self) -> str:
-        return _PARAM_NAMES[self.kind](*self.indices)
+        return _PARAM_KINDS[self.kind][0](*self.indices)
+
+    def truth(self, config: PanelConfig) -> float:
+        """The parameter's population value under the panel config."""
+        return _PARAM_KINDS[self.kind][1](config, *self.indices)
 
 
 @dataclass
@@ -191,12 +206,6 @@ def default_instruments(
     return np.hstack(cols)
 
 
-def cross_section_instruments(x: np.ndarray) -> np.ndarray:
-    """Cell-wise instrument set: constant, x, x^2 elementwise."""
-    x = np.atleast_2d(x)
-    return np.hstack([np.ones((x.shape[0], 1)), x, x**2])
-
-
 def _as_cols(a: np.ndarray) -> np.ndarray:
     a = np.asarray(a, dtype=float)
     return a[:, None] if a.ndim == 1 else a
@@ -208,7 +217,8 @@ def levels_squares_instruments(*groups: np.ndarray) -> np.ndarray:
     A difference-free alternative to `default_instruments` for designs in
     which the (x_t - x_s) columns are weakly correlated with the endogenous
     regressors. When exactly two single-column groups follow the x blocks
-    (e.g. z_t, z_s) their cross product is appended as well.
+    (e.g. z_t, z_s) their cross product is appended as well. Of x alone it
+    is the cross-section's cell set.
     """
     gs = [_as_cols(g) for g in groups]
     cols = [np.ones((gs[0].shape[0], 1))] + gs + [g**2 for g in gs]
@@ -264,7 +274,7 @@ def censored_index_instruments(x: np.ndarray) -> np.ndarray:
 # of shape (n, T, K) and p = (t, s, tau). Each entry looks its set function
 # up at call time, so rebinding a module-level name takes effect.
 INSTRUMENT_SETS = {
-    "cell": {"default": lambda x: cross_section_instruments(x)},
+    "cell": {"default": lambda x: levels_squares_instruments(x)},
     "pair": {
         "default": lambda x_t, x_s, *z: default_instruments(x_t, x_s, *z),
         "levels_squares": lambda x_t, x_s, *z: levels_squares_instruments(x_t, x_s, *z),

@@ -14,6 +14,7 @@ import time
 from concurrent import futures
 from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -216,29 +217,8 @@ def build_estimation_system(
 
 
 def true_parameter_values(config: PanelConfig, params: Sequence[Param]) -> np.ndarray:
-    """Population values of the described parameters implied by the config.
-
-    Each `Param` carries its kind and the regressor or periods it refers to,
-    so any pair or triple of any panel length is supported.
-    """
-    cov = np.asarray(config.error_cov, dtype=float)
-    rho = config.factor_loadings
-
-    def ratio(t, s):
-        return rho[t] / rho[s]
-
-    truth = {
-        "beta": lambda k: config.beta[k],
-        "sigma2": lambda: cov[0, 0],
-        "sigma2_t": lambda t: cov[t, t],
-        "dvar": lambda t, s: cov[t, t] - cov[t, s],
-        "dvar_ref": lambda t, tau: cov[t, t] - cov[tau, tau],
-        "cov": lambda t, s: cov[t, s],
-        "r": ratio,
-        "a": lambda t, s: cov[s, s] * ratio(t, s) - cov[t, s],
-        "b": lambda t, s: cov[t, t] - cov[t, s] * ratio(t, s),
-    }
-    return np.array([truth[p.kind](*p.indices) for p in params], dtype=float)
+    """Population values of the described parameters implied by the config."""
+    return np.array([p.truth(config) for p in params])
 
 
 def run_replication(
@@ -268,10 +248,6 @@ def available_cpus() -> int:
     if hasattr(os, "sched_getaffinity"):  # Linux
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
-
-
-def _run_replication_args(args):
-    return run_replication(*args)
 
 
 def summarize(
@@ -332,12 +308,10 @@ def run_study(
     # futures loads the pool machinery on first access, so only a pool imports it.
     with (futures.ProcessPoolExecutor(max_workers=n_workers) if n_workers > 1
           else nullcontext()) as pool:
+        mapper = map if pool is None else partial(pool.map, chunksize=chunksize)
         for cfg in configs:
-            tasks = [(cfg, spec, j, master_seed) for j in range(n_replications)]
-            if pool is None:
-                records = [run_replication(*t) for t in tasks]
-            else:
-                records = list(pool.map(_run_replication_args, tasks, chunksize=chunksize))
+            records = list(mapper(partial(run_replication, cfg, spec, master_seed=master_seed),
+                                  range(n_replications)))
             n_failed = sum(r.failed for r in records)
             if n_failed > FAILURE_FRACTION_LIMIT * n_replications:
                 reasons = {r.error for r in records if r.failed}

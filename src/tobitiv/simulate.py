@@ -328,9 +328,7 @@ def _draw_batch(config: PanelConfig, rng, n: int):
         L = np.linalg.cholesky(np.asarray(config.error_cov))
         eps = rng.standard_normal((n, T)) @ L.T
 
-    if config.variant is ModelVariant.CROSS_SECTION:
-        fe_term = 0.0
-    elif config.variant is ModelVariant.FACTOR_LOADING:
+    if config.variant is ModelVariant.FACTOR_LOADING:
         fe_term = np.asarray(config.factor_loadings)[None, :] * alpha[:, None]
     elif config.variant is ModelVariant.SLOPE_FE:
         fe_term = z * alpha[:, None]
@@ -399,6 +397,18 @@ def censoring_rate(dataset: PanelDataset) -> float:
 _FMT = "%.17g"
 
 
+def _restated(config: PanelConfig) -> dict:
+    """The config values that meta.json restates at its top level."""
+    return {
+        "variant": config.variant.value,
+        "sampling": config.sampling.value,
+        "n_individuals": int(config.n_individuals),
+        "n_periods": int(config.n_periods),
+        "n_regressors": int(config.n_regressors),
+        "has_z": config.variant is ModelVariant.SLOPE_FE,
+    }
+
+
 def save_dataset(dataset: PanelDataset, out_dir: str) -> None:
     """Write the estimation input format: meta.json + flat CSVs.
 
@@ -409,12 +419,7 @@ def save_dataset(dataset: PanelDataset, out_dir: str) -> None:
     N, T, K = dataset.n_individuals, dataset.n_periods, dataset.n_regressors
     meta = {
         "format_version": 1,
-        "variant": dataset.config.variant.value,
-        "sampling": dataset.config.sampling.value,
-        "n_individuals": N,
-        "n_periods": T,
-        "n_regressors": K,
-        "has_z": dataset.z is not None,
+        **_restated(dataset.config),
         "n_drawn": dataset.n_drawn,
         "config": dataset.config.to_dict(),
     }
@@ -439,11 +444,11 @@ def load_dataset(data_dir: str) -> PanelDataset:
     """Read a dataset directory written by :func:`save_dataset`.
 
     The returned dataset carries no latent truth (blind to estimators). Its
-    config must pass `PanelConfig.validate`, z must be present exactly for
-    the SlopeFE variant, the tables must be readable, with the shapes
-    meta.json gives and finite cells, and the outcomes must be >= 0
-    (censored) or > 0 (truncated); anything else raises ConfigurationError
-    with field "data_dir".
+    config must pass `PanelConfig.validate`, each value meta.json restates
+    from it must equal `_restated(config)` in type and value, the tables must
+    be readable, with the shapes the config gives and finite cells, and the
+    outcomes must be >= 0 (censored) or > 0 (truncated); anything else raises
+    ConfigurationError with field "data_dir".
     """
     meta_path = os.path.join(data_dir, "meta.json")
     try:
@@ -451,7 +456,6 @@ def load_dataset(data_dir: str) -> PanelDataset:
             meta = json.load(fh)
         config = PanelConfig.from_dict(meta["config"])
         config.validate()
-        N, T, K = (meta[k] for k in ("n_individuals", "n_periods", "n_regressors"))
     except FileNotFoundError:
         raise ConfigurationError(f"no meta.json in {data_dir}", field="data_dir") from None
     except ConfigurationError as exc:
@@ -461,16 +465,14 @@ def load_dataset(data_dir: str) -> PanelDataset:
     except (OSError, KeyError, TypeError, ValueError) as exc:
         raise ConfigurationError(f"bad meta.json in {data_dir}: {exc!r}",
                                  field="data_dir") from None
-    if not all(map(is_int, (N, T, K))) or (T, K) != (config.n_periods, config.n_regressors):
-        raise ConfigurationError(
-            f"meta.json gives N={N!r}, T={T!r}, K={K!r} but its config has "
-            f"T={config.n_periods}, K={config.n_regressors}", field="data_dir")
-    has_z = meta.get("has_z", False)
-    if has_z is not (config.variant is ModelVariant.SLOPE_FE):
-        raise ConfigurationError(
-            f"meta.json gives has_z={has_z!r}, but z is present exactly in "
-            f"{ModelVariant.SLOPE_FE.value} data and its config has variant "
-            f"{config.variant.value}", field="data_dir")
+    restated = _restated(config)
+    for key, want in restated.items():
+        got = meta.get(key)
+        if type(got) is not type(want) or got != want:
+            raise ConfigurationError(
+                f"meta.json gives {key}={got!r}, but its config implies {want!r}",
+                field="data_dir")
+    N, T, K = config.n_individuals, config.n_periods, config.n_regressors
 
     def table(name, shape):
         path = os.path.join(data_dir, name)
@@ -501,7 +503,7 @@ def load_dataset(data_dir: str) -> PanelDataset:
     return PanelDataset(
         y=y,
         x=table("x.csv", (N * T, K)).reshape(N, T, K),
-        z=table("z.csv", (N, T)) if has_z else None,
+        z=table("z.csv", (N, T)) if restated["has_z"] else None,
         config=config,
         n_drawn=meta.get("n_drawn", N),
     )

@@ -294,10 +294,11 @@ def _weighted_density_grid(spec: BivariateNormalSpec, pps: int):
 
 @lru_cache(maxsize=2)  # one entry per refinement level a converged call uses
 def _full_power_integrals(spec: BivariateNormalSpec, pps: int):
-    """Read-only ``_raw_quadrant_integrals`` at the full order, in both exponents.
+    """Read-only integrals of u1^a u2^b f(u1, u2) over the positive quadrant.
 
-    Entry (a, b), for a, b <= ``MAX_TOTAL_ORDER``, is the integral of
-    u1^a u2^b f(u1, u2) over the positive quadrant. Entries whose powers
+    Entry (a, b), for a, b <= ``MAX_TOTAL_ORDER``, is one integral; entry
+    (0, 0) is the quadrant probability. ``pps`` is the number of quadrature
+    panels per standard deviation along each axis. Entries whose powers
     overflow are not finite; they leave the other entries untouched, since
     each entry is its own dot product.
     """
@@ -310,17 +311,6 @@ def _full_power_integrals(spec: BivariateNormalSpec, pps: int):
     return raw
 
 
-def _raw_quadrant_integrals(spec: BivariateNormalSpec, amax: int, bmax: int, pps: int):
-    """Integrals of u1^a u2^b f(u1, u2) over the positive quadrant.
-
-    Returns a read-only (amax+1, bmax+1) view of the point's shared full-order
-    matrix; entry (0, 0) is the quadrant probability. ``pps`` is the number of
-    quadrature panels per standard deviation along each axis. Entries whose
-    powers overflow are not finite.
-    """
-    return _full_power_integrals(spec, pps)[: amax + 1, : bmax + 1]
-
-
 def quadrant_moments(
     spec: BivariateNormalSpec,
     exponent_pairs: list[tuple[int, int]],
@@ -328,7 +318,7 @@ def quadrant_moments(
 ) -> dict[tuple[int, int], float]:
     """Conditional moments E[U1^a U2^b | U1>0, U2>0] for several (a, b) at once.
 
-    All requested moments are slices of one full-order matrix of raw quadrant
+    All requested moments are entries of one full-order matrix of raw quadrant
     integrals per refinement level, shared with every other call at the same
     point; the grid is refined (panels halved) until every moment is stable to
     within ``tol`` absolute. Raises ``DomainError`` when a requested moment
@@ -338,13 +328,11 @@ def quadrant_moments(
         raise DomainError(f"tol must be positive, got {tol}")
     for a, b in exponent_pairs:
         MomentQuery(a, b)  # validates range
-    amax = max((a for a, _ in exponent_pairs), default=0)
-    bmax = max((b for _, b in exponent_pairs), default=0)
 
     prev = None
     err = math.inf
     for pps in (1, 2, 4, 8):
-        raw = _raw_quadrant_integrals(spec, amax, bmax, pps)
+        raw = _full_power_integrals(spec, pps)
         if not raw[0, 0] > 0.0:
             raise ConvergenceError(f"quadrant probability underflows to 0 at "
                                    f"mu = ({spec.mu1!r}, {spec.mu2!r})")

@@ -1,15 +1,30 @@
 """CLI tests: exit codes, determinism, and machine-parsable errors."""
 
 import csv
+import importlib.util
 import json
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from tobitiv.cli import _fmt, main
+from tobitiv.cli import _CONFIG_KEYS, _VERIFY_FIELDS, _fmt, _load_json, main
 from tobitiv.truncmoments import _full_power_integrals, moment_identity_residual
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def load_module(path, monkeypatch):
+    """A module loaded from its file, registered while the test runs (its
+    dataclasses look their module up)."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{path.stem}", path)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    return module
 
 
 def write_config(tmp_path, name, payload):
@@ -244,8 +259,21 @@ class TestEstimate:
             variant="SlopeFE", z_dist={"type": "lognormal", "mu": 0.0, "sigma": 0.25}),
         lambda ds, meta, config: meta.update(has_z=True),
         lambda ds, meta, config: config["error_cov"][0].__setitem__(1, 0.2),
+        # Each value meta.json restates from its config, edited at the top level only.
+        lambda ds, meta, config: meta.update(variant="VarianceFE"),
+        lambda ds, meta, config: meta.update(sampling="Truncated"),
+        lambda ds, meta, config: meta.update(variant="VarianceFE", sampling="Truncated"),
+        lambda ds, meta, config: meta.update(n_individuals=499),
+        lambda ds, meta, config: meta.update(n_periods=3),
+        lambda ds, meta, config: meta.update(n_regressors=2),
+        lambda ds, meta, config: meta.update(has_z=0),
+        lambda ds, meta, config: meta.update(n_individuals=500.0),
+        lambda ds, meta, config: meta.pop("has_z"),
     ], ids=["one_period", "relabelled_slope_fe", "relabelled_slope_fe_with_z_dist",
-            "z_without_slope_fe", "asymmetric_error_cov"])
+            "z_without_slope_fe", "asymmetric_error_cov", "meta_variant", "meta_sampling",
+            "meta_variance_fe_truncated", "meta_n_individuals", "meta_n_periods",
+            "meta_n_regressors", "meta_has_z_as_int", "meta_n_individuals_as_float",
+            "meta_without_has_z"])
     def test_invalid_meta_config_exit_2(self, tmp_path, capsys, edit):
         cfg = sim_config(tmp_path, variant="NonStationary", n_individuals=500,
                          error_cov=[[0.25, 0.1], [0.1, 0.375]])
@@ -581,9 +609,9 @@ class TestMonteCarlo:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, tasks, chunksize=1):
+            def map(self, fn, *iterables, chunksize=1):
                 chunksizes.append(chunksize)
-                return map(fn, tasks)
+                return map(fn, *iterables)
 
         monkeypatch.setattr("tobitiv.montecarlo.futures.ProcessPoolExecutor", RecordingPool)
         monkeypatch.setattr("tobitiv.montecarlo.available_cpus", lambda: cpus)
@@ -621,6 +649,54 @@ def test_montecarlo_only_flags(argv, flag, capsys):
         main(argv + [flag])
     assert exc.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+class TestConfigKeys:
+    """Every loaded config is checked against the keys its command takes."""
+
+    @pytest.mark.parametrize("command", ["simulate", "estimate", "montecarlo"])
+    def test_misspelled_key_exit_2_naming_it(self, tmp_path, capsys, command):
+        good = sim_config(tmp_path)
+        ds = tmp_path / "ds"
+        assert main(["simulate", "--config", good, "--out", str(ds)]) == 0
+        capsys.readouterr()
+        payload = json.loads(open(good).read())
+        payload.update(replications=2, sample_size=[5000], master_sed=99)
+        bad = write_config(tmp_path, "bad.json", payload)
+        argv = [command, "--config", bad, "--out", str(tmp_path / "o")]
+        assert main(argv + (["--data", str(ds)] if command == "estimate" else [])) == 2
+        assert_config_error(capsys, "sample_size")
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("output_dir", [5, "", None, ["o"]])
+    def test_output_dir_not_a_path_exit_2(self, tmp_path, capsys, output_dir):
+        payload = json.loads(open(sim_config(tmp_path)).read())
+        cfg = write_config(tmp_path, "c.json", dict(payload, output_dir=output_dir))
+        assert main(["simulate", "--config", cfg]) == 2
+        assert_config_error(capsys, "output_dir")
+
+    def test_readme_quick_start_config(self, tmp_path):
+        readme = (ROOT / "README.md").read_text()
+        text = readme.split("cat > config.json <<'JSON'\n", 1)[1].split("\nJSON\n", 1)[0]
+        (tmp_path / "config.json").write_text(text)
+        assert set(_load_json(str(tmp_path / "config.json"))) >= {"variant", "panel"}
+
+    def test_benchmark_configs(self, tmp_path, monkeypatch):
+        """The configs the benchmark's workloads write pass the key check. Its
+        self-check runs them, but outside this suite."""
+        workloads, tracing = (load_module(ROOT / "perfbench" / f"{name}.py", monkeypatch)
+                              for name in ("workloads", "tracing"))
+        checked = 0
+        for name, seed in workloads.DEFAULT_SEEDS.items():
+            workload = workloads.make(name, tmp_path / name, seed, tiny=True)
+            workload.generate(tracing.Tracer(enabled=False))
+            for call in workload.calls():
+                if "--config" in call.argv:
+                    verify = call.argv[0] == "verify"
+                    _load_json(call.argv[call.argv.index("--config") + 1],
+                               (*_VERIFY_FIELDS, "output_dir") if verify else _CONFIG_KEYS)
+                    checked += 1
+        assert checked == 2 * 6 + 1 + 1  # two Monte Carlo sweeps, verify and estimate
 
 
 class TestVerify:
@@ -695,6 +771,7 @@ class TestVerify:
             ({"orders": [[5, 5]]}, "orders"),
             ({"orders": [[4, 4]]}, "orders"),  # k + m = 8, but the identity needs order 9
             ({"grid_seed": -1}, "grid_seed"),
+            ({"n_point": 3}, "n_point"),
         ],
     )
     def test_bad_field_exit_2(self, tmp_path, capsys, override, field):
@@ -702,6 +779,13 @@ class TestVerify:
         assert main(["verify", "--config", cfg, "--out", str(tmp_path / "v")]) == 2
         assert_config_error(capsys, field)
         assert not (tmp_path / "v").exists()
+
+    def test_output_dir_from_config(self, tmp_path, capsys):
+        out = tmp_path / "v"
+        cfg = write_config(tmp_path, "v.json",
+                           {"n_points": 2, "orders": [[1, 1]], "output_dir": str(out)})
+        assert main(["verify", "--config", cfg]) == 0
+        assert len((out / "verification.csv").read_text().splitlines()) == 2
 
     @pytest.mark.parametrize("mu_range", [[-50, -50], [1e300, 1e300]])
     def test_unresolvable_mean_exit_3(self, tmp_path, capsys, mu_range):

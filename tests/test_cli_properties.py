@@ -2,8 +2,9 @@
 directory with one file corrupted, never crashes the CLI.
 
 Every run must exit 0, 2 or 3 (and 4 for `verify`); an exit other than 0
-writes exactly one stderr line of strict JSON, and exit 0 writes none. Sizes
-drawn inside the valid range stay small (N <= 2000, replications <= 5).
+writes exactly one stderr line of strict JSON, and exit 0 writes none. A key
+that no config takes, inserted at the top level or into any object, exits 2.
+Sizes drawn inside the valid range stay small (N <= 2000, replications <= 5).
 """
 
 import copy
@@ -23,6 +24,16 @@ from tobitiv.cli import main
 _FE = {"type": "linear_index", "index_coef": 1.0, "noise_sigma": 0.5}
 
 BASES = {
+    "simulate": {
+        "variant": "SlopeFE",
+        "panel": {
+            "n_individuals": 300, "n_periods": 2, "n_regressors": 1, "beta": [1.0],
+            "error_cov": [[0.25, 0.0], [0.0, 0.375]], "fe_dist": _FE,
+            "x_dist": {"type": "normal", "mu": 1.0, "sigma": 1.0},
+            "z_dist": {"type": "lognormal", "mu": 0.0, "sigma": 0.25},
+        },
+        "master_seed": 3,
+    },
     "montecarlo": {
         "variant": "IndependentErrors",
         "panel": {
@@ -70,9 +81,11 @@ BASES = {
 }
 
 DELETE = object()
+INSERT = object()  # an unknown key, put into the top level or one of its objects
 
 MUTATIONS = st.one_of(
     st.just(DELETE),
+    st.just(INSERT),
     st.sampled_from(["text", None, [], {}, True, False, 1e308, -1e308, 1e-300, -1e-300]),
     st.integers(max_value=0),
     st.integers(min_value=2**63, max_value=2**80),
@@ -86,6 +99,17 @@ def paths(value, prefix=()):
         for key, child in value.items() if isinstance(value, dict) else enumerate(value):
             yield prefix + (key,)
             yield from paths(child, prefix + (key,))
+
+
+def object_paths(config):
+    """The top level and every path to an object: panel, estimator, distributions."""
+    yield ()
+    for path in paths(config):
+        value = config
+        for key in path:
+            value = value[key]
+        if isinstance(value, dict):
+            yield path
 
 
 def mutated(config, path, value):
@@ -115,8 +139,12 @@ def dataset_dir(tmp_path_factory):
 @settings(max_examples=60, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=st.data(), value=MUTATIONS)
 def test_one_mutated_field_exits_cleanly(base, data, value, dataset_dir, capsys):
-    path = data.draw(st.sampled_from(list(paths(BASES[base]))))
-    config = mutated(BASES[base], path, value)
+    if value is INSERT:
+        path = data.draw(st.sampled_from(list(object_paths(BASES[base]))))
+        config = mutated(BASES[base], path + ("unknown_key",), 1)
+    else:
+        path = data.draw(st.sampled_from(list(paths(BASES[base]))))
+        config = mutated(BASES[base], path, value)
     command = base.split("_")[0]
     capsys.readouterr()
     with tempfile.TemporaryDirectory() as tmp:
@@ -125,6 +153,7 @@ def test_one_mutated_field_exits_cleanly(base, data, value, dataset_dir, capsys)
         argv = [command, "--config", f"{tmp}/config.json", "--out", f"{tmp}/out"]
         code = main(argv + (["--data", dataset_dir] if command == "estimate" else []))
     assert code in ((0, 2, 3, 4) if command == "verify" else (0, 2, 3))
+    assert value is not INSERT or code == 2
     if code == 0:
         assert capsys.readouterr().err == ""
     else:

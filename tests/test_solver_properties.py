@@ -178,46 +178,60 @@ def test_shared_block_arrays_match_copies_bit_for_bit():
             b.j_statistic, b.j_dof, b.condition_number, b.n_clusters)
 
 
+def indicator_formula_systems():
+    """Three stacked blocks whose last instrument is redundant: first blocks
+    that share individuals, then blocks of disjoint individuals, with ids out
+    of order, so that every cluster holds one row of the whole system."""
+    for one_row_clusters in (False, True):
+        rng = np.random.default_rng(31)
+        # The last block's last instrument is a combination of two others, so
+        # the pivoted QR prunes one column; the dense formulas use the rest.
+        redundant = block(rng, 200, 3, 5, 150)
+        Z = redundant.instruments
+        redundant = replace(
+            redundant, instrument_blocks=[np.column_stack([Z, Z[:, 1] - 2.0 * Z[:, 3]])]
+        )
+        blocks = [block(rng, 300, 3, 6, 150), block(rng, 250, 3, 5, 150), redundant]
+        if one_row_clusters:
+            ids = np.split(rng.permutation(750), [300, 550])
+            blocks = [replace(b, cluster=c) for b, c in zip(blocks, ids)]
+        system = stack_systems(blocks)
+        assert (np.unique(system.cluster).size == system.n_rows) == one_row_clusters
+        yield system
+
+
 def test_cluster_covariance_and_j_match_dense_indicator_formulas():
-    rng = np.random.default_rng(31)
-    # The last block's last instrument is a combination of two others, so the
-    # pivoted QR prunes one column; the dense formulas use the rest.
-    redundant = block(rng, 200, 3, 5, 150)
-    Z = redundant.instruments
-    redundant = replace(
-        redundant, instrument_blocks=[np.column_stack([Z, Z[:, 1] - 2.0 * Z[:, 3]])]
-    )
-    system = stack_systems([block(rng, 300, 3, 6, 150), block(rng, 250, 3, 5, 150), redundant])
-    res = two_stage_least_squares(system)
-    y, W, Z = system.dependent, dense_regressors(system), system.instruments[:, :-1]
-    n = y.size
-    ids = np.unique(system.cluster)
-    D = (system.cluster[:, None] == ids[None, :]).astype(float)  # row-by-cluster
+    for system in indicator_formula_systems():
+        res = two_stage_least_squares(system)
+        y, W, Z = system.dependent, dense_regressors(system), system.instruments[:, :-1]
+        n = y.size
+        ids = np.unique(system.cluster)
+        D = (system.cluster[:, None] == ids[None, :]).astype(float)  # row-by-cluster
 
-    What = Z @ np.linalg.lstsq(Z, W, rcond=None)[0]
-    theta = np.linalg.lstsq(What, y, rcond=None)[0]
-    u = y - W @ theta
-    A_inv = np.linalg.inv(What.T @ W)
-    Hu = D.T @ (What * u[:, None])
-    V = A_inv @ (Hu.T @ Hu) @ A_inv.T
-    Gu = D.T @ (Z * u[:, None])
-    S_inv = np.linalg.inv(Gu.T @ Gu / n)
-    G, g = Z.T @ W / n, Z.T @ y / n
-    theta2 = np.linalg.solve(G.T @ S_inv @ G, G.T @ S_inv @ g)
-    gbar = g - G @ theta2
-    J = n * gbar @ S_inv @ gbar
+        What = Z @ np.linalg.lstsq(Z, W, rcond=None)[0]
+        theta = np.linalg.lstsq(What, y, rcond=None)[0]
+        u = y - W @ theta
+        A_inv = np.linalg.inv(What.T @ W)
+        Hu = D.T @ (What * u[:, None])
+        V = A_inv @ (Hu.T @ Hu) @ A_inv.T
+        Gu = D.T @ (Z * u[:, None])
+        S_inv = np.linalg.inv(Gu.T @ Gu / n)
+        G, g = Z.T @ W / n, Z.T @ y / n
+        theta2 = np.linalg.solve(G.T @ S_inv @ G, G.T @ S_inv @ g)
+        gbar = g - G @ theta2
+        J = n * gbar @ S_inv @ gbar
 
-    kept = _independent_instrument_columns(system.instruments)
-    Zs = system.instruments[:, kept] / _column_scale(system.instruments)[kept]
-    cross = Zs.T @ (W / _column_scale(W)) / n
+        kept = _independent_instrument_columns(system.instruments)
+        Zs = system.instruments[:, kept] / _column_scale(system.instruments)[kept]
+        cross = Zs.T @ (W / _column_scale(W)) / n
 
-    assert res.n_clusters == ids.size
-    assert res.j_dof == Z.shape[1] - W.shape[1]
-    np.testing.assert_allclose(res.estimates, theta, rtol=REL)
-    np.testing.assert_allclose(res.covariance, V, rtol=REL, atol=REL * np.abs(V).max())
-    assert np.array_equal(res.covariance, res.covariance.T)
-    assert res.j_statistic == pytest.approx(J, rel=REL)
-    assert res.condition_number == pytest.approx(np.linalg.cond(cross), rel=REL)
+        assert res.n_clusters == ids.size
+        assert res.j_dof == Z.shape[1] - W.shape[1]
+        np.testing.assert_allclose(res.estimates, theta, rtol=REL)
+        np.testing.assert_allclose(res.covariance, V, rtol=REL, atol=REL * np.abs(V).max())
+        assert np.array_equal(res.covariance, res.covariance.T)
+        assert res.j_statistic == pytest.approx(J, rel=REL)
+        assert res.condition_number == pytest.approx(np.linalg.cond(cross), rel=REL)
 
 
 def objective_from_linear_parts(system, r, Zw, Wmat):

@@ -28,7 +28,6 @@ from tobitiv.truncmoments import (
     MAX_TOTAL_ORDER,
     _axis_nodes,
     _full_power_integrals,
-    _raw_quadrant_integrals,
     _weighted_density_grid,
 )
 
@@ -253,15 +252,16 @@ class TestFullPowerIntegralsCache:
     def test_cached_integrals_have_the_textbook_bits(self, pps):
         for spec in self.SPECS:
             want = textbook_quadrant_integrals(spec, MAX_TOTAL_ORDER, MAX_TOTAL_ORDER, pps)
-            assert np.array_equal(_full_power_integrals(spec, pps), want)
+            full = _full_power_integrals(spec, pps)
+            assert np.array_equal(full, want)
             for amax, bmax in [(0, 0), (2, 1), (4, 3)]:
-                got = _raw_quadrant_integrals(spec, amax, bmax, pps)
-                assert np.array_equal(got, want[: amax + 1, : bmax + 1])
+                assert np.array_equal(full[: amax + 1, : bmax + 1],
+                                      want[: amax + 1, : bmax + 1])
 
     def evaluate(self, i, km):
         spec = self.SPECS[i]
         # 4 panels per sigma, asked for between the two levels verify uses, evicts entries
-        raw = [_raw_quadrant_integrals(spec, km[0] + 1, km[1] + 1, pps).tolist()
+        raw = [_full_power_integrals(spec, pps)[: km[0] + 2, : km[1] + 2].tolist()
                for pps in (1, 4, 2)]
         return moment_identity_residual(spec, MomentQuery(*km)), raw
 
@@ -282,7 +282,7 @@ class TestFullPowerIntegralsCache:
 
     def test_cached_arrays_are_read_only(self):
         full = _full_power_integrals(self.SPECS[0], 1)
-        for arr in (full, _raw_quadrant_integrals(self.SPECS[0], 2, 1, 1)):
+        for arr in (full, full[:3, :2]):
             assert not arr.flags.writeable
             with pytest.raises(ValueError):
                 arr[0, 0] = 0.0
