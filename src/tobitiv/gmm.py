@@ -16,7 +16,8 @@ over its own rows into its own columns, so no zero-padded matrix, nor any
 other n-by-q or n-by-p matrix, is formed. Each block's rows are grouped by
 cluster at most once per solve, and the one Gc serves both the covariance
 and J. Both solvers reject input that is not finite, or whose squares
-overflow, before any arithmetic.
+overflow, before any arithmetic. The helpers that factorise import
+``scipy.linalg`` on first use, so importing this module loads only numpy.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from dataclasses import dataclass, fields
 from typing import Optional
 
 import numpy as np
-from scipy import linalg as sla
 
 from .errors import (
     BracketError,
@@ -195,6 +195,8 @@ def _pivoted_qr(Z: np.ndarray, scale: np.ndarray, mode: str):
     pivots, so the first `rank` columns of Q span them; times R11, the
     leading block of R, they give the rescaled kept columns in pivot order.
     """
+    from scipy import linalg as sla
+
     Zs = np.divide(Z, scale, order="F")  # LAPACK's layout, factorised in place
     Q, R, piv = sla.qr(Zs, mode=mode, pivoting=True, overwrite_a=True)
     diag = np.abs(np.diag(R))
@@ -210,6 +212,8 @@ def _independent_instrument_columns(Z: np.ndarray) -> np.ndarray:
 def _spd_solver(S: np.ndarray):
     """``B -> S^-1 B`` from one Cholesky factor of S, or from its pseudo-inverse
     when S is not positive definite."""
+    from scipy import linalg as sla
+
     try:
         factor = sla.cho_factor(S)
     except np.linalg.LinAlgError:
@@ -368,6 +372,8 @@ GRAD_TOL = 1e-5  # gradient norm below which the result counts as converged
 
 
 def _whiten_instruments(Z: np.ndarray):
+    from scipy import linalg as sla
+
     scale = _column_scale(Z)
     Zs = Z / scale
     C = np.linalg.cholesky(Zs.T @ Zs / Z.shape[0])

@@ -17,7 +17,6 @@ from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy import linalg as sla
 
 from .errors import ConfigurationError, DomainError, EmptySystemError
 from .simulate import PanelConfig, PanelDataset
@@ -106,7 +105,11 @@ class MomentSystem:
     def instruments(self) -> np.ndarray:
         """The dense (n, q) instrument matrix, zeros off the diagonal blocks."""
         blocks = self.instrument_blocks
-        return blocks[0] if len(blocks) == 1 else sla.block_diag(*blocks)
+        if len(blocks) == 1:
+            return blocks[0]
+        from scipy import linalg as sla
+
+        return sla.block_diag(*blocks)
 
     @property
     def param_names(self) -> list:

@@ -40,8 +40,21 @@ from .moments import (
     pair_product_instruments,
     stack_systems,
 )
-from .simulate import SYSTEM_SHAPES, ModelVariant, PanelConfig, PanelDataset, is_int, simulate
+from .simulate import (
+    SYSTEM_SHAPES,
+    ModelVariant,
+    PanelConfig,
+    PanelDataset,
+    check_keys,
+    draw_panel,
+    is_int,
+)
 from .truncmoments import MAX_TOTAL_ORDER
+
+# A replication's draw, without `simulate`'s validation: `run_study` validates
+# each config once. perfbench/tracing.py times the simulate layer by wrapping
+# this name.
+simulate = draw_panel
 
 FAILURE_FRACTION_LIMIT = 0.2
 
@@ -68,6 +81,7 @@ class EstimatorSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "EstimatorSpec":
+        check_keys(d, cls, "estimator")
         d = dict(d)
         if d.get("pairs") is not None:
             d["pairs"] = [tuple(p) for p in d["pairs"]]
@@ -224,6 +238,7 @@ def true_parameter_values(config: PanelConfig, params: Sequence[Param]) -> np.nd
 def run_replication(
     config: PanelConfig, spec: EstimatorSpec, j: int, master_seed: int
 ) -> ReplicationRecord:
+    """Replication j of a study; `config` has passed `PanelConfig.validate`."""
     seed = replication_seed(master_seed, j)
     cfg = replace(config, seed=seed)
     start = time.perf_counter()

@@ -14,7 +14,7 @@ import math
 import os
 import sys
 import warnings
-from dataclasses import asdict, astuple, dataclass, field, fields, is_dataclass
+from dataclasses import MISSING, asdict, astuple, dataclass, field, fields, is_dataclass
 from enum import Enum
 from typing import Optional
 
@@ -134,13 +134,35 @@ def dist_to_dict(dist) -> dict:
     return {"type": _DIST_NAMES[type(dist)], **asdict(dist)}
 
 
-def dist_from_dict(d: dict):
+def check_keys(d: dict, cls, where: str) -> None:
+    """Raise ConfigurationError, field `where.key`, for a key of `d` that no
+    field of the dataclass `cls` takes."""
+    names = [f.name for f in fields(cls)]
+    for key in d:
+        if key not in names:
+            raise ConfigurationError(f"unknown key {key!r} in {where}; expected one of {names}",
+                                     field=f"{where}.{key}")
+
+
+def dist_from_dict(d: dict, name: str):
+    """The distribution that the panel's field `name` describes as a JSON object."""
     kind = d.get("type") if isinstance(d, dict) else None
-    if kind not in _DIST_TYPES:
-        raise ConfigurationError(f"unknown distribution type {kind!r}", field="type")
+    if not isinstance(kind, str) or kind not in _DIST_TYPES:
+        raise ConfigurationError(f"unknown distribution type {kind!r}", field=f"{name}.type")
     cls = _DIST_TYPES[kind]
     kwargs = {k: v for k, v in d.items() if k != "type"}
+    check_keys(kwargs, cls, name)
     return cls(**kwargs)
+
+
+# The fields that PanelConfig converts from their JSON form (strings, lists).
+_CONVERSIONS = {
+    "variant": ModelVariant,
+    "sampling": Sampling,
+    "beta": lambda v: tuple(float(b) for b in v),
+    "error_cov": lambda v: tuple(tuple(float(x) for x in row) for row in v),
+    "factor_loadings": lambda v: None if v is None else tuple(float(r) for r in v),
+}
 
 
 @dataclass(frozen=True)
@@ -160,16 +182,11 @@ class PanelConfig:
     z_dist: Optional[LogNormalDist] = None
 
     def __post_init__(self):
-        object.__setattr__(self, "variant", ModelVariant(self.variant))
-        object.__setattr__(self, "sampling", Sampling(self.sampling))
-        object.__setattr__(self, "beta", tuple(float(b) for b in self.beta))
-        object.__setattr__(
-            self, "error_cov", tuple(tuple(float(v) for v in row) for row in self.error_cov)
-        )
-        if self.factor_loadings is not None:
-            object.__setattr__(
-                self, "factor_loadings", tuple(float(r) for r in self.factor_loadings)
-            )
+        for name, convert in _CONVERSIONS.items():
+            try:
+                object.__setattr__(self, name, convert(getattr(self, name)))
+            except (TypeError, ValueError) as exc:
+                raise ConfigurationError(f"bad {name}: {exc}", field=name) from None
 
     def validate(self):
         for name in ("n_individuals", "n_periods", "n_regressors", "seed"):
@@ -264,14 +281,17 @@ class PanelConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "PanelConfig":
-        kwargs = dict(d)
-        try:
-            for key in _DIST_FIELDS:
-                if key in kwargs and kwargs[key] is not None:
-                    kwargs[key] = dist_from_dict(kwargs[key])
-            return cls(**kwargs)
-        except (TypeError, ValueError) as exc:
-            raise ConfigurationError(f"bad panel config: {exc}") from None
+        """The config a JSON object describes. An unknown key, a missing one or
+        a value that does not convert raises ConfigurationError naming it
+        (`panel.key`, or `x_dist.key` inside a distribution)."""
+        if not isinstance(d, dict):
+            raise ConfigurationError("panel config must be a JSON object", field="panel")
+        check_keys(d, cls, "panel")
+        for f in fields(cls):
+            if f.name not in d and f.default is MISSING and f.default_factory is MISSING:
+                raise ConfigurationError(f"panel config is missing {f.name!r}", field=f.name)
+        return cls(**{k: dist_from_dict(v, k) if k in _DIST_FIELDS and v is not None else v
+                      for k, v in d.items()})
 
 
 @dataclass
@@ -304,7 +324,7 @@ def _draw_batch(config: PanelConfig, rng, n: int):
     T, K = config.n_periods, config.n_regressors
     beta = np.asarray(config.beta)
     x = config.x_dist.sample(rng, (n, T, K))
-    index = x @ beta  # (n, T)
+    index = (x.reshape(n * T, K) @ beta).reshape(n, T)  # one 2-D product, not n stacked ones
 
     z = None
     if config.variant is ModelVariant.SLOPE_FE:
@@ -347,6 +367,11 @@ _TRUNCATION_OVERSAMPLE_CAP = 100
 def simulate(config: PanelConfig) -> PanelDataset:
     """Generate a panel dataset; deterministic given the config (incl. seed)."""
     config.validate()
+    return draw_panel(config)
+
+
+def draw_panel(config: PanelConfig) -> PanelDataset:
+    """`simulate` for a config that has already passed `PanelConfig.validate`."""
     rng = np.random.Generator(np.random.Philox(key=config.seed))
     N = config.n_individuals
     truncated = config.sampling is Sampling.TRUNCATED

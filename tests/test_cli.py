@@ -668,6 +668,28 @@ class TestConfigKeys:
         assert_config_error(capsys, "sample_size")
         assert not (tmp_path / "o").exists()
 
+    NESTED_FAULTS = {
+        "panel": (lambda c: c["panel"].update(n_individual=5), "panel.n_individual"),
+        "x_dist": (lambda c: c["panel"]["x_dist"].update(sd=2), "x_dist.sd"),
+        "fe_dist": (lambda c: c["panel"]["fe_dist"].update(slope=1.0), "fe_dist.slope"),
+        "dist_type": (lambda c: c["panel"]["x_dist"].update(type="gaussian"), "x_dist.type"),
+        "missing": (lambda c: c["panel"].pop("beta"), "beta"),
+        "estimator": (lambda c: c.update(estimator={"pair": [[1, 0]]}), "estimator.pair"),
+    }
+
+    @pytest.mark.parametrize("command, fault", [
+        *(("simulate", f) for f in NESTED_FAULTS if f != "estimator"),
+        *(("montecarlo", f) for f in NESTED_FAULTS),
+    ])
+    def test_nested_key_fault_exit_2_naming_it(self, tmp_path, capsys, command, fault):
+        edit, field = self.NESTED_FAULTS[fault]
+        payload = json.loads(open(sim_config(tmp_path)).read())
+        edit(payload)
+        cfg = write_config(tmp_path, "bad.json", dict(payload, replications=2))
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert_config_error(capsys, field)
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("output_dir", [5, "", None, ["o"]])
     def test_output_dir_not_a_path_exit_2(self, tmp_path, capsys, output_dir):
         payload = json.loads(open(sim_config(tmp_path)).read())

@@ -1,10 +1,11 @@
-"""Property tests: a valid config with one field mutated, or a saved dataset
-directory with one file corrupted, never crashes the CLI.
+"""Property tests: a valid config with one or two fields mutated, or a saved
+dataset directory with one file corrupted, never crashes the CLI.
 
 Every run must exit 0, 2 or 3 (and 4 for `verify`); an exit other than 0
 writes exactly one stderr line of strict JSON, and exit 0 writes none. A key
-that no config takes, inserted at the top level or into any object, exits 2.
-Sizes drawn inside the valid range stay small (N <= 2000, replications <= 5).
+that no config takes, inserted at the top level or into any object, exits 2
+with a `field` that names it. Sizes drawn inside the valid range stay small
+(N <= 2000, replications <= 5).
 """
 
 import copy
@@ -14,7 +15,7 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 from test_cli import single_json_line
 
@@ -135,16 +136,21 @@ def dataset_dir(tmp_path_factory):
     return str(out)
 
 
-@pytest.mark.parametrize("base", sorted(BASES))
-@settings(max_examples=60, suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(data=st.data(), value=MUTATIONS)
-def test_one_mutated_field_exits_cleanly(base, data, value, dataset_dir, capsys):
+def draw_mutation(data, config, value, key="unknown_key"):
+    """(`config` with `value` at a drawn path, that path). INSERT puts `key`
+    into a drawn object; any other value replaces or deletes a drawn entry."""
     if value is INSERT:
-        path = data.draw(st.sampled_from(list(object_paths(BASES[base]))))
-        config = mutated(BASES[base], path + ("unknown_key",), 1)
-    else:
-        path = data.draw(st.sampled_from(list(paths(BASES[base]))))
-        config = mutated(BASES[base], path, value)
+        path = data.draw(st.sampled_from(list(object_paths(config)))) + (key,)
+        return mutated(config, path, 1), path
+    candidates = list(paths(config))
+    assume(candidates)
+    path = data.draw(st.sampled_from(candidates))
+    return mutated(config, path, value), path
+
+
+def run_config(base, config, dataset_dir, capsys):
+    """`main` on `config` as the `base` command; checks the exit code and the
+    stderr contract, and returns (exit code, the stderr JSON or None)."""
     command = base.split("_")[0]
     capsys.readouterr()
     with tempfile.TemporaryDirectory() as tmp:
@@ -153,11 +159,34 @@ def test_one_mutated_field_exits_cleanly(base, data, value, dataset_dir, capsys)
         argv = [command, "--config", f"{tmp}/config.json", "--out", f"{tmp}/out"]
         code = main(argv + (["--data", dataset_dir] if command == "estimate" else []))
     assert code in ((0, 2, 3, 4) if command == "verify" else (0, 2, 3))
-    assert value is not INSERT or code == 2
     if code == 0:
         assert capsys.readouterr().err == ""
-    else:
-        single_json_line(capsys)
+        return code, None
+    return code, single_json_line(capsys)
+
+
+@pytest.mark.parametrize("base", sorted(BASES))
+@settings(max_examples=60, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data(), value=MUTATIONS)
+def test_one_mutated_field_exits_cleanly(base, data, value, dataset_dir, capsys):
+    config, path = draw_mutation(data, BASES[base], value)
+    code, error = run_config(base, config, dataset_dir, capsys)
+    if value is INSERT:
+        # Named as `key`, `panel.key`, `x_dist.key`, `estimator.key`, ...
+        assert code == 2 and error["field"] == ".".join(path[-2:])
+
+
+@pytest.mark.parametrize("base", sorted(BASES))
+@settings(max_examples=40, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data(), values=st.tuples(MUTATIONS, MUTATIONS))
+def test_two_mutated_fields_exit_cleanly(base, data, values, dataset_dir, capsys):
+    config = BASES[base]
+    # Inserting last, so that the other mutation cannot delete the inserted key.
+    for i, value in enumerate(sorted(values, key=lambda v: v is INSERT)):
+        config, _ = draw_mutation(data, config, value, key=f"unknown_key{i}")
+    code, error = run_config(base, config, dataset_dir, capsys)
+    if INSERT in values:
+        assert code == 2 and error["field"]
 
 
 # Dataset directories for the corruption property: every table kind is present.

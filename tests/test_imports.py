@@ -1,9 +1,12 @@
-"""Start-up cost: no command loads the scipy quadrature stack or a process pool.
+"""Start-up cost: no command loads the scipy quadrature stack or a process pool,
+and only the commands that solve load `scipy.linalg`.
 
 Only the univariate quadrature oracle needs `scipy.integrate` and
 `scipy.special`, and only a multi-worker Monte Carlo study needs
-`multiprocessing`. Each case runs in a fresh interpreter, because this test
-process has loaded those modules already.
+`multiprocessing`. `scipy.linalg` is imported by the solver helpers on first
+use, so `import tobitiv`, `simulate` and `verify` run without it, while
+`estimate` and `montecarlo` must load it. Each case runs in a fresh
+interpreter, because this test process has loaded those modules already.
 """
 
 import json
@@ -19,6 +22,8 @@ from test_cli import sim_config, write_config
 
 NOT_LOADED = ("scipy.integrate", "scipy.optimize", "scipy.special", "scipy.stats",
               "scipy.sparse", "multiprocessing")
+SOLVER = "scipy.linalg"
+SOLVING = ("estimate", "montecarlo")  # the commands that solve a moment system
 
 SCRIPT = """
 import json, sys
@@ -32,9 +37,10 @@ print(json.dumps([name for name in names if name in sys.modules]))
 
 
 def loaded_after(argv):
-    """The NOT_LOADED modules in `sys.modules` after `import tobitiv` and `main(argv)`."""
+    """The NOT_LOADED modules and SOLVER, those of them in `sys.modules` after
+    `import tobitiv` and `main(argv)`."""
     proc = subprocess.run(
-        [sys.executable, "-c", SCRIPT, json.dumps(argv), json.dumps(NOT_LOADED)],
+        [sys.executable, "-c", SCRIPT, json.dumps(argv), json.dumps([*NOT_LOADED, SOLVER])],
         capture_output=True, text=True, timeout=120,
         env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)))
     assert proc.returncode == 0, proc.stderr
@@ -59,4 +65,4 @@ def command(name, tmp_path):
 
 @pytest.mark.parametrize("name", ["import", "simulate", "estimate", "montecarlo", "verify"])
 def test_command_loads_no_quadrature_or_pool_modules(tmp_path, name):
-    assert loaded_after(command(name, tmp_path)) == []
+    assert loaded_after(command(name, tmp_path)) == ([SOLVER] if name in SOLVING else [])
