@@ -4,7 +4,9 @@ Subcommands: `simulate`, `estimate`, `montecarlo`, `verify`. Configuration
 is declarative JSON; results are CSV/JSON with 17-significant-digit
 numerics. Exit codes: 0 success, 2 config error, 3 estimation error or
 out of memory, 4 verification failure. Every error path writes a
-machine-parsable JSON object to stderr.
+machine-parsable JSON object to stderr. Each command checks every section of
+its config, and its output directory, before any work; it creates that
+directory just before its first write, so a run that fails leaves none.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from .montecarlo import (
     IDENTITY_ORDER_RULE,
     EstimatorSpec,
     build_estimation_system,
+    STUDY_RULES,
     is_identity_order,
     run_study,
 )
@@ -32,6 +35,8 @@ from .simulate import (
     PanelConfig,
     Sampling,
     censoring_rate,
+    check_output_dir,
+    check_rules,
     is_int,
     is_number,
     load_dataset,
@@ -81,61 +86,38 @@ def _load_json(path: str, keys=_CONFIG_KEYS) -> dict:
     return cfg
 
 
-def _section(cfg: dict, name: str) -> dict:
-    value = cfg.get(name, {})
-    if not isinstance(value, dict):
-        raise ConfigurationError(f"{name} must be a JSON object", field=name)
-    return value
-
-
-def _check(ok: bool, name: str, rule: str) -> None:
-    if not ok:
-        raise ConfigurationError(f"{name} must be {rule}", field=name)
-
-
-def _panel_config(cfg: dict, seed_override) -> PanelConfig:
-    panel = dict(_section(cfg, "panel"))
-    if "variant" in cfg:
-        panel.setdefault("variant", cfg["variant"])
-    if "variant" not in panel:
-        raise ConfigurationError("missing 'variant'", field="variant")
+def _sections(cfg: dict, seed_override=None, dataset=None):
+    """The config's panel and estimator spec, checked. With a dataset, the config's variant and
+    panel must agree with the dataset's config, which fills in the rest; the seed may differ."""
+    panel = cfg.get("panel", {})
+    if not isinstance(panel, dict):
+        raise ConfigurationError("panel must be a JSON object", field="panel")
+    # The panel's own keys come first, then the top-level variant, then the dataset's config.
+    base = dataset.config.to_dict() if dataset is not None else {}
+    top = {"variant": cfg["variant"]} if "variant" in cfg else {}
+    panel = {**base, **top, **panel}
     if seed_override is not None:
         panel["seed"] = seed_override
     elif "seed" not in panel:
         panel["seed"] = cfg.get("master_seed", 0)
     config = PanelConfig.from_dict(panel)
+    if dataset is not None:
+        got = config.to_dict()
+        for name in dict.fromkeys([*base, *got]):
+            if name != "seed" and got.get(name) != base.get(name):
+                raise ConfigurationError(f"the config gives {name} = {got.get(name)!r}, but "
+                                         f"the dataset has {base.get(name)!r}", field=name)
     config.validate()
-    return config
-
-
-def _estimator_spec(cfg: dict, config: PanelConfig) -> EstimatorSpec:
-    try:
-        spec = EstimatorSpec.from_dict(_section(cfg, "estimator"))
-    except TypeError as exc:
-        raise ConfigurationError(f"bad estimator config: {exc}", field="estimator")
+    spec = EstimatorSpec.from_dict(cfg.get("estimator", {}))
     spec.validate(config)
-    return spec
-
-
-def _out_dir(args, cfg: dict) -> str:
-    """The output directory, checked before any work. Commands create it just
-    before their first write, so a run that fails leaves no directory."""
-    out = args.out or cfg.get("output_dir")
-    _check(isinstance(out, str) and out != "", "output_dir",
-           "a non-empty path string when --out is not given")
-    existing = os.path.abspath(out)
-    while not os.path.exists(existing):
-        existing = os.path.dirname(existing)
-    if not os.path.isdir(existing):
-        raise ConfigurationError(f"output directory {out} cannot be created: "
-                                 f"{existing} is not a directory")
-    return out
+    return config, spec
 
 
 def cmd_simulate(args) -> int:
     cfg = _load_json(args.config)
-    config = _panel_config(cfg, args.seed)
-    out = _out_dir(args, cfg)
+    check_rules(cfg, STUDY_RULES)
+    config, _ = _sections(cfg, args.seed)
+    out = check_output_dir(args.out or cfg.get("output_dir"))
     dataset = simulate(config)
     save_dataset(dataset, out)
     N, T, K = dataset.n_individuals, dataset.n_periods, dataset.n_regressors
@@ -147,29 +129,29 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _solve(system):
-    if isinstance(system, NonlinearMomentSystem):
-        return nonlinear_gmm(system)
-    return two_stage_least_squares(system)
-
-
 def cmd_estimate(args) -> int:
     cfg = _load_json(args.config) if args.config else {}
+    check_rules(cfg, STUDY_RULES)
     dataset = load_dataset(args.data)
-    spec = _estimator_spec(cfg, dataset.config)
-    out = _out_dir(args, cfg)
+    _, spec = _sections(cfg, dataset=dataset)
+    out = check_output_dir(args.out or cfg.get("output_dir"))
     system = build_estimation_system(dataset, dataset.config, spec)
-    result = _solve(system)
+    solve = nonlinear_gmm if isinstance(system, NonlinearMomentSystem) else two_stage_least_squares
+    result = solve(system)
     os.makedirs(out, exist_ok=True)
-    with open(os.path.join(out, "result.json"), "w") as fh:
-        json.dump(result.to_dict(), fh, indent=2)
-        fh.write("\n")
+    _write_json(os.path.join(out, "result.json"), result.to_dict())
     print(f"{'parameter':<14s} {'estimate':>22s} {'se':>22s}")
     for name, est, se in zip(result.param_names, result.estimates, result.se):
         print(f"{name:<14s} {_fmt(est):>22s} {_fmt(se):>22s}")
     if result.j_statistic is not None:
         print(f"J = {_fmt(result.j_statistic)} on {result.j_dof} dof")
     return EXIT_OK
+
+
+def _write_json(path: str, value) -> None:
+    with open(path, "w") as fh:
+        json.dump(value, fh, indent=2)
+        fh.write("\n")
 
 
 def _write_csv(path: str, header, rows) -> None:
@@ -215,38 +197,22 @@ def _summary_rows(summaries):
 
 def cmd_montecarlo(args) -> int:
     cfg = _load_json(args.config)
-    replications = cfg.get("replications", 0)
-    _check(is_int(replications) and 1 <= replications <= 100_000, "replications",
-           "an integer in [1, 100000]")  # every record is held until the summary
-    sizes = cfg.get("sample_sizes")
-    _check(sizes is None or (
-        isinstance(sizes, list) and len(sizes) > 0
-        and all(is_int(n) and n >= 1 for n in sizes)
-        and all(b > a for a, b in zip(sizes, sizes[1:]))
-    ), "sample_sizes", "a list of positive, strictly increasing integers")
     master_seed = args.seed if args.seed is not None else cfg.get("master_seed", 0)
-    _check(is_int(master_seed) and master_seed >= 0, "master_seed", "an integer >= 0")
-    _check(args.workers >= 1, "workers", "an integer >= 1")
-    config = _panel_config(cfg, None)
-    spec = _estimator_spec(cfg, config)
-    out = _out_dir(args, cfg)
+    check_rules({**cfg, "master_seed": master_seed}, STUDY_RULES)
+    config, spec = _sections(cfg)
+    out = check_output_dir(args.out or cfg.get("output_dir"))
     summaries = run_study(
-        config, spec, replications, master_seed,
-        sample_sizes=sizes, workers=args.workers,
+        config, spec, cfg.get("replications"), master_seed,
+        sample_sizes=cfg.get("sample_sizes"), workers=args.workers,
     )
-    rep_header, rep_rows = _replication_rows(summaries)
-    sum_header, sum_rows = _summary_rows(summaries)
     os.makedirs(out, exist_ok=True)
-    if args.format == "json":
-        with open(os.path.join(out, "replications.json"), "w") as fh:
-            json.dump([dict(zip(rep_header, r)) for r in rep_rows], fh, indent=2)
-            fh.write("\n")
-        with open(os.path.join(out, "summary.json"), "w") as fh:
-            json.dump([dict(zip(sum_header, r)) for r in sum_rows], fh, indent=2)
-            fh.write("\n")
-    else:
-        _write_csv(os.path.join(out, "replications.csv"), rep_header, rep_rows)
-        _write_csv(os.path.join(out, "summary.csv"), sum_header, sum_rows)
+    for name, (header, rows) in (("replications", _replication_rows(summaries)),
+                                 ("summary", _summary_rows(summaries))):
+        path = os.path.join(out, f"{name}.{args.format}")
+        if args.format == "json":
+            _write_json(path, [dict(zip(header, r)) for r in rows])
+        else:
+            _write_csv(path, header, rows)
     for s in summaries:
         print(f"N={s.sample_size}: {s.n_replications - s.n_failed} ok, {s.n_failed} failed")
         for i, name in enumerate(s.param_names):
@@ -292,26 +258,19 @@ def cmd_verify(args) -> int:
         cfg.update(_load_json(args.config, (*_VERIFY_FIELDS, "output_dir")))
     if args.seed is not None:
         cfg["grid_seed"] = args.seed
-    for name, (_, valid, rule) in _VERIFY_FIELDS.items():
-        _check(valid(cfg[name]), name, rule)
-    out = _out_dir(args, cfg)
+    check_rules(cfg, {name: rule for name, (_, *rule) in _VERIFY_FIELDS.items()})
+    out = check_output_dir(args.out or cfg.get("output_dir"))
     rng = np.random.default_rng(cfg["grid_seed"])
     mu_lo, mu_hi = cfg["mu_range"]
     s2_lo, s2_hi = cfg["sigma2_range"]
     points = []
-    for _ in range(cfg["n_points"]):
-        s1_sq = rng.uniform(s2_lo, s2_hi)
-        s2_sq = rng.uniform(s2_lo, s2_hi)
+    for _ in range(cfg["n_points"]):  # each point draws s1_sq, s2_sq, rho, mu1, mu2 in turn
+        s1_sq, s2_sq = rng.uniform(s2_lo, s2_hi), rng.uniform(s2_lo, s2_hi)
         rho = rng.uniform(-cfg["rho_max"], cfg["rho_max"])
-        points.append(
-            BivariateNormalSpec(
-                mu1=rng.uniform(mu_lo, mu_hi),
-                mu2=rng.uniform(mu_lo, mu_hi),
-                sigma1_sq=s1_sq,
-                sigma2_sq=s2_sq,
-                sigma12=rho * math.sqrt(s1_sq) * math.sqrt(s2_sq),  # s1_sq * s2_sq may overflow
-            )
-        )
+        mu1, mu2 = rng.uniform(mu_lo, mu_hi), rng.uniform(mu_lo, mu_hi)
+        # sqrt(s1_sq) * sqrt(s2_sq): s1_sq * s2_sq may overflow
+        points.append(BivariateNormalSpec(mu1, mu2, s1_sq, s2_sq,
+                                          rho * math.sqrt(s1_sq) * math.sqrt(s2_sq)))
     tol = cfg["tolerance"]
     quad_tol = cfg["quadrature_tol"]
     orders = cfg["orders"]
@@ -334,28 +293,19 @@ def cmd_verify(args) -> int:
             if res > maxima[i]:
                 maxima[i], argmax[i] = res, spec
     rows = []
-    worst = None
     for (k, m), max_abs, best_point in zip(orders, maxima, argmax):
         rows.append([k, m, _fmt(max_abs)] + [_fmt(getattr(best_point, c)) for c in _POINT_COORDS])
-        if worst is None or max_abs > worst[2]:
-            worst = (k, m, max_abs, best_point)
         print(f"(k={k}, m={m}): max |residual| = {max_abs:.3e}")
     os.makedirs(out, exist_ok=True)
     _write_csv(os.path.join(out, "verification.csv"),
                ["k", "m", "max_abs_residual", *_POINT_COORDS], rows)
-    if worst[2] >= tol:
-        k, m, max_abs, pt = worst
-        print(
-            json.dumps(
-                {
-                    "error": "VerificationFailure",
-                    "message": f"residual {max_abs:.3e} >= tolerance {tol:g}",
-                    "k": k, "m": m,
-                    "point": {c: getattr(pt, c) for c in _POINT_COORDS},
-                }
-            ),
-            file=sys.stderr,
-        )
+    worst = maxima.index(max(maxima))  # the first order with the largest residual
+    if maxima[worst] >= tol:
+        (k, m), pt = orders[worst], argmax[worst]
+        print(json.dumps({"error": "VerificationFailure",
+                          "message": f"residual {maxima[worst]:.3e} >= tolerance {tol:g}",
+                          "k": k, "m": m, "point": {c: getattr(pt, c) for c in _POINT_COORDS}}),
+              file=sys.stderr)
         return EXIT_VERIFY
     print(f"all residuals below {tol:g}")
     return EXIT_OK

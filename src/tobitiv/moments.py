@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import ConfigurationError, DomainError, EmptySystemError
-from .simulate import PanelConfig, PanelDataset
+from .simulate import PanelConfig, PanelDataset, is_int
 
 
 def _ratio(config, t, s):
@@ -338,12 +338,26 @@ def build_cross_section(
     )
 
 
+def are_periods(periods, n_periods: int) -> bool:
+    """True for distinct integer periods in [0, n_periods): the rule for the
+    periods of a pair or a triple, in the builders and in `EstimatorSpec`."""
+    return (all(is_int(p) and 0 <= p < n_periods for p in periods)
+            and len(set(periods)) == len(periods))
+
+
+def _positive_rows(dataset: PanelDataset, what: str, *periods):
+    """The individuals positive in each of the periods, and their outcomes in each."""
+    T = dataset.n_periods
+    if not are_periods(periods, T):
+        raise DomainError(f"periods must be distinct integers in [0, {T}), got {periods}")
+    positive = np.all(dataset.y[:, list(periods)] > 0.0, axis=1)
+    idx = _require_rows(positive, f"{what} for periods {tuple(map(int, periods))}")
+    return (idx, *(dataset.y[idx, p] for p in periods))
+
+
 def _pair_arrays(dataset: PanelDataset, t: int, s: int):
-    if t == s:
-        raise DomainError(f"periods must differ, got t = s = {t}")
-    y_t, y_s = dataset.y[:, t], dataset.y[:, s]
-    idx = _require_rows((y_t > 0.0) & (y_s > 0.0), f"pairs for periods ({t}, {s})")
-    return idx, y_t[idx], y_s[idx], dataset.x[idx, t, :], dataset.x[idx, s, :]
+    idx, y_t, y_s = _positive_rows(dataset, "pairs", t, s)
+    return idx, y_t, y_s, dataset.x[idx, t, :], dataset.x[idx, s, :]
 
 
 def build_pairwise_independent(
@@ -422,17 +436,6 @@ def build_factor_loading(
     )
 
 
-def _triple_arrays(dataset: PanelDataset, t: int, s: int, tau: int):
-    if len({t, s, tau}) != 3:
-        raise DomainError(f"periods must be distinct, got ({t}, {s}, {tau})")
-    y = dataset.y
-    idx = _require_rows(
-        (y[:, t] > 0.0) & (y[:, s] > 0.0) & (y[:, tau] > 0.0),
-        f"triples for periods ({t}, {s}, {tau})",
-    )
-    return idx, y[idx, t], y[idx, s], y[idx, tau], dataset.x[idx]
-
-
 def _cyclic_parts(y_t, y_s, y_tau, x, t, s, tau):
     dep = (
         (y_t**2 * y_s - y_s**2 * y_t)
@@ -461,7 +464,8 @@ def build_triple_variance_fe(
     dataset: PanelDataset, t: int, s: int, tau: int, instruments: str = "default"
 ) -> MomentSystem:
     """Triple-difference rows in which individual-specific variances cancel."""
-    idx, y_t, y_s, y_tau, x = _triple_arrays(dataset, t, s, tau)
+    idx, y_t, y_s, y_tau = _positive_rows(dataset, "triples", t, s, tau)
+    x = dataset.x[idx]
     dep, beta_block = _cyclic_parts(y_t, y_s, y_tau, x, t, s, tau)
     return MomentSystem.one_block(
         dep, beta_block, instrument_set("triple", instruments)(x, t, s, tau), idx,
@@ -489,7 +493,8 @@ def build_triple_additive_variance(
     imposed as the normalization. The reported parameters are the contrasts
     sigma_s^2 - sigma_tau^2 and sigma_t^2 - sigma_tau^2.
     """
-    idx, y_t, y_s, y_tau, x = _triple_arrays(dataset, t, s, tau)
+    idx, y_t, y_s, y_tau = _positive_rows(dataset, "triples", t, s, tau)
+    x = dataset.x[idx]
     dep, beta_block = _cyclic_parts(y_t, y_s, y_tau, x, t, s, tau)
     raw = additive_variance_regressors(y_t, y_s, y_tau)
     reg = np.column_stack([beta_block, raw[:, 0], raw[:, 1]])

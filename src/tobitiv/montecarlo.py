@@ -26,6 +26,7 @@ from .moments import (
     NonlinearMomentSystem,
     Param,
     all_pairs,
+    are_periods,
     build_cross_section,
     build_factor_loading,
     build_pairwise_independent,
@@ -46,6 +47,7 @@ from .simulate import (
     PanelConfig,
     PanelDataset,
     check_keys,
+    check_rules,
     draw_panel,
     is_int,
 )
@@ -57,6 +59,19 @@ from .truncmoments import MAX_TOTAL_ORDER
 simulate = draw_panel
 
 FAILURE_FRACTION_LIMIT = 0.2
+
+# Each study count: the test a value must pass and the rule it states. Every
+# replication's record is held until the summary, hence the bound.
+STUDY_RULES = {
+    "replications": (lambda v: is_int(v) and 1 <= v <= 100_000, "an integer in [1, 100000]"),
+    "sample_sizes": (lambda v: v is None or isinstance(v, (list, tuple)) and len(v) > 0 and all(
+        is_int(n) and n >= 1 for n in v) and list(v) == sorted(set(v)),
+        "a list of positive, strictly increasing integers"),
+    "master_seed": (lambda v: is_int(v) and v >= 0, "an integer >= 0"),
+    "replication": (lambda v: is_int(v) and v >= 0, "an integer >= 0"),
+    "workers": (lambda v: is_int(v) and v >= 1, "an integer >= 1"),
+}
+
 
 # Variants whose system is built from one pair (the first of `pairs`).
 _SINGLE_PAIR = (ModelVariant.FACTOR_LOADING, ModelVariant.SLOPE_FE)
@@ -81,14 +96,19 @@ class EstimatorSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "EstimatorSpec":
+        if not isinstance(d, dict):
+            raise ConfigurationError("estimator must be a JSON object", field="estimator")
         check_keys(d, cls, "estimator")
         d = dict(d)
-        if d.get("pairs") is not None:
-            d["pairs"] = [tuple(p) for p in d["pairs"]]
-        if "triple" in d:
-            d["triple"] = tuple(d["triple"])
-        if "orders" in d:
-            d["orders"] = tuple(tuple(o) for o in d["orders"])
+        try:
+            if d.get("pairs") is not None:
+                d["pairs"] = [tuple(p) for p in d["pairs"]]
+            if "triple" in d:
+                d["triple"] = tuple(d["triple"])
+            if "orders" in d:
+                d["orders"] = tuple(tuple(o) for o in d["orders"])
+        except TypeError as exc:
+            raise ConfigurationError(f"bad estimator config: {exc}", field="estimator") from None
         return cls(**d)
 
     def validate(self, config: PanelConfig) -> None:
@@ -118,9 +138,7 @@ class EstimatorSpec:
         T = config.n_periods
         _check_entries(
             entries, field_name, f"must be {width} distinct periods in [0, {T})",
-            lambda e: len(e) == width and all(is_int(p) and 0 <= p < T for p in e)
-            and len(set(e)) == width,
-        )
+            lambda e: len(e) == width and are_periods(e, T))
         if len(entries) > 1 and config.variant in _SINGLE_PAIR:
             raise ConfigurationError(
                 f"variant {config.variant.value} takes one pair, got {len(entries)}",
@@ -186,6 +204,7 @@ class StudySummary:
 
 def replication_seed(master_seed: int, j: int) -> int:
     """Substream seed for replication j; no two replications share draws."""
+    check_rules({"master_seed": master_seed, "replication": j}, STUDY_RULES)
     ss = np.random.SeedSequence(entropy=int(master_seed), spawn_key=(int(j),))
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
@@ -310,8 +329,10 @@ def run_study(
     Worker-pool execution returns results in replication order, so output is
     identical to sequential execution. One pool serves every sample size. It
     has at most `workers` processes, and no more than there are replications
-    or available CPUs.
+    or available CPUs. Each count is checked against STUDY_RULES before any work.
     """
+    check_rules({"replications": n_replications, "sample_sizes": sample_sizes,
+                 "master_seed": master_seed, "workers": workers}, STUDY_RULES)
     spec.validate(config)
     sizes = list(sample_sizes) if sample_sizes is not None else [config.n_individuals]
     configs = [replace(config, n_individuals=int(size)) for size in sizes]

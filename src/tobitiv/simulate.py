@@ -144,6 +144,14 @@ def check_keys(d: dict, cls, where: str) -> None:
                                      field=f"{where}.{key}")
 
 
+def check_rules(values: dict, rules: dict) -> None:
+    """ConfigurationError naming the first field of `rules` (name -> (test, rule
+    text)) whose value in `values` fails its test; absent names pass."""
+    for name, (valid, rule) in rules.items():
+        if name in values and not valid(values[name]):
+            raise ConfigurationError(f"{name} must be {rule}", field=name)
+
+
 def dist_from_dict(d: dict, name: str):
     """The distribution that the panel's field `name` describes as a JSON object."""
     kind = d.get("type") if isinstance(d, dict) else None
@@ -434,13 +442,27 @@ def _restated(config: PanelConfig) -> dict:
     }
 
 
+def check_output_dir(path) -> str:
+    """`path`, if it names a directory that exists or can be created; else
+    ConfigurationError with field "output_dir". It creates nothing."""
+    if not isinstance(path, (str, os.PathLike)) or not os.fspath(path):
+        raise ConfigurationError("output_dir must be a non-empty path string", field="output_dir")
+    existing = os.path.abspath(path)
+    while not os.path.exists(existing):
+        existing = os.path.dirname(existing)
+    if not os.path.isdir(existing):
+        raise ConfigurationError(f"output directory {path} cannot be created: "
+                                 f"{existing} is not a directory", field="output_dir")
+    return path
+
+
 def save_dataset(dataset: PanelDataset, out_dir: str) -> None:
     """Write the estimation input format: meta.json + flat CSVs.
 
     Latent outcomes and individual effects are test-only and deliberately
     not serialized.
     """
-    os.makedirs(out_dir, exist_ok=True)
+    os.makedirs(check_output_dir(out_dir), exist_ok=True)
     N, T, K = dataset.n_individuals, dataset.n_periods, dataset.n_regressors
     meta = {
         "format_version": 1,
@@ -475,8 +497,8 @@ def load_dataset(data_dir: str) -> PanelDataset:
     outcomes must be >= 0 (censored) or > 0 (truncated); anything else raises
     ConfigurationError with field "data_dir".
     """
-    meta_path = os.path.join(data_dir, "meta.json")
     try:
+        meta_path = os.path.join(data_dir, "meta.json")
         with open(meta_path) as fh:
             meta = json.load(fh)
         config = PanelConfig.from_dict(meta["config"])

@@ -113,8 +113,8 @@ class MomentQuery:
     m: int
 
     def __post_init__(self):
-        if self.k < 0 or self.m < 0:
-            raise DomainError(f"exponents must be non-negative, got k={self.k}, m={self.m}")
+        if not all(isinstance(v, (int, np.integer)) and v >= 0 for v in (self.k, self.m)):
+            raise DomainError(f"exponents must be integers >= 0, got k={self.k!r}, m={self.m!r}")
         if self.k + self.m > MAX_TOTAL_ORDER:
             raise UnsupportedOrderError(
                 f"k + m = {self.k + self.m} exceeds the maximum order {MAX_TOTAL_ORDER}"
@@ -176,10 +176,7 @@ def univariate_truncated_moment(spec: UnivariateNormalSpec, k: int) -> float:
     more than 3 sigma below 0 the recursion runs backwards instead, as a
     continued fraction. Raises ``DomainError`` when the moment overflows.
     """
-    if k < 0 or k != int(k):
-        raise DomainError(f"k must be a non-negative integer, got {k!r}")
-    if k > MAX_TOTAL_ORDER:
-        raise UnsupportedOrderError(f"k = {k} exceeds the maximum order {MAX_TOTAL_ORDER}")
+    MomentQuery(k, 0)  # k must be an integer in [0, MAX_TOTAL_ORDER]
     if k == 0:
         return 1.0
     sigma = spec.sigma
@@ -203,6 +200,7 @@ def univariate_truncated_moment_quad(spec: UnivariateNormalSpec, k: int) -> floa
     of the same shape, so neither integral underflows. Raises ``DomainError``
     when the moment overflows or the range cannot be resolved.
     """
+    MomentQuery(k, 0)  # k must be an integer in [0, MAX_TOTAL_ORDER]
     from scipy import integrate, special
 
     sigma = spec.sigma
@@ -374,8 +372,10 @@ def bivariate_truncated_moment_mc(
     the positive quadrant, and returns the sample mean of U1^k U2^m together
     with its standard error. Deterministic given ``seed``.
     """
-    if n_draws < 1000:
-        raise DomainError(f"n_draws must be at least 1000, got {n_draws}")
+    if not (isinstance(n_draws, (int, np.integer)) and n_draws >= 1000):
+        raise DomainError(f"n_draws must be an integer >= 1000, got {n_draws!r}")
+    if not (isinstance(seed, (int, np.integer)) and seed >= 0):
+        raise DomainError(f"seed must be an integer >= 0, got {seed!r}")
     rng = np.random.Generator(np.random.PCG64(seed))
     s1 = spec.sigma1
     cond_slope = spec.sigma12 / spec.sigma1_sq

@@ -5,6 +5,7 @@ is the heavyweight consistency sweep; everything else finishes in seconds.
 """
 
 import math
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -38,6 +39,7 @@ from tobitiv import (
     univariate_truncated_moment_quad,
 )
 from tobitiv.moments import additive_variance_regressors
+from tobitiv.montecarlo import available_cpus
 
 from dense import dense_regressors
 
@@ -83,18 +85,27 @@ def test_criterion_1_moment_identity_verification(capsys):
     assert passed
 
 
+# Each acceptance sweep runs its independent, separately seeded units on at most
+# two worker processes; the results do not depend on the number.
+WORKERS = min(2, available_cpus())
+
+
+def quad_vs_mc(i, spec, q):
+    """|MC - quadrature| / SE at one point; the MC draws are seeded by i."""
+    quad = bivariate_truncated_moment_quad(spec, q, tol=1e-9)
+    mc, se = bivariate_truncated_moment_mc(spec, q, n_draws=10_000_000, seed=1000 + i)
+    return abs(mc - quad) / se
+
+
 def test_criterion_2_quadrature_vs_monte_carlo(capsys):
     # Two independent oracles: deterministic quadrature vs rejection-sampling
     # Monte Carlo with 1e7 draws, agreement within 4 MC standard errors.
     points = random_bivariate_points(1515, 20, rho_max=0.8)
     rng = np.random.default_rng(7)
-    worst = 0.0
-    for i, spec in enumerate(points):
-        k, m = [(1, 1), (2, 1), (1, 2), (2, 2)][int(rng.integers(4))]
-        q = MomentQuery(k, m)
-        quad = bivariate_truncated_moment_quad(spec, q, tol=1e-9)
-        mc, se = bivariate_truncated_moment_mc(spec, q, n_draws=10_000_000, seed=1000 + i)
-        worst = max(worst, abs(mc - quad) / se)
+    queries = [MomentQuery(*[(1, 1), (2, 1), (1, 2), (2, 2)][int(rng.integers(4))])
+               for _ in points]
+    with ProcessPoolExecutor(max_workers=WORKERS) as pool:
+        worst = max(pool.map(quad_vs_mc, range(len(points)), points, queries))
     passed = worst < 4.0
     announce(capsys, 2, "quadrature vs Monte Carlo oracle agreement", passed,
              f"max |diff|/SE = {worst:.2f} < 4 over 20 points")
@@ -207,7 +218,8 @@ def test_criterion_5_panel_consistency_sweep(capsys):
     sizes = [1000, 4000, 16000]
     details, all_ok = [], True
     for name, (cfg, spec) in _consistency_configs().items():
-        summaries = run_study(cfg, spec, 200, master_seed=2026, sample_sizes=sizes)
+        summaries = run_study(cfg, spec, 200, master_seed=2026, sample_sizes=sizes,
+                              workers=WORKERS)
         rmse = np.vstack([s.rmse for s in summaries])
         mono = bool(np.all(rmse[1:] < rmse[:-1]))
         final = summaries[-1]

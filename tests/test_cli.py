@@ -851,3 +851,96 @@ class TestVerify:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "VerificationFailure"
         assert "point" in err
+
+
+class TestSectionsEveryCommandChecks:
+    """simulate and estimate check the study and estimator sections a shared
+    config holds, as montecarlo does; estimate also checks the config's panel
+    against the dataset."""
+
+    def readme_config(self):
+        readme = (ROOT / "README.md").read_text()
+        return json.loads(readme.split("cat > config.json <<'JSON'\n", 1)[1].split("\nJSON\n")[0])
+
+    def saved_dataset(self, tmp_path, capsys):
+        ds = tmp_path / "ds"
+        assert main(["simulate", "--config", sim_config(tmp_path), "--out", str(ds)]) == 0
+        capsys.readouterr()
+        return ds
+
+    STUDY_FAULTS = [({"estimator": {"pair": 1}}, "estimator.pair"),
+                    ({"replications": "three"}, "replications"),
+                    ({"sample_sizes": [-5]}, "sample_sizes"),
+                    ({"sample_sizes": [400, 300]}, "sample_sizes"),
+                    ({"master_seed": -4}, "master_seed"),
+                    ({"estimator": {"pairs": [[0, 5]]}}, "pairs")]
+
+    @pytest.mark.parametrize("fault, field", STUDY_FAULTS)
+    def test_simulate_checks_study_sections_exit_2(self, tmp_path, capsys, fault, field):
+        payload = dict(json.loads(open(sim_config(tmp_path)).read()), **fault)
+        cfg = write_config(tmp_path, "bad.json", payload)
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert_config_error(capsys, field)
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("fault, field", STUDY_FAULTS)
+    def test_estimate_checks_study_sections_exit_2(self, tmp_path, capsys, fault, field):
+        ds = self.saved_dataset(tmp_path, capsys)
+        cfg = write_config(tmp_path, "bad.json", fault)
+        assert main(["estimate", "--data", str(ds), "--config", cfg,
+                     "--out", str(tmp_path / "o")]) == 2
+        assert_config_error(capsys, field)
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("config, field", [
+        ({"variant": "SlopeFE", "panel": {"n_individuals": "abc"}}, "variant"),
+        ({"panel": {"variant": "NonStationary"}}, "variant"),
+        ({"panel": {"n_individuals": "abc"}}, "n_individuals"),
+        ({"panel": {"n_individuals": 201}}, "n_individuals"),
+        ({"panel": {"beta": [2.0]}}, "beta"),
+        ({"panel": {"x_dist": {"type": "normal", "mu": 0.0, "sigma": 1.0}}}, "x_dist"),
+        ({"panel": {"z_dist": {"type": "lognormal"}}}, "z_dist"),
+        ({"panel": {"seed": -1}}, "seed"),
+        ({"panel": {"sampling": "Bogus"}}, "sampling"),
+    ])
+    def test_estimate_config_disagreeing_with_dataset_exit_2(self, tmp_path, capsys, config,
+                                                             field):
+        ds = self.saved_dataset(tmp_path, capsys)
+        cfg = write_config(tmp_path, "bad.json", config)
+        assert main(["estimate", "--data", str(ds), "--config", cfg,
+                     "--out", str(tmp_path / "o")]) == 2
+        assert_config_error(capsys, field)
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("config", [
+        {"variant": "IndependentErrors", "panel": {"n_individuals": 200, "beta": [1]}},
+        {"panel": {"seed": 12345, "sampling": "Censored"}},  # the seed may differ
+    ])
+    def test_estimate_config_agreeing_with_dataset_runs(self, tmp_path, capsys, config):
+        ds = self.saved_dataset(tmp_path, capsys)
+        cfg = write_config(tmp_path, "ok.json", config)
+        assert main(["estimate", "--data", str(ds), "--config", cfg,
+                     "--out", str(tmp_path / "o")]) == 0
+
+    def test_readme_config_runs_every_command(self, tmp_path, capsys):
+        # Two replications instead of 200: the sections are checked the same way.
+        config = dict(self.readme_config(), replications=2)
+        cfg = write_config(tmp_path, "config.json", config)
+        data, results = str(tmp_path / "data"), str(tmp_path / "results")
+        assert main(["simulate", "--config", cfg, "--out", data]) == 0
+        assert main(["simulate", "--config", cfg, "--out", data + "5", "--seed", "5"]) == 0
+        assert main(["estimate", "--data", data, "--config", cfg, "--out", results]) == 0
+        assert main(["estimate", "--data", data + "5", "--config", cfg, "--out", results]) == 0
+        assert main(["montecarlo", "--config", cfg, "--out", str(tmp_path / "study")]) == 0
+        verify = write_config(tmp_path, "v.json", {"n_points": 2, "orders": [[1, 1]]})
+        assert main(["verify", "--config", verify, "--out", str(tmp_path / "v")]) == 0
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("command", ["simulate", "montecarlo", "verify"])
+    def test_output_dir_under_a_file_names_the_field(self, tmp_path, capsys, command):
+        (tmp_path / "f").write_text("")
+        cfg = (TestMonteCarlo().mc_config(tmp_path) if command == "montecarlo"
+               else write_config(tmp_path, "v.json", {"n_points": 2}) if command == "verify"
+               else sim_config(tmp_path))
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "f" / "sub")]) == 2
+        assert_config_error(capsys, "output_dir")
