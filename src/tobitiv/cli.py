@@ -2,8 +2,8 @@
 
 Subcommands: `simulate`, `estimate`, `montecarlo`, `verify`. Configuration
 is declarative JSON; results are CSV/JSON with 17-significant-digit
-numerics. Exit codes: 0 success, 2 config error, 3 estimation error or
-out of memory, 4 verification failure. Every error path writes a
+numerics. Exit codes: 0 success, 2 config or argument error, 3 estimation
+error or out of memory, 4 verification failure. Every error path writes a
 machine-parsable JSON object to stderr. Each command checks every section of
 its config, and its output directory, before any work; it creates that
 directory just before its first write, so a run that fails leaves none.
@@ -32,9 +32,11 @@ from .montecarlo import (
     run_study,
 )
 from .simulate import (
+    SEED_RULE,
     PanelConfig,
     Sampling,
     censoring_rate,
+    check_keys,
     check_output_dir,
     check_rules,
     is_int,
@@ -79,27 +81,31 @@ def _load_json(path: str, keys=_CONFIG_KEYS) -> dict:
         raise ConfigurationError(f"config is not valid JSON: {exc}")
     if not isinstance(cfg, dict):
         raise ConfigurationError("config must be a JSON object")
-    for key in cfg:
-        if key not in keys:
-            raise ConfigurationError(
-                f"unknown config key {key!r}; expected one of {list(keys)}", field=key)
+    check_keys(cfg, keys)
     return cfg
 
 
-def _sections(cfg: dict, seed_override=None, dataset=None):
-    """The config's panel and estimator spec, checked. With a dataset, the config's variant and
+def _study(args, panel_seed=None, master_seed=None, data=None):
+    """(config, panel config, estimator spec, output directory, dataset) of a simulate, estimate
+    or montecarlo run, every section checked before any work. `panel_seed` (simulate) and
+    `master_seed` (montecarlo) are the `--seed` that replaces the seed the command draws with;
+    a panel without a seed takes master_seed, then 0. With `data`, the config's variant and
     panel must agree with the dataset's config, which fills in the rest; the seed may differ."""
+    cfg = _load_json(args.config) if args.config else {}
+    if master_seed is not None:
+        cfg["master_seed"] = master_seed
+    check_rules(cfg, STUDY_RULES)
+    dataset = load_dataset(data) if data is not None else None
     panel = cfg.get("panel", {})
     if not isinstance(panel, dict):
         raise ConfigurationError("panel must be a JSON object", field="panel")
-    # The panel's own keys come first, then the top-level variant, then the dataset's config.
+    # The panel's own keys come first, then the top-level variant, the dataset's config and
+    # the seed fallback.
     base = dataset.config.to_dict() if dataset is not None else {}
     top = {"variant": cfg["variant"]} if "variant" in cfg else {}
-    panel = {**base, **top, **panel}
-    if seed_override is not None:
-        panel["seed"] = seed_override
-    elif "seed" not in panel:
-        panel["seed"] = cfg.get("master_seed", 0)
+    panel = {"seed": cfg.get("master_seed", 0), **base, **top, **panel}
+    if panel_seed is not None:
+        panel["seed"] = panel_seed
     config = PanelConfig.from_dict(panel)
     if dataset is not None:
         got = config.to_dict()
@@ -110,14 +116,11 @@ def _sections(cfg: dict, seed_override=None, dataset=None):
     config.validate()
     spec = EstimatorSpec.from_dict(cfg.get("estimator", {}))
     spec.validate(config)
-    return config, spec
+    return cfg, config, spec, check_output_dir(args.out or cfg.get("output_dir")), dataset
 
 
 def cmd_simulate(args) -> int:
-    cfg = _load_json(args.config)
-    check_rules(cfg, STUDY_RULES)
-    config, _ = _sections(cfg, args.seed)
-    out = check_output_dir(args.out or cfg.get("output_dir"))
+    _, config, _, out, _ = _study(args, panel_seed=args.seed)
     dataset = simulate(config)
     save_dataset(dataset, out)
     N, T, K = dataset.n_individuals, dataset.n_periods, dataset.n_regressors
@@ -130,11 +133,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_estimate(args) -> int:
-    cfg = _load_json(args.config) if args.config else {}
-    check_rules(cfg, STUDY_RULES)
-    dataset = load_dataset(args.data)
-    _, spec = _sections(cfg, dataset=dataset)
-    out = check_output_dir(args.out or cfg.get("output_dir"))
+    _, _, spec, out, dataset = _study(args, data=args.data)
     system = build_estimation_system(dataset, dataset.config, spec)
     solve = nonlinear_gmm if isinstance(system, NonlinearMomentSystem) else two_stage_least_squares
     result = solve(system)
@@ -196,13 +195,9 @@ def _summary_rows(summaries):
 
 
 def cmd_montecarlo(args) -> int:
-    cfg = _load_json(args.config)
-    master_seed = args.seed if args.seed is not None else cfg.get("master_seed", 0)
-    check_rules({**cfg, "master_seed": master_seed}, STUDY_RULES)
-    config, spec = _sections(cfg)
-    out = check_output_dir(args.out or cfg.get("output_dir"))
+    cfg, config, spec, out, _ = _study(args, master_seed=args.seed)
     summaries = run_study(
-        config, spec, cfg.get("replications"), master_seed,
+        config, spec, cfg.get("replications"), cfg.get("master_seed", 0),
         sample_sizes=cfg.get("sample_sizes"), workers=args.workers,
     )
     os.makedirs(out, exist_ok=True)
@@ -244,7 +239,7 @@ _VERIFY_FIELDS = {
                f"a non-empty list of [k, m], {IDENTITY_ORDER_RULE}"),
     "tolerance": (1e-6, lambda v: is_number(v) and v > 0, "a positive number"),
     "quadrature_tol": (1e-7, lambda v: is_number(v) and v > 0, "a positive number"),
-    "grid_seed": (20260823, lambda v: is_int(v) and v >= 0, "an integer >= 0"),
+    "grid_seed": (20260823, *SEED_RULE),
 }
 
 
@@ -311,45 +306,42 @@ def cmd_verify(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument error raises ConfigurationError, which `main` writes as one JSON line."""
+
+    def error(self, message):
+        raise ConfigurationError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="tobitiv",
-        description="Censored-panel IV estimation experiments",
-    )
+    parser = _Parser(prog="tobitiv", description="Censored-panel IV estimation experiments")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, fn, needs_config in (
-        ("simulate", cmd_simulate, True),
-        ("estimate", cmd_estimate, False),
-        ("montecarlo", cmd_montecarlo, True),
-        ("verify", cmd_verify, False),
+    for name, fn, needs_config, seed in (
+        ("simulate", cmd_simulate, True, "the panel seed"),
+        ("estimate", cmd_estimate, False, None),
+        ("montecarlo", cmd_montecarlo, True, "master_seed"),
+        ("verify", cmd_verify, False, "grid_seed"),
     ):
         p = sub.add_parser(name)
         p.add_argument("--config", required=needs_config, help="JSON config path")
         p.add_argument("--out", help="output directory")
-        p.add_argument("--seed", type=int, help="override the config seed")
+        if seed:
+            p.add_argument("--seed", type=int, help=f"replaces the config's {seed}")
         p.set_defaults(fn=fn)
-    sub.choices["estimate"].add_argument(
-        "--data", required=True, help="dataset directory written by `simulate`"
-    )
+    sub.choices["estimate"].add_argument("--data", required=True,
+                                         help="dataset directory written by `simulate`")
     sub.choices["montecarlo"].add_argument("--workers", type=int, default=1)
     sub.choices["montecarlo"].add_argument("--format", choices=("csv", "json"), default="csv")
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.fn(args)
-    except ConfigurationError as exc:
+    except (ConfigurationError, OSError) as exc:
         _emit_error(exc)
         return EXIT_CONFIG
     except (TobitIVError, MemoryError) as exc:
         _emit_error(exc)
         return EXIT_ESTIMATION
-    except OSError as exc:
-        _emit_error(exc)
-        return EXIT_CONFIG
-
-
-if __name__ == "__main__":
-    sys.exit(main())

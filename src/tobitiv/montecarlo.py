@@ -42,6 +42,7 @@ from .moments import (
     stack_systems,
 )
 from .simulate import (
+    SEED_RULE,
     SYSTEM_SHAPES,
     ModelVariant,
     PanelConfig,
@@ -67,11 +68,15 @@ STUDY_RULES = {
     "sample_sizes": (lambda v: v is None or isinstance(v, (list, tuple)) and len(v) > 0 and all(
         is_int(n) and n >= 1 for n in v) and list(v) == sorted(set(v)),
         "a list of positive, strictly increasing integers"),
-    "master_seed": (lambda v: is_int(v) and v >= 0, "an integer >= 0"),
+    "master_seed": SEED_RULE,
     "replication": (lambda v: is_int(v) and v >= 0, "an integer >= 0"),
     "workers": (lambda v: is_int(v) and v >= 1, "an integer >= 1"),
 }
 
+
+# The estimator field with a rule of its own value: its rows reach moment order k + 1.
+_SPEC_RULES = {"cross_section_order": (lambda v: is_int(v) and 1 <= v < MAX_TOTAL_ORDER,
+                                       f"an integer in [1, {MAX_TOTAL_ORDER - 1}]")}
 
 # Variants whose system is built from one pair (the first of `pairs`).
 _SINGLE_PAIR = (ModelVariant.FACTOR_LOADING, ModelVariant.SLOPE_FE)
@@ -124,11 +129,7 @@ class EstimatorSpec:
         """
         _check_entries(self.orders, "orders", f"must be two {IDENTITY_ORDER_RULE}",
                        is_identity_order)
-        if not (is_int(self.cross_section_order)
-                and 1 <= self.cross_section_order < MAX_TOTAL_ORDER):
-            raise ConfigurationError(
-                f"cross_section_order must be an integer in [1, {MAX_TOTAL_ORDER - 1}]",
-                field="cross_section_order")
+        check_rules(vars(self), _SPEC_RULES)
         shape = SYSTEM_SHAPES[config.variant]
         instrument_set(shape, self.instruments)
         if shape == "cell":

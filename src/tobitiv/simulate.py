@@ -134,14 +134,16 @@ def dist_to_dict(dist) -> dict:
     return {"type": _DIST_NAMES[type(dist)], **asdict(dist)}
 
 
-def check_keys(d: dict, cls, where: str) -> None:
-    """Raise ConfigurationError, field `where.key`, for a key of `d` that no
-    field of the dataclass `cls` takes."""
-    names = [f.name for f in fields(cls)]
+def check_keys(d: dict, keys, where: str = "") -> None:
+    """Raise ConfigurationError for a key of `d` outside `keys`, the field names
+    of a dataclass or a sequence of names. The field is `where.key`, or the bare
+    key for a top-level config (`where` empty)."""
+    names = [f.name for f in fields(keys)] if is_dataclass(keys) else list(keys)
     for key in d:
         if key not in names:
-            raise ConfigurationError(f"unknown key {key!r} in {where}; expected one of {names}",
-                                     field=f"{where}.{key}")
+            raise ConfigurationError(
+                f"unknown key {key!r} in {where or 'config'}; expected one of {names}",
+                field=f"{where}.{key}" if where else key)
 
 
 def check_rules(values: dict, rules: dict) -> None:
@@ -150,6 +152,18 @@ def check_rules(values: dict, rules: dict) -> None:
     for name, (valid, rule) in rules.items():
         if name in values and not valid(values[name]):
             raise ConfigurationError(f"{name} must be {rule}", field=name)
+
+
+# Every seed's rule: a Philox key, the generator `simulate` draws with.
+SEED_RULE = (lambda v: is_int(v) and 0 <= v < 2**128, "an integer in [0, 2**128)")
+
+# Each panel field with a rule of its own value: its test and the rule it states.
+_PANEL_RULES = {
+    "n_individuals": (lambda v: is_int(v) and v >= 1, "an integer >= 1"),
+    "n_periods": (is_int, "an integer"),
+    "n_regressors": (lambda v: is_int(v) and v >= 1, "an integer >= 1"),
+    "seed": SEED_RULE,
+}
 
 
 def dist_from_dict(d: dict, name: str):
@@ -197,22 +211,14 @@ class PanelConfig:
                 raise ConfigurationError(f"bad {name}: {exc}", field=name) from None
 
     def validate(self):
-        for name in ("n_individuals", "n_periods", "n_regressors", "seed"):
-            if not is_int(getattr(self, name)):
-                raise ConfigurationError(f"{name} must be an integer", field=name)
-        if not 0 <= self.seed < 2**128:
-            raise ConfigurationError("seed must lie in [0, 2**128)", field="seed")
+        check_rules(vars(self), _PANEL_RULES)
         N, T, K = self.n_individuals, self.n_periods, self.n_regressors
-        if N < 1:
-            raise ConfigurationError("n_individuals must be positive", field="n_individuals")
         min_T = SHAPE_PERIODS[SYSTEM_SHAPES[self.variant]]
         if T < min_T:
             raise ConfigurationError(
                 f"variant {self.variant.value} requires n_periods >= {min_T}, got {T}",
                 field="n_periods",
             )
-        if K < 1:
-            raise ConfigurationError("n_regressors must be positive", field="n_regressors")
         if len(self.beta) != K:
             raise ConfigurationError(
                 f"beta has length {len(self.beta)}, expected {K}", field="beta"

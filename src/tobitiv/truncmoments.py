@@ -372,8 +372,8 @@ def bivariate_truncated_moment_mc(
     the positive quadrant, and returns the sample mean of U1^k U2^m together
     with its standard error. Deterministic given ``seed``.
     """
-    if not (isinstance(n_draws, (int, np.integer)) and n_draws >= 1000):
-        raise DomainError(f"n_draws must be an integer >= 1000, got {n_draws!r}")
+    if not (isinstance(n_draws, (int, np.integer)) and 1000 <= n_draws <= 10**9):
+        raise DomainError(f"n_draws must be an integer in [1000, 10**9], got {n_draws!r}")
     if not (isinstance(seed, (int, np.integer)) and seed >= 0):
         raise DomainError(f"seed must be an integer >= 0, got {seed!r}")
     rng = np.random.Generator(np.random.PCG64(seed))

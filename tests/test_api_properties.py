@@ -195,7 +195,7 @@ def test_run_study_zero_count_is_a_configuration_error(count, field):
        j=st.one_of(st.integers(-3, 2**40), NOT_COUNTS))
 def test_replication_seed_names_the_bad_argument(master_seed, j):
     result = outcome(replication_seed, master_seed, j)
-    if not valid_count(master_seed, 0):
+    if not (valid_count(master_seed, 0) and master_seed < 2**128):
         assert isinstance(result, ConfigurationError) and result.field == "master_seed"
     elif not valid_count(j, 0):
         assert isinstance(result, ConfigurationError) and result.field == "replication"
@@ -203,10 +203,12 @@ def test_replication_seed_names_the_bad_argument(master_seed, j):
         assert isinstance(result, int) and 0 <= result < 2**64
 
 
-def test_negative_master_seed_is_a_configuration_error():
-    # Used to raise a bare ValueError from numpy's SeedSequence.
+@pytest.mark.parametrize("master_seed", [-1, 2**128, 2**130])
+def test_master_seed_outside_the_seed_range_is_a_configuration_error(master_seed):
+    # -1 used to raise a bare ValueError from numpy's SeedSequence; every seed
+    # is an integer in [0, 2**128), the panel's Philox key range.
     with pytest.raises(ConfigurationError) as exc:
-        replication_seed(-1, 0)
+        replication_seed(master_seed, 0)
     assert exc.value.field == "master_seed"
 
 
@@ -295,7 +297,8 @@ def test_bivariate_moments_reject_or_return(coords, k, m, tol):
 
 @settings(max_examples=10)
 @given(coords=st.tuples(ODD_FLOATS, ODD_FLOATS, ODD_FLOATS, ODD_FLOATS, ODD_FLOATS),
-       k=st.integers(0, 4), n_draws=st.sampled_from([-1, 0, 999, 1000, 5000, 1500.0, math.nan]),
+       k=st.integers(0, 4), n_draws=st.sampled_from([-1, 0, 999, 1000, 5000, 1500.0, math.nan,
+                                                10**9 + 1, 10**15]),
        seed=st.sampled_from([-1, 0, 2**70, 1.5, None]))
 def test_monte_carlo_oracle_rejects_or_returns(coords, k, n_draws, seed):
     spec = outcome(BivariateNormalSpec, *coords)
@@ -303,6 +306,15 @@ def test_monte_carlo_oracle_rejects_or_returns(coords, k, n_draws, seed):
         return
     value = outcome(bivariate_truncated_moment_mc, spec, MomentQuery(k, 1), n_draws, seed)
     assert isinstance(value, (TobitIVError, tuple))
+
+
+@pytest.mark.parametrize("n_draws", [999, 10**9 + 1, 10**15])
+def test_monte_carlo_oracle_draw_count_bounded(n_draws, monkeypatch):
+    # 10**15 used to loop over 2e6-draw chunks for days; no draw is made now.
+    monkeypatch.setattr(np.random, "PCG64", None)
+    with pytest.raises(DomainError, match=r"\[1000, 10\*\*9\]"):
+        bivariate_truncated_moment_mc(BivariateNormalSpec(0.0, 0.0, 1.0, 1.0, 0.0),
+                                      MomentQuery(1, 1), n_draws, 0)
 
 
 @pytest.mark.parametrize("k", [1.5, math.inf, math.nan])

@@ -3,6 +3,8 @@
 import csv
 import importlib.util
 import json
+import os
+import subprocess
 import sys
 import warnings
 from pathlib import Path
@@ -10,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tobitiv.cli import _CONFIG_KEYS, _VERIFY_FIELDS, _fmt, _load_json, main
+from tobitiv.cli import _fmt, main
 from tobitiv.truncmoments import _full_power_integrals, moment_identity_residual
 
 
@@ -49,6 +51,19 @@ def assert_config_error(capsys, field):
     payload = single_json_line(capsys)
     assert payload["error"] == "ConfigurationError"
     assert payload["field"] == field
+
+
+class Checked(Exception):
+    """Raised in place of a command's first piece of work: its input passed every check."""
+
+
+def stop_at_first_work(monkeypatch):
+    """Every command raises Checked where its work would start."""
+    def stop(*args, **kwargs):
+        raise Checked
+
+    for name in ("simulate", "build_estimation_system", "run_study", "moment_identity_residual"):
+        monkeypatch.setattr(f"tobitiv.cli.{name}", stop)
 
 
 def sim_config(tmp_path, **panel_overrides):
@@ -645,10 +660,10 @@ class TestMonteCarlo:
 )
 @pytest.mark.parametrize("flag", ["--workers=2", "--format=json"])
 def test_montecarlo_only_flags(argv, flag, capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(argv + [flag])
-    assert exc.value.code == 2
-    assert "unrecognized arguments" in capsys.readouterr().err
+    assert main(argv + [flag]) == 2
+    payload = single_json_line(capsys)
+    assert payload["error"] == "ConfigurationError"
+    assert "unrecognized arguments" in payload["message"]
 
 
 class TestConfigKeys:
@@ -697,27 +712,31 @@ class TestConfigKeys:
         assert main(["simulate", "--config", cfg]) == 2
         assert_config_error(capsys, "output_dir")
 
-    def test_readme_quick_start_config(self, tmp_path):
+    def test_readme_quick_start_config(self, tmp_path, monkeypatch):
+        """The README's config, as printed, passes every check of simulate and montecarlo."""
         readme = (ROOT / "README.md").read_text()
         text = readme.split("cat > config.json <<'JSON'\n", 1)[1].split("\nJSON\n", 1)[0]
         (tmp_path / "config.json").write_text(text)
-        assert set(_load_json(str(tmp_path / "config.json"))) >= {"variant", "panel"}
+        stop_at_first_work(monkeypatch)
+        for command in ("simulate", "montecarlo"):
+            with pytest.raises(Checked):
+                main([command, "--config", str(tmp_path / "config.json"),
+                      "--out", str(tmp_path / "o")])
 
     def test_benchmark_configs(self, tmp_path, monkeypatch):
-        """The configs the benchmark's workloads write pass the key check. Its
-        self-check runs them, but outside this suite."""
+        """The calls the benchmark's workloads make pass every check of their
+        command. Its self-check runs them, but outside this suite."""
         workloads, tracing = (load_module(ROOT / "perfbench" / f"{name}.py", monkeypatch)
                               for name in ("workloads", "tracing"))
+        stop_at_first_work(monkeypatch)
         checked = 0
         for name, seed in workloads.DEFAULT_SEEDS.items():
             workload = workloads.make(name, tmp_path / name, seed, tiny=True)
             workload.generate(tracing.Tracer(enabled=False))
             for call in workload.calls():
-                if "--config" in call.argv:
-                    verify = call.argv[0] == "verify"
-                    _load_json(call.argv[call.argv.index("--config") + 1],
-                               (*_VERIFY_FIELDS, "output_dir") if verify else _CONFIG_KEYS)
-                    checked += 1
+                with pytest.raises(Checked):
+                    main(call.argv)
+                checked += "--config" in call.argv
         assert checked == 2 * 6 + 1 + 1  # two Monte Carlo sweeps, verify and estimate
 
 
@@ -793,6 +812,7 @@ class TestVerify:
             ({"orders": [[5, 5]]}, "orders"),
             ({"orders": [[4, 4]]}, "orders"),  # k + m = 8, but the identity needs order 9
             ({"grid_seed": -1}, "grid_seed"),
+            ({"grid_seed": 2**128}, "grid_seed"),  # numpy took any integer >= 0
             ({"n_point": 3}, "n_point"),
         ],
     )
@@ -851,6 +871,100 @@ class TestVerify:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "VerificationFailure"
         assert "point" in err
+
+
+class TestSeeds:
+    """`--seed` replaces the seed its command draws with: simulate's panel seed,
+    montecarlo's master_seed, verify's grid_seed; estimate draws nothing and
+    takes none. Every seed is an integer in [0, 2**128)."""
+
+    def mc_config(self, tmp_path, panel_seed, **over):
+        payload = json.loads(open(TestMonteCarlo().mc_config(tmp_path, **over)).read())
+        if panel_seed is None:
+            del payload["panel"]["seed"]
+        else:
+            payload["panel"]["seed"] = panel_seed
+        return write_config(tmp_path, "mc.json", payload)
+
+    def test_montecarlo_seed_replaces_master_seed(self, tmp_path, capsys):
+        # A panel without a seed used to take the config's master_seed, -1, and exit 2
+        # with field `seed`.
+        replaced, given = tmp_path / "replaced", tmp_path / "given"
+        cfg = self.mc_config(tmp_path, None, master_seed=-1)
+        assert main(["montecarlo", "--config", cfg, "--out", str(replaced), "--seed", "5"]) == 0
+        cfg = self.mc_config(tmp_path, None, master_seed=5)
+        assert main(["montecarlo", "--config", cfg, "--out", str(given)]) == 0
+        assert capsys.readouterr().err == ""
+        assert (replaced / "summary.csv").read_bytes() == (given / "summary.csv").read_bytes()
+
+    @pytest.mark.parametrize("panel_seed", [None, 0])
+    def test_master_seed_out_of_range_exit_2(self, tmp_path, capsys, panel_seed):
+        # The panel seed, which no replication draws with, used to decide between
+        # exit 0 and exit 2 with field `seed`.
+        cfg = self.mc_config(tmp_path, panel_seed, master_seed=2**130)
+        assert main(["montecarlo", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert_config_error(capsys, "master_seed")
+        assert not (tmp_path / "o").exists()
+
+    def test_verify_seed_replaces_grid_seed(self, tmp_path, capsys):
+        # Without --seed this grid_seed exits 2 (TestVerify::test_bad_field_exit_2).
+        cfg = write_config(tmp_path, "v.json", {"n_points": 2, "grid_seed": 2**128})
+        assert main(["verify", "--config", cfg, "--out", str(tmp_path / "v"),
+                     "--seed", "3"]) == 0
+        assert capsys.readouterr().err == ""
+
+    def test_estimate_takes_no_seed(self, tmp_path, capsys):
+        # It used to accept --seed and ignore it.
+        ds = tmp_path / "ds"
+        assert main(["simulate", "--config", sim_config(tmp_path), "--out", str(ds)]) == 0
+        capsys.readouterr()
+        assert main(["estimate", "--data", str(ds), "--out", str(tmp_path / "o"),
+                     "--seed", "5"]) == 2
+        assert "unrecognized arguments: --seed 5" in single_json_line(capsys)["message"]
+        assert not (tmp_path / "o").exists()
+
+
+class TestArgumentErrors:
+    """An argument error exits 2 with one JSON line, from `main` and from
+    `python -m tobitiv`; `-h` still exits 0."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["bogus"], "invalid choice: 'bogus'"),
+        ([], "required: command"),
+        (["estimate"], "required: --data"),
+        (["simulate"], "required: --config"),
+        (["montecarlo", "--config", "c.json", "--workers", "abc"], "invalid int value: 'abc'"),
+        (["verify", "--seed", "x"], "invalid int value: 'x'"),
+        (["verify", "--out"], "expected one argument"),
+        (["montecarlo", "--config", "c.json", "--format", "xml"], "invalid choice: 'xml'"),
+    ])
+    def test_argument_error_exit_2(self, capsys, argv, message):
+        assert main(argv) == 2
+        payload = single_json_line(capsys)
+        assert payload["error"] == "ConfigurationError" and message in payload["message"]
+
+    @pytest.mark.parametrize("argv", [["-h"], ["verify", "-h"]])
+    def test_help_exits_0(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        assert "usage: tobitiv" in capsys.readouterr().out
+
+    def run_module(self, tmp_path, *argv):
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(ROOT / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]))
+        return subprocess.run([sys.executable, "-m", "tobitiv", *argv], cwd=tmp_path, env=env,
+                              capture_output=True, text=True, timeout=120)
+
+    def test_module_entry_point(self, tmp_path):
+        proc = self.run_module(tmp_path, "verify", "--bogus")
+        assert proc.returncode == 2 and proc.stdout == ""
+        (line,) = proc.stderr.splitlines()
+        assert "unrecognized arguments: --bogus" in json.loads(line)["message"]
+        cfg = write_config(tmp_path, "v.json", {"n_points": 2, "orders": [[1, 1]]})
+        proc = self.run_module(tmp_path, "verify", "--config", cfg, "--out", "v")
+        assert proc.returncode == 0 and proc.stderr == ""
+        assert (tmp_path / "v" / "verification.csv").exists()
 
 
 class TestSectionsEveryCommandChecks:

@@ -1,5 +1,6 @@
-"""Property tests: a valid config with one or two fields mutated, or a saved
-dataset directory with one file corrupted, never crashes the CLI.
+"""Property tests: a valid config with one or two fields mutated, a valid argv
+with a bad `--seed`, an unknown flag or a missing flag, or a saved dataset
+directory with one file corrupted, never crashes the CLI.
 
 Every run must exit 0, 2 or 3 (and 4 for `verify`); an exit other than 0
 writes exactly one stderr line of strict JSON, and exit 0 writes none. A key
@@ -187,6 +188,43 @@ def test_two_mutated_fields_exit_cleanly(base, data, values, dataset_dir, capsys
     code, error = run_config(base, config, dataset_dir, capsys)
     if INSERT in values:
         assert code == 2 and error["field"]
+
+
+# `--seed` values: in range, below it, at and above 2**128, and not an integer.
+SEEDS = st.sampled_from([None, -1, 0, 2**128, 2**130, "x"])
+# The field `--seed` replaces, and the flag whose absence is an error, per command.
+SEED_FIELDS = {"simulate": "seed", "montecarlo": "master_seed", "verify": "grid_seed"}
+DROPPED = {"simulate": "--config", "estimate": "--data", "montecarlo": "--config",
+           "verify": "--out"}
+
+
+@pytest.mark.parametrize("command", ["estimate", "montecarlo", "simulate", "verify"])
+@settings(max_examples=25, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(seed=SEEDS, unknown=st.booleans(), drop=st.booleans())
+def test_argv_exits_cleanly(command, seed, unknown, drop, dataset_dir, capsys):
+    """The command's valid argv with a `--seed`, an unknown flag or a missing
+    flag: exit 0 when every argument is valid, else exit 2 with one JSON line,
+    which names the replaced seed's field when the seed alone is out of range."""
+    capsys.readouterr()
+    with tempfile.TemporaryDirectory() as tmp:
+        with open(f"{tmp}/config.json", "w") as fh:
+            json.dump(BASES[command], fh)
+        flags = {"--config": f"{tmp}/config.json", "--out": f"{tmp}/out"}
+        if command == "estimate":
+            flags["--data"] = dataset_dir
+        if drop:
+            del flags[DROPPED[command]]
+        argv = [command, *(token for item in flags.items() for token in item)]
+        argv += ([] if seed is None else ["--seed", str(seed)]) + (["--unknown"] if unknown else [])
+        code = main(argv)
+    takes_seed = seed is None or command != "estimate"
+    if seed in (None, 0) and takes_seed and not (unknown or drop):
+        assert code == 0 and capsys.readouterr().err == ""
+        return
+    assert code == 2
+    error = single_json_line(capsys)
+    if isinstance(seed, int) and takes_seed and not (unknown or drop):
+        assert error["field"] == SEED_FIELDS[command]
 
 
 # Dataset directories for the corruption property: every table kind is present.
