@@ -1,18 +1,18 @@
 """Command-line front end.
 
 Subcommands: `simulate`, `estimate`, `montecarlo`, `verify`. Configuration
-is declarative JSON; results are CSV/JSON with 17-significant-digit
-numerics. Exit codes: 0 success, 2 config or argument error, 3 estimation
-error or out of memory, 4 verification failure. Every error path writes a
-machine-parsable JSON object to stderr. Each command checks every section of
-its config, and its output directory, before any work; it creates that
-directory just before its first write, so a run that fails leaves none.
+is declarative JSON; results are CSV, floats at 17 significant digits, or
+JSON, written by `simulate.write_csv` and `simulate.write_json`. Exit codes:
+0 success, 2 config or argument error, 3 estimation error or out of memory,
+4 verification failure. Every error path writes a machine-parsable JSON
+object to stderr. Each command checks every section of its config, and its
+output directory, before any work; it creates that directory just before its
+first write, so a run that fails leaves none.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import os
@@ -39,11 +39,14 @@ from .simulate import (
     check_keys,
     check_output_dir,
     check_rules,
+    format_float,
     is_int,
     is_number,
     load_dataset,
     save_dataset,
     simulate,
+    write_csv,
+    write_json,
 )
 from .truncmoments import BivariateNormalSpec, MomentQuery, moment_identity_residual
 
@@ -51,10 +54,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_ESTIMATION = 3
 EXIT_VERIFY = 4
-
-
-def _fmt(v) -> str:
-    return f"{float(v):.17g}"
 
 
 def _emit_error(exc: Exception) -> None:
@@ -138,44 +137,25 @@ def cmd_estimate(args) -> int:
     solve = nonlinear_gmm if isinstance(system, NonlinearMomentSystem) else two_stage_least_squares
     result = solve(system)
     os.makedirs(out, exist_ok=True)
-    _write_json(os.path.join(out, "result.json"), result.to_dict())
+    write_json(os.path.join(out, "result.json"), result.to_dict())
     print(f"{'parameter':<14s} {'estimate':>22s} {'se':>22s}")
     for name, est, se in zip(result.param_names, result.estimates, result.se):
-        print(f"{name:<14s} {_fmt(est):>22s} {_fmt(se):>22s}")
+        print(f"{name:<14s} {format_float(est):>22s} {format_float(se):>22s}")
     if result.j_statistic is not None:
-        print(f"J = {_fmt(result.j_statistic)} on {result.j_dof} dof")
+        print(f"J = {format_float(result.j_statistic)} on {result.j_dof} dof")
     return EXIT_OK
-
-
-def _write_json(path: str, value) -> None:
-    with open(path, "w") as fh:
-        json.dump(value, fh, indent=2)
-        fh.write("\n")
-
-
-def _write_csv(path: str, header, rows) -> None:
-    with open(path, "w", newline="\n") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
 
 
 def _replication_rows(summaries):
     names = summaries[0].param_names
     header = ["sample_size", "replication", "converged", "wall_ms", "j_statistic", "error"]
     header += [f"est_{n}" for n in names] + [f"se_{n}" for n in names]
-    rows = []
-    for summ in summaries:
-        for rec in summ.records:
-            res = rec.result
-            row = [rec.sample_size, rec.replication, int(res is not None and res.converged),
-                   _fmt(rec.wall_ms)]
-            if res is None:
-                row += ["", rec.error] + [""] * (2 * len(names))
-            else:
-                row += ["" if res.j_statistic is None else _fmt(res.j_statistic), ""]
-                row += [_fmt(v) for v in res.estimates] + [_fmt(v) for v in res.se]
-            rows.append(row)
+    rows, blank = [], [None] * len(names)
+    for rec in (rec for summ in summaries for rec in summ.records):
+        res = rec.result  # None, with an error, when the replication failed
+        est, se = (blank, blank) if res is None else (res.estimates, res.se)
+        rows.append([rec.sample_size, rec.replication, int(res is not None and res.converged),
+                     rec.wall_ms, None if res is None else res.j_statistic, rec.error, *est, *se])
     return header, rows
 
 
@@ -187,7 +167,7 @@ _SUMMARY_STATS = ("truth", "mean_estimate", "mean_bias", "se_of_mean", "rmse", "
 def _summary_rows(summaries):
     header = ["sample_size", "parameter", *_SUMMARY_STATS, "n_replications", "n_failed"]
     rows = [
-        [s.sample_size, name, *(_fmt(getattr(s, stat)[i]) for stat in _SUMMARY_STATS),
+        [s.sample_size, name, *(getattr(s, stat)[i] for stat in _SUMMARY_STATS),
          s.n_replications, s.n_failed]
         for s in summaries for i, name in enumerate(s.param_names)
     ]
@@ -205,16 +185,14 @@ def cmd_montecarlo(args) -> int:
                                  ("summary", _summary_rows(summaries))):
         path = os.path.join(out, f"{name}.{args.format}")
         if args.format == "json":
-            _write_json(path, [dict(zip(header, r)) for r in rows])
+            write_json(path, [dict(zip(header, r)) for r in rows])
         else:
-            _write_csv(path, header, rows)
+            write_csv(path, header, rows)
     for s in summaries:
         print(f"N={s.sample_size}: {s.n_replications - s.n_failed} ok, {s.n_failed} failed")
         for i, name in enumerate(s.param_names):
-            print(
-                f"  {name:<14s} bias {s.mean_bias[i]:+.5f}"
-                f"  rmse {s.rmse[i]:.5f}  cover95 {s.coverage95[i]:.3f}"
-            )
+            print(f"  {name:<14s} bias {s.mean_bias[i]:+.5f}"
+                  f"  rmse {s.rmse[i]:.5f}  cover95 {s.coverage95[i]:.3f}")
     return EXIT_OK
 
 
@@ -289,11 +267,11 @@ def cmd_verify(args) -> int:
                 maxima[i], argmax[i] = res, spec
     rows = []
     for (k, m), max_abs, best_point in zip(orders, maxima, argmax):
-        rows.append([k, m, _fmt(max_abs)] + [_fmt(getattr(best_point, c)) for c in _POINT_COORDS])
+        rows.append([k, m, max_abs, *(getattr(best_point, c) for c in _POINT_COORDS)])
         print(f"(k={k}, m={m}): max |residual| = {max_abs:.3e}")
     os.makedirs(out, exist_ok=True)
-    _write_csv(os.path.join(out, "verification.csv"),
-               ["k", "m", "max_abs_residual", *_POINT_COORDS], rows)
+    write_csv(os.path.join(out, "verification.csv"),
+              ["k", "m", "max_abs_residual", *_POINT_COORDS], rows)
     worst = maxima.index(max(maxima))  # the first order with the largest residual
     if maxima[worst] >= tol:
         (k, m), pt = orders[worst], argmax[worst]

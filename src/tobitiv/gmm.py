@@ -171,12 +171,8 @@ def _check_rank(M: np.ndarray, param_names) -> float:
     if svals[-1] <= RANK_RTOL * svals[0]:
         _, _, vt = np.linalg.svd(M)
         bad = vt[svals <= RANK_RTOL * svals[0]]
-        combos = []
-        for direction in bad:
-            loading = ", ".join(
-                f"{c:+.3f}*{nm}" for c, nm in zip(direction, param_names) if abs(c) > 1e-3
-            )
-            combos.append(loading)
+        combos = [", ".join(f"{c:+.3f}*{nm}" for c, nm in zip(direction, param_names)
+                            if abs(c) > 1e-3) for direction in bad]
         raise IdentificationError(
             "instrument-regressor cross-moment matrix is rank deficient; "
             "unidentified directions: " + "; ".join(combos),

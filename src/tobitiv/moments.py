@@ -107,9 +107,11 @@ class MomentSystem:
         blocks = self.instrument_blocks
         if len(blocks) == 1:
             return blocks[0]
-        from scipy import linalg as sla
-
-        return sla.block_diag(*blocks)
+        rows, cols = np.cumsum([(0, 0), *(Z.shape for Z in blocks)], axis=0).T
+        dense = np.zeros((rows[-1], cols[-1]), np.result_type(*blocks))
+        for Z, r, c in zip(blocks, rows, cols):
+            dense[r:r + Z.shape[0], c:c + Z.shape[1]] = Z
+        return dense
 
     @property
     def param_names(self) -> list:
@@ -199,13 +201,7 @@ def default_instruments(
     diff = x_t - x_s
     cols = [np.ones((x_t.shape[0], 1)), x_t, x_s, diff, diff**2]
     if z_t is not None:
-        cols += [
-            z_t[:, None],
-            z_s[:, None],
-            (z_t * z_s)[:, None],
-            (z_t**2)[:, None],
-            (z_s**2)[:, None],
-        ]
+        cols += [z[:, None] for z in (z_t, z_s, z_t * z_s, z_t**2, z_s**2)]
     return np.hstack(cols)
 
 
@@ -238,11 +234,8 @@ def pair_product_instruments(x_t: np.ndarray, x_s: np.ndarray) -> np.ndarray:
     single regressor, where the default set is just-identified.
     """
     x_t, x_s = _as_cols(x_t), _as_cols(x_s)
-    prods = [
-        (x_t[:, j] * x_s[:, k])[:, None]
-        for j in range(x_t.shape[1])
-        for k in range(x_s.shape[1])
-    ]
+    prods = [(x_t[:, j] * x_s[:, k])[:, None]
+             for j in range(x_t.shape[1]) for k in range(x_s.shape[1])]
     cols = [np.ones((x_t.shape[0], 1)), x_t, x_s, x_t**2, x_s**2] + prods
     return np.hstack(cols)
 

@@ -266,10 +266,8 @@ def run_replication(
     try:
         dataset = simulate(cfg)
         system = build_estimation_system(dataset, cfg, spec)
-        if isinstance(system, NonlinearMomentSystem):
-            result = nonlinear_gmm(system)
-        else:
-            result = two_stage_least_squares(system)
+        nonlinear = isinstance(system, NonlinearMomentSystem)
+        result = (nonlinear_gmm if nonlinear else two_stage_least_squares)(system)
     except ConfigurationError:
         raise  # the config is at fault, not this replication
     except TobitIVError as exc:
@@ -305,11 +303,8 @@ def summarize(
         n_failed=n_failed,
         mean_estimate=est.mean(axis=0),
         mean_bias=bias,
-        se_of_mean=(
-            est.std(axis=0, ddof=1) / np.sqrt(len(good))
-            if len(good) > 1
-            else np.zeros(est.shape[1])
-        ),
+        se_of_mean=(est.std(axis=0, ddof=1) / np.sqrt(len(good)) if len(good) > 1
+                    else np.zeros(est.shape[1])),
         rmse=np.sqrt(((est - truth) ** 2).mean(axis=0)),
         median_se=np.median(se, axis=0),
         coverage95=covered.mean(axis=0),

@@ -9,6 +9,7 @@ on-disk estimation format.
 
 from __future__ import annotations
 
+import csv
 import json
 import math
 import os
@@ -433,7 +434,40 @@ def censoring_rate(dataset: PanelDataset) -> float:
     return float(np.mean(dataset.y == 0.0))
 
 
-_FMT = "%.17g"
+# The one rule for writing a float as text: 17 significant digits, which read
+# back as the same float64.
+_FLOAT = "%.17g"
+
+
+def format_float(v) -> str:
+    return _FLOAT % v
+
+
+def write_csv(path: str, header, rows) -> None:
+    """The header, then `rows`: a 2-D float array, or rows of plain values in
+    which a float takes the 17-digit rule and None an empty cell."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        if isinstance(rows, np.ndarray):  # one % format per block of rows: no per-cell call
+            line = ",".join([_FLOAT] * rows.shape[1]) + "\n"
+            for block in np.split(rows, range(4096, len(rows), 4096)):
+                fh.write((line * len(block)) % tuple(block.ravel().tolist()))
+        else:
+            writer.writerows([format_float(v) if isinstance(v, float) else v for v in row]
+                             for row in rows)
+
+
+def write_json(path: str, value) -> None:
+    """`value` as indented JSON: a float in the shortest form that reads back
+    as the same float, None as null."""
+    with open(path, "w") as fh:
+        json.dump(value, fh, indent=2)
+        fh.write("\n")
+
+
+# The version of the dataset directory format that save_dataset writes.
+FORMAT_VERSION = 1
 
 
 def _restated(config: PanelConfig) -> dict:
@@ -471,37 +505,33 @@ def save_dataset(dataset: PanelDataset, out_dir: str) -> None:
     os.makedirs(check_output_dir(out_dir), exist_ok=True)
     N, T, K = dataset.n_individuals, dataset.n_periods, dataset.n_regressors
     meta = {
-        "format_version": 1,
+        "format_version": FORMAT_VERSION,
         **_restated(dataset.config),
         "n_drawn": dataset.n_drawn,
         "config": dataset.config.to_dict(),
     }
     if dataset.config.sampling is Sampling.CENSORED:
         meta["censoring_rate"] = censoring_rate(dataset)
-    with open(os.path.join(out_dir, "meta.json"), "w") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-    y_header = ",".join(f"t{t}" for t in range(T))
-    np.savetxt(os.path.join(out_dir, "y.csv"), dataset.y, fmt=_FMT, delimiter=",",
-               header=y_header, comments="", newline="\n")
-    x_header = ",".join(f"x{k}" for k in range(K))
-    np.savetxt(os.path.join(out_dir, "x.csv"), dataset.x.reshape(N * T, K), fmt=_FMT,
-               delimiter=",", header=x_header, comments="", newline="\n")
+    write_json(os.path.join(out_dir, "meta.json"), meta)
+    periods = [f"t{t}" for t in range(T)]
+    write_csv(os.path.join(out_dir, "y.csv"), periods, dataset.y)
+    write_csv(os.path.join(out_dir, "x.csv"), [f"x{k}" for k in range(K)],
+              dataset.x.reshape(N * T, K))
     if dataset.z is not None:
-        np.savetxt(os.path.join(out_dir, "z.csv"), dataset.z, fmt=_FMT, delimiter=",",
-                   header=y_header, comments="", newline="\n")
+        write_csv(os.path.join(out_dir, "z.csv"), periods, dataset.z)
 
 
 def load_dataset(data_dir: str) -> PanelDataset:
     """Read a dataset directory written by :func:`save_dataset`.
 
     The returned dataset carries no latent truth (blind to estimators). Its
-    config must pass `PanelConfig.validate`, each value meta.json restates
-    from it must equal `_restated(config)` in type and value, the tables must
-    be readable, with the shapes the config gives and finite cells, and the
-    outcomes must be >= 0 (censored) or > 0 (truncated); anything else raises
-    ConfigurationError with field "data_dir".
+    config must pass `PanelConfig.validate`. In meta.json, format_version must
+    be FORMAT_VERSION and each value restated from the config must equal
+    `_restated(config)`, both in type and value; n_drawn must be an integer in
+    [N, _TRUNCATION_OVERSAMPLE_CAP * N], exactly N for censored data. The
+    tables must be readable, with the shapes the config gives and finite
+    cells, and the outcomes must be >= 0 (censored) or > 0 (truncated).
+    Anything else raises ConfigurationError with field "data_dir".
     """
     try:
         meta_path = os.path.join(data_dir, "meta.json")
@@ -519,13 +549,20 @@ def load_dataset(data_dir: str) -> PanelDataset:
         raise ConfigurationError(f"bad meta.json in {data_dir}: {exc!r}",
                                  field="data_dir") from None
     restated = _restated(config)
-    for key, want in restated.items():
+    for key, want in {"format_version": FORMAT_VERSION, **restated}.items():
         got = meta.get(key)
         if type(got) is not type(want) or got != want:
             raise ConfigurationError(
-                f"meta.json gives {key}={got!r}, but its config implies {want!r}",
-                field="data_dir")
+                f"meta.json gives {key}={got!r}, but a format-{FORMAT_VERSION} dataset of its "
+                f"config gives {want!r}", field="data_dir")
     N, T, K = config.n_individuals, config.n_periods, config.n_regressors
+    censored = config.sampling is Sampling.CENSORED
+    most = N if censored else _TRUNCATION_OVERSAMPLE_CAP * N  # censored panels draw no extra
+    n_drawn = meta.get("n_drawn")
+    if not (is_int(n_drawn) and N <= n_drawn <= most):
+        raise ConfigurationError(
+            f"meta.json gives n_drawn={n_drawn!r}, but {config.sampling.value} data of {N} "
+            f"individuals draws an integer in [{N}, {most}]", field="data_dir")
 
     def table(name, shape):
         path = os.path.join(data_dir, name)
@@ -546,7 +583,6 @@ def load_dataset(data_dir: str) -> PanelDataset:
         return values
 
     y = table("y.csv", (N, T))
-    censored = config.sampling is Sampling.CENSORED
     n_bad = int(np.count_nonzero(y < 0.0 if censored else y <= 0.0))
     if n_bad:
         raise ConfigurationError(
@@ -558,5 +594,5 @@ def load_dataset(data_dir: str) -> PanelDataset:
         x=table("x.csv", (N * T, K)).reshape(N, T, K),
         z=table("z.csv", (N, T)) if restated["has_z"] else None,
         config=config,
-        n_drawn=meta.get("n_drawn", N),
+        n_drawn=n_drawn,
     )

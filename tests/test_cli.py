@@ -12,7 +12,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tobitiv.cli import _fmt, main
+from tobitiv.cli import main
+from tobitiv.simulate import format_float
 from tobitiv.truncmoments import _full_power_integrals, moment_identity_residual
 
 
@@ -284,11 +285,21 @@ class TestEstimate:
         lambda ds, meta, config: meta.update(has_z=0),
         lambda ds, meta, config: meta.update(n_individuals=500.0),
         lambda ds, meta, config: meta.pop("has_z"),
+        # The values meta.json gives of the file itself.
+        lambda ds, meta, config: meta.update(format_version=99),
+        lambda ds, meta, config: meta.update(format_version=True),
+        lambda ds, meta, config: meta.pop("format_version"),
+        lambda ds, meta, config: meta.update(n_drawn="lots"),
+        lambda ds, meta, config: meta.update(n_drawn=501),  # censored data draws exactly N
+        lambda ds, meta, config: meta.update(n_drawn=500.0),
+        lambda ds, meta, config: meta.pop("n_drawn"),
     ], ids=["one_period", "relabelled_slope_fe", "relabelled_slope_fe_with_z_dist",
             "z_without_slope_fe", "asymmetric_error_cov", "meta_variant", "meta_sampling",
             "meta_variance_fe_truncated", "meta_n_individuals", "meta_n_periods",
             "meta_n_regressors", "meta_has_z_as_int", "meta_n_individuals_as_float",
-            "meta_without_has_z"])
+            "meta_without_has_z", "format_version_99", "format_version_as_bool",
+            "meta_without_format_version", "n_drawn_as_text", "n_drawn_above_censored_n",
+            "n_drawn_as_float", "meta_without_n_drawn"])
     def test_invalid_meta_config_exit_2(self, tmp_path, capsys, edit):
         cfg = sim_config(tmp_path, variant="NonStationary", n_individuals=500,
                          error_cov=[[0.25, 0.1], [0.1, 0.375]])
@@ -394,6 +405,35 @@ class TestMonteCarlo:
         ) == 0
         summ = json.loads((out / "summary.json").read_text())
         assert {s["parameter"] for s in summ} == {"beta0", "sigma2_t0", "sigma2_t1"}
+
+    def test_json_tables_hold_the_csv_values(self, tmp_path):
+        """Each JSON value is a number equal to float() of its CSV cell, or null
+        where the cell is empty; the text columns hold the same strings."""
+        # 12 individuals: 5 of the 30 replications fail, so both tables hold empty cells.
+        panel = json.loads(open(self.mc_config(tmp_path)).read())["panel"]
+        panel.update(n_individuals=12, x_dist={"type": "normal", "mu": 0.0, "sigma": 1.0})
+        cfg = self.mc_config(tmp_path, panel=panel, replications=30, sample_sizes=[12],
+                             master_seed=3)
+        for fmt in ("csv", "json"):
+            assert main(["montecarlo", "--config", cfg, "--out", str(tmp_path / fmt),
+                         "--format", fmt]) == 0
+        nulls = set()
+        for name in ("replications", "summary"):
+            with open(tmp_path / "csv" / f"{name}.csv", newline="") as fh:
+                rows = list(csv.DictReader(fh))
+            records = json.loads((tmp_path / "json" / f"{name}.json").read_text())
+            assert len(records) == len(rows)
+            for record, row in zip(records, rows):
+                assert list(record) == list(row)
+                for key, value in record.items():
+                    if row[key] == "":
+                        assert value is None
+                        nulls.add(key)
+                    elif key in ("parameter", "error"):
+                        assert value == row[key]
+                    elif key != "wall_ms":  # each run times its replications anew
+                        assert type(value) in (int, float) and value == float(row[key])
+        assert {"j_statistic", "error", "est_beta0", "se_beta0"} <= nulls
 
     def test_nonincreasing_sizes_rejected(self, tmp_path, capsys):
         cfg = self.mc_config(tmp_path, sample_sizes=[400, 400])
@@ -773,7 +813,7 @@ class TestVerify:
             for spec in points:
                 if abs(residual[(spec, (k, m))]) > max_abs:
                     max_abs, best = abs(residual[(spec, (k, m))]), spec
-            want.append([str(k), str(m)] + [_fmt(v) for v in (
+            want.append([str(k), str(m)] + [format_float(v) for v in (
                 max_abs, best.mu1, best.mu2, best.sigma1_sq, best.sigma2_sq, best.rho)])
         with open(out / "verification.csv", newline="") as f:
             assert list(csv.reader(f))[1:] == want

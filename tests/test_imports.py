@@ -4,9 +4,10 @@ and only the commands that solve load `scipy.linalg`.
 Only the univariate quadrature oracle needs `scipy.integrate` and
 `scipy.special`, and only a multi-worker Monte Carlo study needs
 `multiprocessing`. `scipy.linalg` is imported by the solver helpers on first
-use, so `import tobitiv`, `simulate` and `verify` run without it, while
-`estimate` and `montecarlo` must load it. Each case runs in a fresh
-interpreter, because this test process has loaded those modules already.
+use, so `import tobitiv`, `simulate`, `verify` and the dense instrument view
+of a stacked system run without it, while `estimate` and `montecarlo` must
+load it. Each case runs in a fresh interpreter, because this test process has
+loaded those modules already.
 """
 
 import json
@@ -66,3 +67,24 @@ def command(name, tmp_path):
 @pytest.mark.parametrize("name", ["import", "simulate", "estimate", "montecarlo", "verify"])
 def test_command_loads_no_quadrature_or_pool_modules(tmp_path, name):
     assert loaded_after(command(name, tmp_path)) == ([SOLVER] if name in SOLVING else [])
+
+
+DENSE_VIEW = f"""
+import sys
+from tobitiv import EstimatorSpec, PanelConfig, build_estimation_system, simulate
+config = PanelConfig(variant="NonStationary", n_individuals=300, n_periods=3, n_regressors=1,
+                     beta=(1.0,), error_cov=((0.25, 0.1, 0.0), (0.1, 0.5, 0.0), (0.0, 0.0, 0.4)),
+                     seed=5)
+system = build_estimation_system(simulate(config), config, EstimatorSpec(orders=((1, 1), (2, 1))))
+assert len(system.instrument_blocks) > 1 and system.instruments.ndim == 2
+print({SOLVER!r} in sys.modules)
+"""
+
+
+def test_dense_instruments_of_a_stacked_system_load_no_solver():
+    proc = subprocess.run(
+        [sys.executable, "-c", DENSE_VIEW],
+        capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False"]

@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.linalg import block_diag
 
 from tobitiv import (
     LinearIndexDist,
@@ -327,6 +328,10 @@ class TestStacking:
             expected[r0 : r0 + Z.shape[0], c0 : c0 + Z.shape[1]] = Z
             r0, c0 = r0 + Z.shape[0], c0 + Z.shape[1]
         assert np.array_equal(stacked.instruments, expected)
+        # It is scipy's block_diag bit for bit, without importing scipy.linalg.
+        dense, scipy_dense = stacked.instruments, block_diag(*stacked.instrument_blocks)
+        assert dense.dtype == scipy_dense.dtype
+        assert np.array_equal(dense.view(np.int64), scipy_dense.view(np.int64))
         # The regressor blocks are the sources' arrays as well; each block's
         # column indices point at its own parameters in the stacked list.
         for W, cols, sub in zip(stacked.regressor_blocks, stacked.regressor_columns, subs):

@@ -1,12 +1,16 @@
 """Simulator tests: determinism, marginal oracles, selection mechanics."""
 
+import io
+import json
 import math
+import os
 import tempfile
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.special import ndtr
 
 from tobitiv import (
@@ -25,7 +29,13 @@ from tobitiv.errors import (
     InsufficientAcceptanceError,
     UnsupportedModeError,
 )
-from tobitiv.simulate import SHAPE_PERIODS, SYSTEM_SHAPES, ModelVariant, Sampling
+from tobitiv.simulate import (
+    SHAPE_PERIODS,
+    SYSTEM_SHAPES,
+    ModelVariant,
+    Sampling,
+    write_csv,
+)
 
 
 def indep_config(**overrides):
@@ -183,6 +193,19 @@ class TestSerialization:
         back = load_dataset(str(tmp_path))
         assert np.array_equal(back.z, ds.z)
 
+    @pytest.mark.parametrize("n_drawn", [39, 40, 4000, 4001])
+    def test_truncated_n_drawn_lies_in_n_to_cap_times_n(self, tmp_path, n_drawn):
+        ds = simulate(indep_config(n_individuals=40, sampling=Sampling.TRUNCATED))
+        save_dataset(ds, str(tmp_path))
+        meta = json.loads((tmp_path / "meta.json").read_text())
+        (tmp_path / "meta.json").write_text(json.dumps(dict(meta, n_drawn=n_drawn)))
+        if 40 <= n_drawn <= 4000:
+            assert load_dataset(str(tmp_path)).n_drawn == n_drawn
+        else:
+            with pytest.raises(ConfigurationError, match="n_drawn") as err:
+                load_dataset(str(tmp_path))
+            assert err.value.field == "data_dir"
+
     def test_config_dict_round_trip(self):
         cfg = indep_config()
         assert PanelConfig.from_dict(cfg.to_dict()) == cfg
@@ -270,3 +293,37 @@ class TestValidation:
         with pytest.raises(ConfigurationError) as err:
             cfg.validate()
         assert err.value.field == "z_dist"
+
+
+# Floats at the edges of the 17-digit rule: signed zeros, subnormals, the largest
+# magnitudes and a tiny normal.
+EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 1e308, -1e308,
+               1.7976931348623157e308, 1e-300]
+
+
+def assert_written_as_savetxt(table):
+    """write_csv gives np.savetxt's bytes, which np.loadtxt reads back bit-exact."""
+    header = [f"c{j}" for j in range(table.shape[1])]
+    want = io.BytesIO()
+    np.savetxt(want, table, fmt="%.17g", delimiter=",", header=",".join(header), comments="",
+               newline="\n")
+    with tempfile.TemporaryDirectory() as out:
+        path = os.path.join(out, "t.csv")
+        write_csv(path, header, table)
+        with open(path, "rb") as fh:
+            assert fh.read() == want.getvalue()
+        back = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    assert np.array_equal(back.view(np.int64), table.view(np.int64))
+
+
+@given(arrays(np.float64, st.tuples(st.integers(1, 30), st.integers(1, 5)),
+              elements=st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                                 st.sampled_from(EDGE_FLOATS))))
+def test_write_csv_matches_savetxt(table):
+    assert_written_as_savetxt(table)
+
+
+def test_write_csv_matches_savetxt_across_row_blocks():
+    rng = np.random.default_rng(0)  # 9000 rows span three of the writer's row blocks
+    scale = 10.0 ** rng.integers(-300, 300, (9000, 3))
+    assert_written_as_savetxt(rng.standard_normal((9000, 3)) * scale)
