@@ -1,8 +1,8 @@
 """Command-line front end.
 
 Subcommands: `simulate`, `estimate`, `montecarlo`, `verify`. Configuration
-is declarative JSON; results are CSV, floats at 17 significant digits, or
-JSON, written by `simulate.write_csv` and `simulate.write_json`. Exit codes:
+is declarative JSON; datasets are `.npy` tables (`simulate.save_dataset`), and
+results CSV, floats at 17 significant digits, or JSON. Exit codes:
 0 success, 2 config or argument error, 3 estimation error or out of memory,
 4 verification failure. Every error path writes a machine-parsable JSON
 object to stderr. Each command checks every section of its config, and its
@@ -13,6 +13,7 @@ first write, so a run that fails leaves none.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -291,6 +292,7 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigurationError(message)
 
 
+@functools.cache  # one parser per process: building it takes about a millisecond
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="tobitiv", description="Censored-panel IV estimation experiments")
     sub = parser.add_subparsers(dest="command", required=True)

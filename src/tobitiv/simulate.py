@@ -4,7 +4,7 @@ Every variant shares the skeleton y*_it = x_it' beta + (fixed-effect term) + e_i
 with jointly normal errors; they differ in how the individual effect enters and
 in the error covariance structure. Latent outcomes and the individual effects
 are retained on the dataset for white-box testing but are excluded from the
-on-disk estimation format.
+on-disk estimation format: meta.json and the `.npy` tables y, x and z.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ import json
 import math
 import os
 import sys
-import warnings
 from dataclasses import MISSING, asdict, astuple, dataclass, field, fields, is_dataclass
 from enum import Enum
 from typing import Optional
@@ -434,28 +433,20 @@ def censoring_rate(dataset: PanelDataset) -> float:
     return float(np.mean(dataset.y == 0.0))
 
 
-# The one rule for writing a float as text: 17 significant digits, which read
-# back as the same float64.
-_FLOAT = "%.17g"
-
-
 def format_float(v) -> str:
-    return _FLOAT % v
+    """The one rule for writing a float as text: 17 significant digits, which
+    read back as the same float64."""
+    return "%.17g" % v
 
 
 def write_csv(path: str, header, rows) -> None:
-    """The header, then `rows`: a 2-D float array, or rows of plain values in
-    which a float takes the 17-digit rule and None an empty cell."""
+    """The header, then `rows` of plain values, in which a float takes the
+    17-digit rule and None an empty cell."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        if isinstance(rows, np.ndarray):  # one % format per block of rows: no per-cell call
-            line = ",".join([_FLOAT] * rows.shape[1]) + "\n"
-            for block in np.split(rows, range(4096, len(rows), 4096)):
-                fh.write((line * len(block)) % tuple(block.ravel().tolist()))
-        else:
-            writer.writerows([format_float(v) if isinstance(v, float) else v for v in row]
-                             for row in rows)
+        writer.writerows([format_float(v) if isinstance(v, float) else v for v in row]
+                         for row in rows)
 
 
 def write_json(path: str, value) -> None:
@@ -467,7 +458,7 @@ def write_json(path: str, value) -> None:
 
 
 # The version of the dataset directory format that save_dataset writes.
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 
 def _restated(config: PanelConfig) -> dict:
@@ -497,13 +488,13 @@ def check_output_dir(path) -> str:
 
 
 def save_dataset(dataset: PanelDataset, out_dir: str) -> None:
-    """Write the estimation input format: meta.json + flat CSVs.
+    """Write the estimation input format: meta.json and the C-ordered float64
+    `.npy` tables y (N x T), x (N x T x K) and, for SlopeFE data, z (N x T).
 
     Latent outcomes and individual effects are test-only and deliberately
     not serialized.
     """
     os.makedirs(check_output_dir(out_dir), exist_ok=True)
-    N, T, K = dataset.n_individuals, dataset.n_periods, dataset.n_regressors
     meta = {
         "format_version": FORMAT_VERSION,
         **_restated(dataset.config),
@@ -513,12 +504,9 @@ def save_dataset(dataset: PanelDataset, out_dir: str) -> None:
     if dataset.config.sampling is Sampling.CENSORED:
         meta["censoring_rate"] = censoring_rate(dataset)
     write_json(os.path.join(out_dir, "meta.json"), meta)
-    periods = [f"t{t}" for t in range(T)]
-    write_csv(os.path.join(out_dir, "y.csv"), periods, dataset.y)
-    write_csv(os.path.join(out_dir, "x.csv"), [f"x{k}" for k in range(K)],
-              dataset.x.reshape(N * T, K))
-    if dataset.z is not None:
-        write_csv(os.path.join(out_dir, "z.csv"), periods, dataset.z)
+    for name in ("y", "x", "z"):  # C-ordered float64, the one form load_dataset reads
+        if (values := getattr(dataset, name)) is not None:
+            np.save(os.path.join(out_dir, f"{name}.npy"), np.ascontiguousarray(values, float))
 
 
 def load_dataset(data_dir: str) -> PanelDataset:
@@ -528,10 +516,10 @@ def load_dataset(data_dir: str) -> PanelDataset:
     config must pass `PanelConfig.validate`. In meta.json, format_version must
     be FORMAT_VERSION and each value restated from the config must equal
     `_restated(config)`, both in type and value; n_drawn must be an integer in
-    [N, _TRUNCATION_OVERSAMPLE_CAP * N], exactly N for censored data. The
-    tables must be readable, with the shapes the config gives and finite
-    cells, and the outcomes must be >= 0 (censored) or > 0 (truncated).
-    Anything else raises ConfigurationError with field "data_dir".
+    [N, _TRUNCATION_OVERSAMPLE_CAP * N], exactly N for censored data. Each
+    table must be np.save's file of a C-ordered float64 array of the shape the
+    config gives, with finite cells; outcomes must be >= 0 (censored) or > 0
+    (truncated). Anything else raises ConfigurationError with field "data_dir".
     """
     try:
         meta_path = os.path.join(data_dir, "meta.json")
@@ -548,6 +536,11 @@ def load_dataset(data_dir: str) -> PanelDataset:
     except (OSError, KeyError, TypeError, ValueError) as exc:
         raise ConfigurationError(f"bad meta.json in {data_dir}: {exc!r}",
                                  field="data_dir") from None
+    if meta.get("format_version") == 1 and is_int(meta["format_version"]):
+        raise ConfigurationError(f"{data_dir} is a format-1 dataset, whose CSV tables are no "
+                                 "longer read; its panel is seeded, so `tobitiv simulate` on the "
+                                 'panel config in its meta.json (a config {"panel": <its '
+                                 '"config">}) writes the same data again', field="data_dir")
     restated = _restated(config)
     for key, want in {"format_version": FORMAT_VERSION, **restated}.items():
         got = meta.get(key)
@@ -565,34 +558,37 @@ def load_dataset(data_dir: str) -> PanelDataset:
             f"individuals draws an integer in [{N}, {most}]", field="data_dir")
 
     def table(name, shape):
-        path = os.path.join(data_dir, name)
+        path = os.path.join(data_dir, f"{name}.npy")
+        # np.save's header for a C-ordered native float64 array of `shape`, padding aside.
+        want = f"{{'descr': {np.dtype(float).str!r}, 'fortran_order': False, 'shape': {shape}, }}"
         try:
-            with warnings.catch_warnings():  # no data rows: the shape check below reports it
-                warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-                values = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-        except OSError as exc:  # numpy's message already names the path
-            raise ConfigurationError(f"cannot read {name}: {exc}", field="data_dir") from None
-        except ValueError as exc:
-            raise ConfigurationError(f"{path}: {exc}", field="data_dir") from None
-        if values.shape != shape:
-            raise ConfigurationError(
-                f"{path} has shape {values.shape}; meta.json implies {shape}",
-                field="data_dir")
+            with open(path, "rb") as fh:
+                magic, length = fh.read(8), fh.read(2)
+                header = fh.read(int.from_bytes(length, "little")).decode("latin1").rstrip()
+                size = os.fstat(fh.fileno()).st_size - fh.tell()  # the data's bytes
+                ok = (magic, header, size) == (b"\x93NUMPY\x01\x00", want, 8 * math.prod(shape))
+                values = np.empty(shape) if ok else None  # allocate no more than the file holds
+                if not ok or fh.readinto(values) != size:
+                    raise ConfigurationError(
+                        f"{path} is not np.save's file of a C-ordered {shape} float64 array: "
+                        f"header {header[:200]!r}, {size} data bytes", field="data_dir")
+        except OSError as exc:  # the message already names the path
+            raise ConfigurationError(f"cannot read {name}.npy: {exc}", field="data_dir") from None
         if not np.isfinite(values).all():
             raise ConfigurationError(f"{path} has non-finite cells", field="data_dir")
         return values
 
-    y = table("y.csv", (N, T))
+    y = table("y", (N, T))
     n_bad = int(np.count_nonzero(y < 0.0 if censored else y <= 0.0))
     if n_bad:
         raise ConfigurationError(
-            f"{os.path.join(data_dir, 'y.csv')} has {n_bad} outcomes "
+            f"{os.path.join(data_dir, 'y.npy')} has {n_bad} outcomes "
             f"{'below 0' if censored else 'at or below 0'} in {config.sampling.value} data",
             field="data_dir")
     return PanelDataset(
         y=y,
-        x=table("x.csv", (N * T, K)).reshape(N, T, K),
-        z=table("z.csv", (N, T)) if restated["has_z"] else None,
+        x=table("x", (N, T, K)),
+        z=table("z", (N, T)) if restated["has_z"] else None,
         config=config,
         n_drawn=n_drawn,
     )

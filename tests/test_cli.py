@@ -4,6 +4,7 @@ import csv
 import importlib.util
 import json
 import os
+import pickle
 import subprocess
 import sys
 import warnings
@@ -12,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tobitiv.cli import main
+from tobitiv.cli import build_parser, main
 from tobitiv.simulate import format_float
 from tobitiv.truncmoments import _full_power_integrals, moment_identity_residual
 
@@ -54,6 +55,50 @@ def assert_config_error(capsys, field):
     assert payload["field"] == field
 
 
+def rewrite_header(path, shape):
+    """The .npy file at `path` with its data bytes kept under a header claiming `shape`."""
+    data = np.load(path).tobytes()
+    with open(path, "wb") as fh:
+        np.lib.format.write_array_header_1_0(
+            fh, {"descr": "<f8", "fortran_order": False, "shape": shape})
+        fh.write(data)
+
+
+def write_version_2(path, values):
+    with open(path, "wb") as fh:
+        np.lib.format.write_array(fh, values, version=(2, 0))
+
+
+def set_cell(path, value):
+    values = np.load(path)
+    values.flat[3] = value
+    np.save(path, values)
+
+
+# Each fault of a dataset table that `estimate` must reject with exit 2: a cut
+# file, a wrong shape, a bad cell, a table that is not float64 or not a .npy
+# array, headers that claim more data than the file holds, and every form but
+# the one `save_dataset` writes (np.save's version-1.0 file of a C-ordered
+# native float64 array, and no more bytes).
+TABLE_DAMAGE = {
+    "truncated_file": lambda p: p.write_bytes(p.read_bytes()[:-12]),
+    "missing_rows": lambda p: np.save(p, np.load(p)[:-5]),
+    "nan_cell": lambda p: set_cell(p, np.nan),
+    "pickled_table": lambda p: p.write_bytes(pickle.dumps(np.load(p).tolist())),
+    "csv_text": lambda p: p.write_text("t0,t1\n1.5,2.5\n"),
+    "int64_table": lambda p: np.save(p, np.load(p).astype(np.int64)),
+    "float32_table": lambda p: np.save(p, np.load(p).astype(np.float32)),
+    "object_table": lambda p: np.save(p, np.load(p).astype(object), allow_pickle=True),
+    "oversized_header_shape": lambda p: rewrite_header(p, (10**12, 2)),
+    "overflowing_header_shape": lambda p: rewrite_header(p, (2**62, 2)),
+    "huge_header_shape": lambda p: rewrite_header(p, (2**70, 2)),
+    "fortran_order_table": lambda p: np.save(p, np.asfortranarray(np.load(p))),
+    "big_endian_table": lambda p: np.save(p, np.load(p).astype(">f8")),
+    "trailing_bytes": lambda p: p.write_bytes(p.read_bytes() + bytes(8)),
+    "version_2_header": lambda p: write_version_2(p, np.load(p)),
+}
+
+
 class Checked(Exception):
     """Raised in place of a command's first piece of work: its input passed every check."""
 
@@ -90,8 +135,9 @@ class TestSimulate:
         out = tmp_path / "ds"
         assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
         assert (out / "meta.json").exists()
-        assert (out / "y.csv").exists()
-        assert (out / "x.csv").exists()
+        assert np.load(out / "y.npy").shape == (200, 2)
+        assert np.load(out / "x.npy").shape == (200, 2, 1)
+        assert not (out / "z.npy").exists()
         assert "censoring rate" in capsys.readouterr().out
 
     def test_deterministic_output(self, tmp_path):
@@ -100,7 +146,7 @@ class TestSimulate:
         assert main(["simulate", "--config", cfg, "--out", str(a)]) == 0
         assert main(["simulate", "--config", cfg, "--out", str(b)]) == 0
         # Every file is byte-identical: a dataset is reproducible from its seed.
-        for name in ("meta.json", "y.csv", "x.csv"):
+        for name in ("meta.json", "y.npy", "x.npy"):
             assert (a / name).read_bytes() == (b / name).read_bytes()
 
     def test_seed_override_changes_data(self, tmp_path):
@@ -108,7 +154,7 @@ class TestSimulate:
         a, b = tmp_path / "a", tmp_path / "b"
         assert main(["simulate", "--config", cfg, "--out", str(a)]) == 0
         assert main(["simulate", "--config", cfg, "--out", str(b), "--seed", "8"]) == 0
-        assert (a / "y.csv").read_bytes() != (b / "y.csv").read_bytes()
+        assert (a / "y.npy").read_bytes() != (b / "y.npy").read_bytes()
 
     def test_invalid_variant_period_combo(self, tmp_path, capsys):
         payload = {
@@ -198,55 +244,67 @@ class TestEstimate:
         assert len(err) == 1
         assert json.loads(err[0])["field"] == "instruments"
 
-    @pytest.mark.parametrize(
-        "damage",
-        [
-            lambda lines: lines[:-1] + [lines[-1].split(",")[0]],  # truncated last row
-            lambda lines: lines[:-5],  # rows missing
-            lambda lines: lines[:3] + ["nan,1.0"] + lines[4:],  # NaN cell
-            lambda lines: lines[:3] + ["abc,1.0"] + lines[4:],  # not a number
-        ],
-        ids=["truncated_row", "missing_rows", "nan_cell", "text_cell"],
-    )
+    @pytest.mark.parametrize("damage", list(TABLE_DAMAGE.values()), ids=list(TABLE_DAMAGE))
     def test_damaged_dataset_exit_2(self, tmp_path, capsys, damage):
         ds = tmp_path / "ds"
         assert main(["simulate", "--config", sim_config(tmp_path), "--out", str(ds)]) == 0
         capsys.readouterr()
-        y = ds / "y.csv"
-        y.write_text("\n".join(damage(y.read_text().splitlines())) + "\n")
+        damage(ds / "y.npy")
         assert main(["estimate", "--data", str(ds), "--out", str(tmp_path / "o")]) == 2
         assert_config_error(capsys, "data_dir")
+        assert not (tmp_path / "o").exists()
 
-    @pytest.mark.parametrize("text", ["t0,t1\n", ""], ids=["header_only", "empty"])
-    def test_y_without_rows_exit_2_without_warning(self, tmp_path, capsys, text):
+    @pytest.mark.parametrize("damage", [
+        lambda y: np.save(y, np.empty((0, 2))),
+        lambda y: y.write_bytes(b""),
+    ], ids=["header_only", "empty"])
+    def test_y_without_rows_exit_2_without_warning(self, tmp_path, capsys, damage):
         ds = tmp_path / "ds"
         assert main(["simulate", "--config", sim_config(tmp_path), "--out", str(ds)]) == 0
         capsys.readouterr()
-        (ds / "y.csv").write_text(text)
+        damage(ds / "y.npy")
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             assert main(["estimate", "--data", str(ds), "--out", str(tmp_path / "o")]) == 2
         assert [str(w.message) for w in caught] == []
         assert_config_error(capsys, "data_dir")
 
-    @pytest.mark.parametrize("sampling, cell", [("Censored", "-0.5"), ("Truncated", "0")])
+    @pytest.mark.parametrize("sampling, cell", [("Censored", -0.5), ("Truncated", 0.0)])
     def test_outcome_outside_sampling_support_exit_2(self, tmp_path, capsys, sampling, cell):
         cfg = sim_config(tmp_path, sampling=sampling)
         ds = tmp_path / "ds"
         assert main(["simulate", "--config", cfg, "--out", str(ds)]) == 0
         capsys.readouterr()
-        y = ds / "y.csv"
-        lines = y.read_text().splitlines()
-        lines[5] = cell + lines[5][lines[5].index(","):]
-        y.write_text("\n".join(lines) + "\n")
+        y = np.load(ds / "y.npy")
+        y[4, 0] = cell
+        np.save(ds / "y.npy", y)
         assert main(["estimate", "--data", str(ds), "--out", str(tmp_path / "o")]) == 2
         assert_config_error(capsys, "data_dir")
         assert not (tmp_path / "o").exists()
 
+    def test_format_1_dataset_exit_2_naming_simulate(self, tmp_path, capsys):
+        """A CSV-era directory fails with the way to rewrite it, and that way works."""
+        ds = tmp_path / "ds"
+        assert main(["simulate", "--config", sim_config(tmp_path), "--out", str(ds)]) == 0
+        meta = json.loads((ds / "meta.json").read_text())
+        (ds / "meta.json").write_text(json.dumps(dict(meta, format_version=1)))
+        capsys.readouterr()
+        assert main(["estimate", "--data", str(ds), "--out", str(tmp_path / "o")]) == 2
+        payload = single_json_line(capsys)
+        assert payload["field"] == "data_dir"
+        for phrase in ("format-1", "CSV tables are no longer read", "tobitiv simulate",
+                       "panel config in its meta.json", "same data"):
+            assert phrase in payload["message"]
+        again = tmp_path / "again"
+        cfg = write_config(tmp_path, "panel.json", {"panel": meta["config"]})
+        assert main(["simulate", "--config", cfg, "--out", str(again)]) == 0
+        for name in ("y.npy", "x.npy"):
+            assert (again / name).read_bytes() == (ds / name).read_bytes()
+
     @pytest.mark.parametrize("damage", [
-        lambda ds: (ds / "y.csv").unlink(),
-        lambda ds: (ds / "x.csv").unlink(),
-        lambda ds: (ds / "z.csv").unlink(),
+        lambda ds: (ds / "y.npy").unlink(),
+        lambda ds: (ds / "x.npy").unlink(),
+        lambda ds: (ds / "z.npy").unlink(),
         lambda ds: ((ds / "meta.json").unlink(), (ds / "meta.json").mkdir()),
     ], ids=["no_y", "no_x", "no_z", "meta_is_directory"])
     def test_unreadable_file_exit_2(self, tmp_path, capsys, damage):
@@ -263,10 +321,8 @@ class TestEstimate:
     def first_period_only(ds, meta, config):
         """The dataset cut to its first period: tables, meta.json and config."""
         meta["n_periods"] = config["n_periods"] = 1
-        for name, step in (("y.csv", 1), ("x.csv", 2)):
-            lines = (ds / name).read_text().splitlines()
-            rows = lines[:1] + lines[1::step]  # the header, then period 0's rows
-            (ds / name).write_text("\n".join(row.split(",")[0] for row in rows) + "\n")
+        for name in ("y.npy", "x.npy"):
+            np.save(ds / name, np.load(ds / name)[:, :1])
 
     @pytest.mark.parametrize("edit", [
         lambda ds, meta, config: TestEstimate.first_period_only(ds, meta, config),
@@ -982,6 +1038,16 @@ class TestArgumentErrors:
         assert main(argv) == 2
         payload = single_json_line(capsys)
         assert payload["error"] == "ConfigurationError" and message in payload["message"]
+
+    def test_one_parser_serves_every_call(self, tmp_path, capsys):
+        assert build_parser() is build_parser()
+        cfg = sim_config(tmp_path)
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "a")]) == 0
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "b"),
+                     "--seed", "8"]) == 0
+        capsys.readouterr()
+        assert main(["simulate", "--config", cfg, "--bogus"]) == 2
+        assert "unrecognized arguments: --bogus" in single_json_line(capsys)["message"]
 
     @pytest.mark.parametrize("argv", [["-h"], ["verify", "-h"]])
     def test_help_exits_0(self, capsys, argv):

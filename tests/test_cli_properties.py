@@ -10,11 +10,13 @@ with a `field` that names it. Sizes drawn inside the valid range stay small
 """
 
 import copy
+import io
 import json
 import shutil
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
@@ -240,7 +242,7 @@ DATASETS = {
     ),
 }
 
-CELLS = ["abc", "", "1e", "--1", "nan", "inf", "-inf", "1e999", "0", "-0.5", "1e300"]
+CELLS = [np.nan, np.inf, -np.inf, 0.0, -0.0, -0.5, 1e300, -1e300, 5e-324]
 META_VALUES = st.one_of(
     st.sampled_from([None, True, False, "text", [], {}, 2.0, 1e400, -1]),
     st.integers(-2, 6),
@@ -250,30 +252,32 @@ META_VALUES = st.one_of(
 
 
 @st.composite
-def table_damage(draw, lines):
-    """One corruption of a CSV table's lines: a cut, a row or column added or
-    dropped, a cell replaced or its sign flipped. Row 0 is the header."""
-    kind = draw(st.sampled_from(["truncate", "add_row", "drop_row", "add_column",
-                                 "drop_column", "cell", "flip_sign"]))
-    row = draw(st.integers(1, len(lines) - 1))
+def table_damage(draw, raw):
+    """One corruption of a .npy table's bytes: a cut at any byte, a flipped
+    header byte, the table rewritten with another shape or dtype, or one cell
+    set to NaN, an infinity or a negative or extreme value."""
+    kind = draw(st.sampled_from(["truncate", "flip_header", "reshape", "dtype", "cell"]))
     if kind == "truncate":
-        text = "\n".join(lines)
-        return text[: draw(st.integers(0, len(text) - 1))]
-    if kind == "add_row":
-        lines = lines[:row] + [lines[row]] + lines[row:]
-    elif kind == "drop_row":
-        lines = lines[:row] + lines[row + 1:]
-    elif kind in ("add_column", "drop_column"):
-        every = draw(st.booleans())  # the whole table, or one row only
-        for i in range(len(lines)) if every else [row]:
-            lines[i] = lines[i] + ",1.5" if kind == "add_column" else lines[i].rpartition(",")[0]
+        return raw[: draw(st.integers(0, len(raw) - 1))]
+    if kind == "flip_header":  # magic, version, length and the header text
+        header_end = 10 + int.from_bytes(raw[8:10], "little")
+        at = draw(st.integers(0, header_end - 1))
+        return raw[:at] + bytes([raw[at] ^ draw(st.integers(1, 255))]) + raw[at + 1:]
+    values = np.load(io.BytesIO(raw))
+    if kind == "reshape":
+        axis = draw(st.integers(0, values.ndim - 1))
+        if draw(st.booleans()):  # one slice more, or one fewer
+            values = np.concatenate([values, values.take([0], axis)], axis)
+        else:
+            values = values.take(range(values.shape[axis] - 1), axis)
+    elif kind == "dtype":
+        values = values.astype(draw(st.sampled_from([np.float32, np.int64, np.complex128,
+                                                     ">f8", object])))
     else:
-        cells = lines[row].split(",")
-        col = draw(st.integers(0, len(cells) - 1))
-        cells[col] = draw(st.sampled_from(CELLS)) if kind == "cell" else (
-            cells[col][1:] if cells[col].startswith("-") else "-" + cells[col])
-        lines[row] = ",".join(cells)
-    return "\n".join(lines) + "\n"
+        values.flat[draw(st.integers(0, values.size - 1))] = draw(st.sampled_from(CELLS))
+    out = io.BytesIO()
+    np.save(out, values, allow_pickle=True)
+    return out.getvalue()
 
 
 @pytest.fixture(scope="module")
@@ -304,13 +308,14 @@ def test_corrupted_dataset_exits_cleanly(base, data, saved_datasets, capsys):
                                              "format_version", "n_drawn"]))
             target = meta["config"] if key.startswith("config.") else meta
             field, value = key.rpartition(".")[2], data.draw(META_VALUES)
-            # Format 1 is the only one, and a censored panel draws exactly its N individuals.
+            # Format 2 is the only one read, and a censored panel draws exactly its N
+            # individuals.
             if key in ("format_version", "n_drawn") and (type(value), value) != (int, meta[key]):
                 expect = 2
             target[field] = value
             path.write_text(json.dumps(meta))
         else:
-            path.write_text(data.draw(table_damage(path.read_text().splitlines())))
+            path.write_bytes(data.draw(table_damage(path.read_bytes())))
         code = main(["estimate", "--data", str(ds), "--out", f"{tmp}/out"])
     assert code == expect if expect is not None else code in (0, 2, 3)
     if code == 0:

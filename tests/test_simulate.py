@@ -1,9 +1,7 @@
 """Simulator tests: determinism, marginal oracles, selection mechanics."""
 
-import io
 import json
 import math
-import os
 import tempfile
 
 import numpy as np
@@ -33,8 +31,8 @@ from tobitiv.simulate import (
     SHAPE_PERIODS,
     SYSTEM_SHAPES,
     ModelVariant,
+    PanelDataset,
     Sampling,
-    write_csv,
 )
 
 
@@ -295,35 +293,37 @@ class TestValidation:
         assert err.value.field == "z_dist"
 
 
-# Floats at the edges of the 17-digit rule: signed zeros, subnormals, the largest
+# Floats at the edges of float64: signed zeros, subnormals, the largest
 # magnitudes and a tiny normal.
 EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 1e308, -1e308,
                1.7976931348623157e308, 1e-300]
 
 
-def assert_written_as_savetxt(table):
-    """write_csv gives np.savetxt's bytes, which np.loadtxt reads back bit-exact."""
-    header = [f"c{j}" for j in range(table.shape[1])]
-    want = io.BytesIO()
-    np.savetxt(want, table, fmt="%.17g", delimiter=",", header=",".join(header), comments="",
-               newline="\n")
+def edge_tables(shape, nonnegative=False):
+    """Finite float64 arrays, edge values included; `nonnegative` drops the
+    values below 0 (-0.0 is not one)."""
+    return arrays(np.float64, shape, elements=st.one_of(
+        st.floats(min_value=0.0 if nonnegative else None, allow_nan=False,
+                  allow_infinity=False),
+        st.sampled_from([v for v in EDGE_FLOATS if v >= 0.0 or not nonnegative])))
+
+
+@given(data=st.data())
+def test_save_load_round_trip_is_bit_exact(data):
+    """Every finite float64 a table can hold, signed zeros included, reads back
+    with the same bits, as a C-ordered float64 array."""
+    N, T, K = data.draw(st.integers(1, 30)), data.draw(st.integers(2, 4)), data.draw(
+        st.integers(1, 3))
+    config = PanelConfig(
+        variant="SlopeFE", n_individuals=N, n_periods=T, n_regressors=K, beta=(1.0,) * K,
+        error_cov=0.5 * np.eye(T), seed=0, z_dist=LogNormalDist(0.0, 0.25))
+    ds = PanelDataset(y=data.draw(edge_tables((N, T), nonnegative=True)),
+                      x=data.draw(edge_tables((N, T, K))), z=data.draw(edge_tables((N, T))),
+                      config=config, n_drawn=N)
     with tempfile.TemporaryDirectory() as out:
-        path = os.path.join(out, "t.csv")
-        write_csv(path, header, table)
-        with open(path, "rb") as fh:
-            assert fh.read() == want.getvalue()
-        back = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    assert np.array_equal(back.view(np.int64), table.view(np.int64))
-
-
-@given(arrays(np.float64, st.tuples(st.integers(1, 30), st.integers(1, 5)),
-              elements=st.one_of(st.floats(allow_nan=False, allow_infinity=False),
-                                 st.sampled_from(EDGE_FLOATS))))
-def test_write_csv_matches_savetxt(table):
-    assert_written_as_savetxt(table)
-
-
-def test_write_csv_matches_savetxt_across_row_blocks():
-    rng = np.random.default_rng(0)  # 9000 rows span three of the writer's row blocks
-    scale = 10.0 ** rng.integers(-300, 300, (9000, 3))
-    assert_written_as_savetxt(rng.standard_normal((9000, 3)) * scale)
+        save_dataset(ds, out)
+        back = load_dataset(out)
+    for name in ("y", "x", "z"):
+        got, want = getattr(back, name), getattr(ds, name)
+        assert got.dtype == np.float64 and got.flags.c_contiguous and got.flags.writeable
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
