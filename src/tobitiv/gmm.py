@@ -200,11 +200,6 @@ def _pivoted_qr(Z: np.ndarray, scale: np.ndarray, mode: str):
     return Q, R[:rank, :rank], np.sort(piv[:rank])
 
 
-def _independent_instrument_columns(Z: np.ndarray) -> np.ndarray:
-    """Indices of a maximal linearly independent instrument subset."""
-    return _pivoted_qr(Z, _column_scale(Z), mode="raw")[2]
-
-
 def _spd_solver(S: np.ndarray):
     """``B -> S^-1 B`` from one Cholesky factor of S, or from its pseudo-inverse
     when S is not positive definite."""
@@ -218,12 +213,13 @@ def _spd_solver(S: np.ndarray):
     return lambda B: sla.cho_solve(factor, B)
 
 
-def _nonsingular_solve(A, B, what: str):
-    """`np.linalg.solve`, reporting an exactly singular A as an IdentificationError."""
+def _nonsingular_solve(A, B, what: str, *what_args):
+    """`np.linalg.solve`, reporting an exactly singular A as an IdentificationError
+    named by ``what.format(*what_args)``, formatted only then."""
     try:
         return np.linalg.solve(A, B)
     except np.linalg.LinAlgError:
-        raise IdentificationError(f"{what} is singular") from None
+        raise IdentificationError(f"{what.format(*what_args)} is singular") from None
 
 
 def two_stage_least_squares(system: MomentSystem) -> LinearIVResult:
@@ -323,12 +319,11 @@ _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 def golden_section(fun, lo: float, hi: float, tol: float = 1e-10, max_iter: int = 200):
-    """Golden-section minimization on [lo, hi]; returns (x, f(x), n_evals)."""
+    """Golden-section minimization on [lo, hi]; returns (x, f(x))."""
     a, b = lo, hi
     c = b - _INV_PHI * (b - a)
     d = a + _INV_PHI * (b - a)
     fc, fd = fun(c), fun(d)
-    evals = 2
     for _ in range(max_iter):
         if b - a <= tol:
             break
@@ -340,23 +335,18 @@ def golden_section(fun, lo: float, hi: float, tol: float = 1e-10, max_iter: int 
             a, c, fc = c, d, fd
             d = a + _INV_PHI * (b - a)
             fd = fun(d)
-        evals += 1
-    x = c if fc < fd else d
-    return x, min(fc, fd), evals
+    return (c, fc) if fc < fd else (d, fd)
 
 
-def _parabolic_refine(fun, x, h):
-    """One quadratic-interpolation step around x with half-width h."""
-    f0, fm, fp = fun(x), fun(x - h), fun(x + h)
-    denom = fp - 2.0 * f0 + fm
+def _parabolic_refine(fun, x, fx, h):
+    """One quadratic-interpolation step around x, where fun is fx, with half-width h."""
+    fm, fp = fun(x - h), fun(x + h)
+    denom = fp - 2.0 * fx + fm
     if denom <= 0.0:
-        return x, f0, 3
-    step = 0.5 * h * (fm - fp) / denom
-    cand = x + np.clip(step, -h, h)
+        return x, fx
+    cand = x + np.clip(0.5 * h * (fm - fp) / denom, -h, h)
     fc = fun(cand)
-    if fc < f0:
-        return cand, fc, 4
-    return x, f0, 4
+    return (cand, fc) if fc < fx else (x, fx)
 
 
 # Settings of the factor-loading search in `nonlinear_gmm`.
@@ -377,7 +367,8 @@ def _whiten_instruments(Z: np.ndarray):
 
 
 def concentrated_linear_solve(system: NonlinearMomentSystem, r: float, Zw, Wmat):
-    """Inner GMM solve of the linear block (beta, a, b) at fixed r.
+    """Inner GMM solve of the linear block (beta, a, b) at fixed r:
+    (theta, objective, gbar, G) with G the moments' Jacobian in (beta, a, b).
 
     With Wmat = I on the whitened instruments this is exactly 2SLS on the
     r-transformed linear system.
@@ -387,9 +378,9 @@ def concentrated_linear_solve(system: NonlinearMomentSystem, r: float, Zw, Wmat)
     G = Zw.T @ X / n
     gd = Zw.T @ dep / n
     theta = _nonsingular_solve(G.T @ (Wmat @ G), G.T @ (Wmat @ gd),
-                               f"the linear block's GMM matrix at r = {r:.6g}")
+                               "the linear block's GMM matrix at r = {:.6g}", r)
     gbar = gd - G @ theta
-    return theta, float(gbar @ (Wmat @ gbar)), gbar
+    return theta, float(gbar @ (Wmat @ gbar)), gbar, G
 
 
 def nonlinear_gmm(system: NonlinearMomentSystem) -> NonlinearGMMResult:
@@ -400,29 +391,30 @@ def nonlinear_gmm(system: NonlinearMomentSystem) -> NonlinearGMMResult:
     golden section, then one quadratic-interpolation refinement) with a
     closed-form inner solve. Step one weights with the identity on whitened
     instruments (equivalent to 2SLS); step two reweights with the inverse
-    clustered moment covariance from step one.
+    clustered moment covariance from step one. Each search solves each point
+    once, and `iterations` counts the distinct points solved over both.
     """
     # The model parts at r = 1 stand for those at every r in the bracket.
     with np.errstate(over="ignore", invalid="ignore"):
         parts = system.shared_linear_parts(1.0)
-    _finite_column_scales("instruments or model parts", system.instruments, *parts)
+    z_scale, *_ = _finite_column_scales("instruments or model parts", system.instruments, *parts)
     n = system.n_rows
-    Z = system.instruments[:, _independent_instrument_columns(system.instruments)]
+    Z = system.instruments[:, _pivoted_qr(system.instruments, z_scale, "raw")[2]]
     q = Z.shape[1]
     p = len(system.param_names)
     K = system.x_t.shape[1]
     if n < p:
         raise InsufficientObservationsError(f"{n} rows for {p} parameters")
     Zw = _whiten_instruments(Z)
-    evals = 0
 
     def _search(Wmat, r_hint=None):
-        nonlocal evals
+        """The minimising r, the inner solve there, and the number of points solved."""
+        solved = {}  # log r -> concentrated_linear_solve at r = exp(log r)
 
         def obj(log_r):
-            nonlocal evals
-            evals += 1
-            return concentrated_linear_solve(system, math.exp(log_r), Zw, Wmat)[1]
+            if log_r not in solved:
+                solved[log_r] = concentrated_linear_solve(system, math.exp(log_r), Zw, Wmat)
+            return solved[log_r][1]
 
         lo, hi = (math.log(b) for b in R_BRACKET)
         grid = list(np.linspace(lo, hi, N_GRID))
@@ -435,14 +427,13 @@ def nonlinear_gmm(system: NonlinearMomentSystem) -> NonlinearGMMResult:
                 f"objective is minimized at the bracket edge r = "
                 f"{math.exp(grid[i_min]):.4g} of the search interval {R_BRACKET}"
             )
-        x, _, _ = golden_section(obj, grid[i_min - 1], grid[i_min + 1], tol=SEARCH_TOL)
-        x, fx, _ = _parabolic_refine(obj, x, max(10.0 * SEARCH_TOL, 1e-9))
-        return math.exp(x), fx
+        x, fx = golden_section(obj, grid[i_min - 1], grid[i_min + 1], tol=SEARCH_TOL)
+        x, _ = _parabolic_refine(obj, x, fx, max(10.0 * SEARCH_TOL, 1e-9))
+        return math.exp(x), solved[x], len(solved)
 
     # step 1: 2SLS-equivalent weighting (the identity)
     identity = np.eye(q)
-    r1, _ = _search(identity)
-    theta_lin1, _, _ = concentrated_linear_solve(system, r1, Zw, identity)
+    r1, (theta_lin1, *_), n_solved1 = _search(identity)
 
     def _full_theta(r, theta_lin):
         return np.concatenate([theta_lin[:K], [r], theta_lin[K:]])
@@ -458,8 +449,7 @@ def nonlinear_gmm(system: NonlinearMomentSystem) -> NonlinearGMMResult:
     S1 = _clustered_S(_full_theta(r1, theta_lin1))
     W2 = _spd_solver(S1)(np.eye(q))
     W2 = 0.5 * (W2 + W2.T)
-    r2, obj2 = _search(W2, r1)
-    theta_lin2, _, gbar = concentrated_linear_solve(system, r2, Zw, W2)
+    r2, (theta_lin2, obj2, gbar, G_lin), n_solved2 = _search(W2, r1)
     theta = _full_theta(r2, theta_lin2)
 
     def gbar_at(th):
@@ -493,10 +483,10 @@ def nonlinear_gmm(system: NonlinearMomentSystem) -> NonlinearGMMResult:
         covariance=covariance,
         n_rows=n,
         n_clusters=clusters.count,
-        condition_number=float(np.linalg.cond(Zw.T @ system.shared_linear_parts(r2)[1] / n)),
+        condition_number=float(np.linalg.cond(G_lin)),
         j_statistic=j_stat,
         j_dof=max(q - p, 0),
         converged=bool(np.linalg.norm(grad) < GRAD_TOL),
-        iterations=evals,
+        iterations=n_solved1 + n_solved2,
         objective_value=float(n * obj2),
     )

@@ -353,6 +353,14 @@ def _pair_arrays(dataset: PanelDataset, t: int, s: int):
     return idx, y_t, y_s, dataset.x[idx, t, :], dataset.x[idx, s, :]
 
 
+def _pair_row(y_t, y_s, x_t, x_s, k: int, m: int):
+    """The terms of the pairwise identity (`build_pairwise_nonstationary`) at
+    order (k, m): its dependent, its beta block, and its d_t and d_s columns."""
+    dep = y_t ** (k + 1) * y_s**m - y_s ** (m + 1) * y_t**k
+    beta_block = (y_t**k * y_s**m)[:, None] * (x_t - x_s)
+    return dep, beta_block, k * y_t ** (k - 1) * y_s**m, -m * y_s ** (m - 1) * y_t**k
+
+
 def build_pairwise_independent(
     dataset: PanelDataset, t: int, s: int, instruments: str = "default"
 ) -> MomentSystem:
@@ -400,16 +408,9 @@ def build_pairwise_nonstationary_orders(
     params = _beta_params(x_t.shape[1]) + [Param("dvar", (t, s)), Param("dvar", (s, t))]
     systems = []
     for k, m in orders:
-        dep = y_t ** (k + 1) * y_s**m - y_s ** (m + 1) * y_t**k
-        reg = np.column_stack(
-            [
-                (y_t**k * y_s**m)[:, None] * (x_t - x_s),
-                k * y_t ** (k - 1) * y_s**m,
-                -m * y_s ** (m - 1) * y_t**k,
-            ]
-        )
+        dep, *reg = _pair_row(y_t, y_s, x_t, x_s, k, m)
         # Each its own params list: build_pairwise_independent renames two.
-        systems.append(MomentSystem.one_block(dep, reg, Z, idx, list(params)))
+        systems.append(MomentSystem.one_block(dep, np.column_stack(reg), Z, idx, list(params)))
     return systems
 
 
@@ -429,18 +430,15 @@ def build_factor_loading(
     )
 
 
-def _cyclic_parts(y_t, y_s, y_tau, x, t, s, tau):
-    dep = (
-        (y_t**2 * y_s - y_s**2 * y_t)
-        + (y_s**2 * y_tau - y_tau**2 * y_s)
-        + (y_tau**2 * y_t - y_t**2 * y_tau)
+def _cyclic_parts(y, x, periods):
+    """The dependent and beta block of a triple: its k = m = 1 pair rows summed
+    over the cycle (t, s), (s, tau), (tau, t), in that order. The variance
+    terms cancel around the cycle, so the d_t and d_s columns drop out."""
+    (d1, b1, *_), (d2, b2, *_), (d3, b3, *_) = (
+        _pair_row(y[a], y[b], x[:, periods[a], :], x[:, periods[b], :], 1, 1)
+        for a, b in ((0, 1), (1, 2), (2, 0))
     )
-    beta_block = (
-        (y_t * y_s)[:, None] * (x[:, t, :] - x[:, s, :])
-        + (y_s * y_tau)[:, None] * (x[:, s, :] - x[:, tau, :])
-        + (y_tau * y_t)[:, None] * (x[:, tau, :] - x[:, t, :])
-    )
-    return dep, beta_block
+    return d1 + d2 + d3, b1 + b2 + b3
 
 
 def _triple_instruments(x, t, s, tau):
@@ -457,9 +455,9 @@ def build_triple_variance_fe(
     dataset: PanelDataset, t: int, s: int, tau: int, instruments: str = "default"
 ) -> MomentSystem:
     """Triple-difference rows in which individual-specific variances cancel."""
-    idx, y_t, y_s, y_tau = _positive_rows(dataset, "triples", t, s, tau)
+    idx, *y = _positive_rows(dataset, "triples", t, s, tau)
     x = dataset.x[idx]
-    dep, beta_block = _cyclic_parts(y_t, y_s, y_tau, x, t, s, tau)
+    dep, beta_block = _cyclic_parts(y, x, (t, s, tau))
     return MomentSystem.one_block(
         dep, beta_block, instrument_set("triple", instruments)(x, t, s, tau), idx,
         _beta_params(x.shape[2]),
@@ -486,10 +484,10 @@ def build_triple_additive_variance(
     imposed as the normalization. The reported parameters are the contrasts
     sigma_s^2 - sigma_tau^2 and sigma_t^2 - sigma_tau^2.
     """
-    idx, y_t, y_s, y_tau = _positive_rows(dataset, "triples", t, s, tau)
+    idx, *y = _positive_rows(dataset, "triples", t, s, tau)
     x = dataset.x[idx]
-    dep, beta_block = _cyclic_parts(y_t, y_s, y_tau, x, t, s, tau)
-    raw = additive_variance_regressors(y_t, y_s, y_tau)
+    dep, beta_block = _cyclic_parts(y, x, (t, s, tau))
+    raw = additive_variance_regressors(*y)
     reg = np.column_stack([beta_block, raw[:, 0], raw[:, 1]])
     return MomentSystem.one_block(
         dep, reg, instrument_set("triple", instruments)(x, t, s, tau), idx,

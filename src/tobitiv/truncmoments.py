@@ -268,8 +268,10 @@ def _weighted_density_grid(spec: BivariateNormalSpec, pps: int):
 
     Returns ``(u1, u2, weighted)``. The grid is built in one buffer in place,
     by the same steps in the same order as the textbook expression
-    ``w1 * exp(-0.5 * (z1^2 - 2 rho z1 z2 + z2^2) / (1 - rho^2)) / c * w2``,
-    so every entry has the bits that expression gives.
+    ``exp(-0.5 * (z1*z1 - 2*rho*z1*z2 + z2*z2) / (1 - rho*rho)) / c * w1 * w2``
+    with ``c = 2 pi sigma1 sigma2 sqrt(1 - rho^2)``, so every entry has the
+    bits that expression gives: scaling by -0.5 before or after the division
+    is exact, as a power of two.
     """
     s1, s2, rho = spec.sigma1, spec.sigma2, spec.rho
     u1, w1 = _axis_nodes(spec.mu1, s1, pps)
@@ -281,8 +283,7 @@ def _weighted_density_grid(spec: BivariateNormalSpec, pps: int):
     grid = np.multiply.outer(2.0 * rho * z1, z2)
     np.subtract((z1 * z1)[:, None], grid, out=grid)
     grid += z2 * z2
-    grid /= one_minus_r2
-    grid *= -0.5
+    grid /= -2.0 * one_minus_r2
     np.exp(grid, out=grid)
     grid /= 2.0 * math.pi * s1 * s2 * math.sqrt(one_minus_r2)
     grid *= w1[:, None]

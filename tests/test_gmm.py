@@ -28,7 +28,8 @@ from tobitiv.errors import (
     NotApplicableError,
 )
 from tobitiv.gmm import (
-    _independent_instrument_columns,
+    _column_scale,
+    _pivoted_qr,
     _whiten_instruments,
     concentrated_linear_solve,
     golden_section,
@@ -148,9 +149,14 @@ class TestJTest:
 
 class TestGoldenSection:
     def test_quadratic_minimum(self):
-        x, fx, _ = golden_section(lambda t: (t - 1.3) ** 2, 0.0, 4.0, tol=1e-12)
+        x, fx = golden_section(lambda t: (t - 1.3) ** 2, 0.0, 4.0, tol=1e-12)
         assert x == pytest.approx(1.3, abs=1e-6)
         assert fx == pytest.approx(0.0, abs=1e-12)
+
+
+def independent_columns(Z):
+    """The instrument columns that `nonlinear_gmm` keeps: a maximal independent subset."""
+    return _pivoted_qr(Z, _column_scale(Z), "raw")[2]
 
 
 def factor_loading_panel(loadings, seed, n=20_000):
@@ -175,11 +181,11 @@ class TestNonlinearGMM:
         # At fixed r the inner solve equals direct 2SLS on the transformed
         # linear system.
         _, sys_ = factor_loading_panel((1.0, 1.5), seed=10, n=3000)
-        Z = sys_.instruments[:, _independent_instrument_columns(sys_.instruments)]
+        Z = sys_.instruments[:, independent_columns(sys_.instruments)]
         Zw = _whiten_instruments(Z)
         W = np.eye(Zw.shape[1])
         for r in (0.7, 1.0, 1.5):
-            theta, _, _ = concentrated_linear_solve(sys_, r, Zw, W)
+            theta, *_ = concentrated_linear_solve(sys_, r, Zw, W)
             dep, X = sys_.linear_parts(r)
             direct = two_stage_least_squares(
                 MomentSystem.one_block(
@@ -212,6 +218,20 @@ class TestNonlinearGMM:
         assert res.objective_value >= 0.0
         assert res.iterations > 0
         assert res.j_statistic is not None and res.j_statistic >= 0.0
+
+    def test_iterations_count_each_inner_solve_once(self, monkeypatch):
+        # Every point of both searches is solved once, the minimisers included:
+        # `iterations` is the number of inner solves, and no r is solved twice.
+        _, sys_ = factor_loading_panel((1.0, 1.5), seed=13, n=4000)
+        solved = []
+
+        def counting_solve(system, r, Zw, Wmat):
+            solved.append((r, Wmat.tobytes()))
+            return concentrated_linear_solve(system, r, Zw, Wmat)
+
+        monkeypatch.setattr("tobitiv.gmm.concentrated_linear_solve", counting_solve)
+        res = nonlinear_gmm(sys_)
+        assert res.iterations == len(solved) == len(set(solved))
 
     def test_result_dict_keys(self):
         _, sys_ = factor_loading_panel((1.0, 1.5), seed=13, n=4000)

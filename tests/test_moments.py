@@ -225,6 +225,45 @@ class TestTriples:
             build_triple_variance_fe(self.ds, 0, 1, 1)
 
 
+def random_positive_panel(seed, n=300, T=4, K=2):
+    """Outcomes in [0.2, 3] with about a tenth censored to 0, and normal regressors."""
+    rng = np.random.default_rng(seed)
+    y = rng.uniform(0.2, 3.0, (n, T)) * (rng.uniform(size=(n, T)) > 0.1)
+    return toy_dataset(y, rng.normal(size=(n, T, K)))
+
+
+class TestRowsBitForBit:
+    """Every fixed-effects row has the bits of its textbook expression: the pair
+    identity at order (k, m), and the triple's cycle of k = m = 1 pair rows."""
+
+    @pytest.mark.parametrize("k, m", [(1, 1), (1, 2), (2, 1), (3, 2)])
+    def test_pair_rows(self, k, m):
+        ds = random_positive_panel(5)
+        t, s = 2, 0
+        sys_ = build_pairwise_nonstationary(ds, t, s, k, m)
+        rows = np.flatnonzero((ds.y[:, t] > 0) & (ds.y[:, s] > 0))
+        yt, ys, xt, xs = ds.y[rows, t], ds.y[rows, s], ds.x[rows, t], ds.x[rows, s]
+        want = np.column_stack([(yt**k * ys**m)[:, None] * (xt - xs),
+                                k * yt ** (k - 1) * ys**m, -m * ys ** (m - 1) * yt**k])
+        assert np.array_equal(sys_.dependent, yt ** (k + 1) * ys**m - ys ** (m + 1) * yt**k)
+        assert np.array_equal(sys_.regressor_blocks[0], want)
+
+    @pytest.mark.parametrize("build", [build_triple_variance_fe, build_triple_additive_variance])
+    def test_triple_rows(self, build):
+        ds = random_positive_panel(6)
+        t, s, tau = 3, 0, 2
+        sys_ = build(ds, t, s, tau)
+        rows = np.flatnonzero(np.all(ds.y[:, [t, s, tau]] > 0, axis=1))
+        yt, ys, ytau = ds.y[rows, t], ds.y[rows, s], ds.y[rows, tau]
+        xt, xs, xtau = ds.x[rows, t], ds.x[rows, s], ds.x[rows, tau]
+        dep = ((yt**2 * ys - ys**2 * yt) + (ys**2 * ytau - ytau**2 * ys)
+               + (ytau**2 * yt - yt**2 * ytau))
+        beta_block = ((yt * ys)[:, None] * (xt - xs) + (ys * ytau)[:, None] * (xs - xtau)
+                      + (ytau * yt)[:, None] * (xtau - xt))
+        assert np.array_equal(sys_.dependent, dep)
+        assert np.array_equal(sys_.regressor_blocks[0][:, :2], beta_block)
+
+
 class TestSlopeFE:
     def test_substitution(self):
         ds = toy_dataset(

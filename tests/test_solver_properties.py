@@ -24,13 +24,12 @@ from tobitiv import (
 )
 from tobitiv.gmm import (
     _column_scale,
-    _independent_instrument_columns,
     _whiten_instruments,
     concentrated_linear_solve,
 )
 
 from dense import dense_regressors
-from test_gmm import factor_loading_panel
+from test_gmm import factor_loading_panel, independent_columns
 
 REL = 1e-10
 
@@ -221,7 +220,7 @@ def test_cluster_covariance_and_j_match_dense_indicator_formulas():
         gbar = g - G @ theta2
         J = n * gbar @ S_inv @ gbar
 
-        kept = _independent_instrument_columns(system.instruments)
+        kept = independent_columns(system.instruments)
         Zs = system.instruments[:, kept] / _column_scale(system.instruments)[kept]
         cross = Zs.T @ (W / _column_scale(W)) / n
 
@@ -243,13 +242,13 @@ def objective_from_linear_parts(system, r, Zw, Wmat):
     WG = Wmat @ G
     theta = np.linalg.solve(G.T @ WG, G.T @ (Wmat @ gd))
     gbar = gd - G @ theta
-    return theta, float(gbar @ (Wmat @ gbar)), gbar
+    return theta, float(gbar @ (Wmat @ gbar)), gbar, G
 
 
 def test_cached_objective_equals_linear_parts_bit_for_bit():
     _, system = factor_loading_panel((1.0, 1.5), seed=14, n=4000)
     Zw = _whiten_instruments(
-        system.instruments[:, _independent_instrument_columns(system.instruments)]
+        system.instruments[:, independent_columns(system.instruments)]
     )
     q = Zw.shape[1]
     A = np.random.default_rng(3).normal(size=(q, q))
@@ -261,6 +260,7 @@ def test_cached_objective_equals_linear_parts_bit_for_bit():
             assert np.array_equal(got[0], want[0])
             assert got[1] == want[1]
             assert np.array_equal(got[2], want[2])
+            assert np.array_equal(got[3], want[3])
 
 
 def test_linear_parts_returns_fresh_arrays():

@@ -24,6 +24,7 @@ from tobitiv.errors import (
     InsufficientAcceptanceError,
     UnsupportedOrderError,
 )
+from test_acceptance import random_bivariate_points
 from tobitiv.truncmoments import (
     MAX_TOTAL_ORDER,
     _axis_nodes,
@@ -319,6 +320,22 @@ def test_full_order_integrals_match_a_long_double_product(spec, pps):
     got = _full_power_integrals(spec, pps)
     assert np.all(want > 0.0)
     assert np.max(np.abs(got - want) / want) < FULL_ORDER_REL_BOUND
+
+
+@pytest.mark.parametrize("pps", [1, 2])
+def test_density_grid_has_the_bits_of_its_textbook_expression(pps):
+    for spec in random_bivariate_points(20260823, 50):  # the criterion-1 points
+        s1, s2, rho = spec.sigma1, spec.sigma2, spec.rho
+        u1, w1 = _axis_nodes(spec.mu1, s1, pps)
+        u2, w2 = _axis_nodes(spec.mu2, s2, pps)
+        z1 = ((u1 - spec.mu1) / s1)[:, None]
+        z2 = (u2 - spec.mu2) / s2
+        c = 2.0 * math.pi * s1 * s2 * math.sqrt(1.0 - rho * rho)
+        want = (np.exp(-0.5 * (z1 * z1 - 2.0 * rho * z1 * z2 + z2 * z2) / (1.0 - rho * rho))
+                / c * w1[:, None] * w2)
+        got_u1, got_u2, got = _weighted_density_grid(spec, pps)
+        assert np.array_equal(got_u1, u1) and np.array_equal(got_u2, u2)
+        assert np.array_equal(got, want)
 
 
 class TestOverflow:
