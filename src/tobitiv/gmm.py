@@ -15,9 +15,11 @@ moments Gc (clusters x instruments) are summed block by block, each block
 over its own rows into its own columns, so no zero-padded matrix, nor any
 other n-by-q or n-by-p matrix, is formed. Each block's rows are grouped by
 cluster at most once per solve, and the one Gc serves both the covariance
-and J. Both solvers reject input that is not finite, or whose squares
-overflow, before any arithmetic. The helpers that factorise import
-``scipy.linalg`` on first use, so importing this module loads only numpy.
+and J. The factor-loading GMM prunes with the same QR and shares 2SLS's
+instrument-count and rank checks, cluster sums and sandwich. Both solvers
+reject input that is not finite, or whose squares overflow, before any
+arithmetic. The helpers that factorise import ``scipy.linalg`` on first use,
+so importing this module loads only numpy.
 """
 
 from __future__ import annotations
@@ -181,8 +183,8 @@ def _check_rank(M: np.ndarray, param_names) -> float:
     return float(svals[0] / svals[-1])
 
 
-def _pivoted_qr(Z: np.ndarray, scale: np.ndarray, mode: str):
-    """Pivoted QR of the rescaled instruments: (Q or raw factors, R11, kept columns).
+def _pivoted_qr(Z: np.ndarray, scale: np.ndarray):
+    """Economic pivoted QR of the rescaled instruments: (Q, R11, kept columns).
 
     The default instrument list is deliberately redundant (x_t - x_s lies in
     the span of x_t and x_s); the projection space is unchanged by pruning,
@@ -194,7 +196,7 @@ def _pivoted_qr(Z: np.ndarray, scale: np.ndarray, mode: str):
     from scipy import linalg as sla
 
     Zs = np.divide(Z, scale, order="F")  # LAPACK's layout, factorised in place
-    Q, R, piv = sla.qr(Zs, mode=mode, pivoting=True, overwrite_a=True)
+    Q, R, piv = sla.qr(Zs, mode="economic", pivoting=True, overwrite_a=True)
     diag = np.abs(np.diag(R))
     rank = int(np.sum(diag > RANK_RTOL * diag[0])) if diag.size else 0
     return Q, R[:rank, :rank], np.sort(piv[:rank])
@@ -220,6 +222,14 @@ def _nonsingular_solve(A, B, what: str, *what_args):
         return np.linalg.solve(A, B)
     except np.linalg.LinAlgError:
         raise IdentificationError(f"{what.format(*what_args)} is singular") from None
+
+
+def _sandwich(G: np.ndarray, GW: np.ndarray, Hc: np.ndarray) -> np.ndarray:
+    """Sandwich A^-1 GW Hc'Hc GW' A^-1 = M M' with bread A = GW G, per-cluster
+    moments Hc and M = A^-1 GW Hc': the solve takes one right-hand side per
+    instrument, not one per cluster, and M M' is symmetric by construction."""
+    M = _nonsingular_solve(GW @ G, GW, "the moment Jacobian's GMM matrix") @ Hc.T
+    return M @ M.T
 
 
 def two_stage_least_squares(system: MomentSystem) -> LinearIVResult:
@@ -250,7 +260,7 @@ def two_stage_least_squares(system: MomentSystem) -> LinearIVResult:
     for Z, scale in zip(distinct, z_scales):
         # RMS over all n rows, as in the dense matrix: every column has norm
         # sqrt(n), so pivots and the rank threshold match one QR of it.
-        Q, R, _ = _pivoted_qr(Z, scale * math.sqrt(Z.shape[0] / n), "economic")
+        Q, R, _ = _pivoted_qr(Z, scale * math.sqrt(Z.shape[0] / n))
         # The first rank columns of Q are an orthonormal basis of the kept columns' span.
         bases[id(Z)] = Q[:, : R.shape[0]], R
 
@@ -277,10 +287,7 @@ def two_stage_least_squares(system: MomentSystem) -> LinearIVResult:
     u = system.residuals(estimates)
 
     Gc = _block_cluster_sums(system.cluster, block_rows, Qs, u)  # moments in the Q basis
-    # Sandwich A^-1 H'H A^-1 = M M' with bread A = QtW'QtW, meat rows H = Gc QtW
-    # and M = A^-1 QtW' Gc': the solve takes q right-hand sides, not one per cluster.
-    M = np.linalg.solve(QtW.T @ QtW, QtW.T) @ Gc.T
-    covariance = (M @ M.T) / np.outer(dW, dW)
+    covariance = _sandwich(QtW, QtW.T, Gc) / np.outer(dW, dW)
 
     j_stat = None
     if q > p:
@@ -399,12 +406,14 @@ def nonlinear_gmm(system: NonlinearMomentSystem) -> NonlinearGMMResult:
         parts = system.shared_linear_parts(1.0)
     z_scale, *_ = _finite_column_scales("instruments or model parts", system.instruments, *parts)
     n = system.n_rows
-    Z = system.instruments[:, _pivoted_qr(system.instruments, z_scale, "raw")[2]]
-    q = Z.shape[1]
-    p = len(system.param_names)
+    p = len(system.params)
     K = system.x_t.shape[1]
     if n < p:
         raise InsufficientObservationsError(f"{n} rows for {p} parameters")
+    Z = system.instruments[:, _pivoted_qr(system.instruments, z_scale)[2]]
+    q = Z.shape[1]
+    if q < p:
+        raise IdentificationError(f"{q} instruments for {p} parameters")
     Zw = _whiten_instruments(Z)
 
     def _search(Wmat, r_hint=None):
@@ -431,25 +440,19 @@ def nonlinear_gmm(system: NonlinearMomentSystem) -> NonlinearGMMResult:
         x, _ = _parabolic_refine(obj, x, fx, max(10.0 * SEARCH_TOL, 1e-9))
         return math.exp(x), solved[x], len(solved)
 
-    # step 1: 2SLS-equivalent weighting (the identity)
-    identity = np.eye(q)
-    r1, (theta_lin1, *_), n_solved1 = _search(identity)
-
     def _full_theta(r, theta_lin):
         return np.concatenate([theta_lin[:K], [r], theta_lin[K:]])
 
-    clusters = _Clusters(system.cluster)
-
-    def _clustered_S(theta_full):
-        xi = system.residuals(theta_full)
-        Hc = clusters.sums(Zw * xi[:, None])
-        return Hc.T @ Hc / n
+    # step 1: 2SLS-equivalent weighting (the identity)
+    r1, (theta_lin1, *_), n_solved1 = _search(np.eye(q))
 
     # step 2: efficient weighting
-    S1 = _clustered_S(_full_theta(r1, theta_lin1))
-    W2 = _spd_solver(S1)(np.eye(q))
+    xi1 = system.residuals(_full_theta(r1, theta_lin1))
+    Hc1 = _block_cluster_sums(system.cluster, [slice(None)], [Zw], xi1)  # one row block
+    W2 = _spd_solver(Hc1.T @ Hc1 / n)(np.eye(q))
     W2 = 0.5 * (W2 + W2.T)
     r2, (theta_lin2, obj2, gbar, G_lin), n_solved2 = _search(W2, r1)
+    cond = _check_rank(G_lin, [prm.name for prm in system.params if prm.kind != "r"])
     theta = _full_theta(r2, theta_lin2)
 
     def gbar_at(th):
@@ -464,28 +467,23 @@ def nonlinear_gmm(system: NonlinearMomentSystem) -> NonlinearGMMResult:
         tm[j] -= step
         G[:, j] = (gbar_at(tp) - gbar_at(tm)) / (2.0 * step)
 
-    S = _clustered_S(theta)
+    Hc = _block_cluster_sums(system.cluster, [slice(None)], [Zw], system.residuals(theta))
     GW = G.T @ W2
-    try:
-        bread = np.linalg.inv(GW @ G)
-    except np.linalg.LinAlgError:
-        raise IdentificationError("the moment Jacobian's GMM matrix is singular") from None
-    meat = GW @ S @ GW.T
-    covariance = bread @ meat @ bread / n
-    covariance = 0.5 * (covariance + covariance.T)
+    # S = Hc'Hc/n, and the estimates' covariance is the sandwich over S divided by n.
+    covariance = _sandwich(G, GW, Hc) / n**2
 
     grad = 2.0 * GW @ gbar
-    j_stat = float(n * gbar @ _spd_solver(S)(gbar)) if q > p else None
+    j_stat = float(n * gbar @ _spd_solver(Hc.T @ Hc / n)(gbar)) if q > p else None
 
     return NonlinearGMMResult(
         params=list(system.params),
         estimates=theta,
         covariance=covariance,
         n_rows=n,
-        n_clusters=clusters.count,
-        condition_number=float(np.linalg.cond(G_lin)),
+        n_clusters=Hc.shape[0],
+        condition_number=cond,
         j_statistic=j_stat,
-        j_dof=max(q - p, 0),
+        j_dof=q - p,
         converged=bool(np.linalg.norm(grad) < GRAD_TOL),
         iterations=n_solved1 + n_solved2,
         objective_value=float(n * obj2),

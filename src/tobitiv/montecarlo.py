@@ -81,6 +81,15 @@ _SPEC_RULES = {"cross_section_order": (lambda v: is_int(v) and 1 <= v < MAX_TOTA
 # Variants whose system is built from one pair (the first of `pairs`).
 _SINGLE_PAIR = (ModelVariant.FACTOR_LOADING, ModelVariant.SLOPE_FE)
 
+# Estimator fields that only these variants' rows read; every variant reads
+# `instruments`. Any other variant must leave the field at its default.
+_VARIANT_ONLY_FIELDS = {
+    "pairs": tuple(v for v, shape in SYSTEM_SHAPES.items() if shape == "pair"),
+    "orders": (ModelVariant.NON_STATIONARY,),
+    "triple": tuple(v for v, shape in SYSTEM_SHAPES.items() if shape == "triple"),
+    "cross_section_order": (ModelVariant.CROSS_SECTION,),
+}
+
 
 @dataclass
 class EstimatorSpec:
@@ -125,8 +134,16 @@ class EstimatorSpec:
         whose rows' highest moment order, k + m + 1 or k + 1, is at most
         MAX_TOTAL_ORDER, the highest order the `truncmoments` oracle computes;
         no pair or order may repeat, and the single-pair variants take at most
-        one pair.
+        one pair. A field the variant's rows do not read must keep its default.
         """
+        for name, variants in _VARIANT_ONLY_FIELDS.items():
+            if config.variant not in variants and not np.array_equal(
+                    getattr(self, name), getattr(EstimatorSpec, name)):
+                raise ConfigurationError(
+                    f"{name} is read only by the {', '.join(v.value for v in variants)} "
+                    f"variant{'s' if len(variants) > 1 else ''}, not by {config.variant.value}",
+                    field=name,
+                )
         _check_entries(self.orders, "orders", f"must be two {IDENTITY_ORDER_RULE}",
                        is_identity_order)
         check_rules(vars(self), _SPEC_RULES)

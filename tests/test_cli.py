@@ -663,26 +663,29 @@ class TestMonteCarlo:
         assert not (tmp_path / "ds").exists()
 
     @pytest.mark.parametrize(
-        "variant, panel, estimator, singular",
+        "variant, panel, estimator, message",
+        # Constant x collapses the products set to one column.
         [("FactorLoading",
           {"n_periods": 2, "error_cov": [[0.25, 0.0], [0.0, 0.25]],
            "factor_loadings": [1.0, 1.5], "x_dist": {"type": "normal", "mu": 1.0, "sigma": 0}},
-          {"instruments": "products"}, "linear block's GMM matrix"),
+          {"instruments": "products"}, "1 instruments for 4 parameters"),
          ("FactorLoading",
           {"n_periods": 2, "error_cov": [[0.25, 0.0], [0.0, 0.25]],
            "factor_loadings": [1.0, 1.5], "beta": [2**63]},
-          {"instruments": "products"}, "moment Jacobian's GMM matrix"),
+          {"instruments": "products"},
+          "instrument-regressor cross-moment matrix is rank deficient; "
+          "unidentified directions: -0.833*a_10, +0.554*b_10"),
          ("VarianceFE",
           {"n_periods": 3, "n_individuals": 200, "sampling": "Truncated",
            "error_cov": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]],
            "fe_dist": {"type": "linear_index", "index_coef": 2**63, "noise_sigma": 0.5},
            "variance_fe_dist": {"type": "shifted_halfnormal", "shift": 0.25, "scale": 0.2},
            "x_dist": {"type": "normal", "mu": 1.0, "sigma": 2.0}},
-          {"instruments": "index_proxy"}, "two-step GMM matrix for J")],
+          {"instruments": "index_proxy"}, "the two-step GMM matrix for J is singular")],
         ids=["constant_x", "huge_beta", "huge_effects"],
     )
     def test_singular_gmm_matrix_exit_3(self, tmp_path, capsys, variant, panel, estimator,
-                                        singular):
+                                        message):
         payload = json.loads(open(self.mc_config(tmp_path, variant=variant,
                                                  estimator=estimator)).read())
         payload["panel"].update(panel)
@@ -690,7 +693,42 @@ class TestMonteCarlo:
         assert main(["montecarlo", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
         error = single_json_line(capsys)
         assert error["error"] == "ConvergenceError"
-        assert f"IdentificationError: the {singular}" in error["message"]
+        assert f"IdentificationError: {message}" in error["message"]
+
+    T3_PANELS = {
+        "IndependentErrors": {"n_periods": 3,
+                              "error_cov": [[0.25, 0, 0], [0, 0.375, 0], [0, 0, 0.5]]},
+        "VarianceFE": {"n_periods": 3, "error_cov": [[1.0, 0, 0], [0, 1.0, 0], [0, 0, 1.0]],
+                       "variance_fe_dist": {"type": "shifted_halfnormal", "shift": 0.25,
+                                            "scale": 0.2}},
+    }
+
+    @pytest.mark.parametrize(
+        "variant, estimator",
+        [("IndependentErrors", {"orders": [[2, 1]]}),
+         ("IndependentErrors", {"triple": [2, 1, 0]}),
+         ("IndependentErrors", {"cross_section_order": 3}),
+         ("VarianceFE", {"pairs": [[1, 0]]}),
+         ("VarianceFE", {"orders": [[1, 2]]})],
+        ids=["independent-orders", "independent-triple", "independent-cross_section_order",
+             "variance_fe-pairs", "variance_fe-orders"],
+    )
+    def test_field_the_variant_does_not_read_exit_2(self, tmp_path, capsys, variant, estimator):
+        # Each of these used to run with exit 0 and the field ignored.
+        payload = json.loads(open(self.mc_config(tmp_path, variant=variant)).read())
+        payload["panel"].update(self.T3_PANELS[variant])
+        payload["estimator"] = {"instruments": "default", **estimator}
+        cfg = write_config(tmp_path, "mc.json", payload)
+        assert main(["montecarlo", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert_config_error(capsys, next(iter(estimator)))
+        assert not (tmp_path / "o").exists()
+
+    def test_unread_field_at_its_default_accepted(self, tmp_path, capsys):
+        payload = json.loads(open(self.mc_config(tmp_path)).read())
+        payload["panel"].update(self.T3_PANELS["IndependentErrors"])
+        payload["estimator"].update(triple=[0, 1, 2], orders=[[1, 1]], cross_section_order=1)
+        cfg = write_config(tmp_path, "mc.json", payload)
+        assert main(["montecarlo", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
 
     @pytest.mark.parametrize("workers", ["0", "-3"])
     def test_workers_below_one_exit_2(self, tmp_path, capsys, workers):

@@ -30,6 +30,7 @@ from tobitiv.errors import (
 from tobitiv.gmm import (
     _column_scale,
     _pivoted_qr,
+    _sandwich,
     _whiten_instruments,
     concentrated_linear_solve,
     golden_section,
@@ -120,6 +121,12 @@ class TestTwoStageLeastSquares:
         with pytest.raises(InsufficientObservationsError):
             two_stage_least_squares(sys_)
 
+    def test_too_few_instruments(self):
+        sys_ = linear_system([1.0, 2.0, 4.0], [[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]],
+                             [[1.0], [2.0], [3.0]])
+        with pytest.raises(IdentificationError, match="^1 instruments for 2 parameters$"):
+            two_stage_least_squares(sys_)
+
     def test_rank_deficiency_reported(self):
         rng = np.random.default_rng(6)
         X1 = rng.normal(size=(100, 1))
@@ -156,7 +163,7 @@ class TestGoldenSection:
 
 def independent_columns(Z):
     """The instrument columns that `nonlinear_gmm` keeps: a maximal independent subset."""
-    return _pivoted_qr(Z, _column_scale(Z), "raw")[2]
+    return _pivoted_qr(Z, _column_scale(Z))[2]
 
 
 def factor_loading_panel(loadings, seed, n=20_000):
@@ -194,6 +201,30 @@ class TestNonlinearGMM:
                 )
             )
             assert np.allclose(theta, direct.estimates, atol=1e-10)
+
+    def test_too_few_instruments(self):
+        # Constant, x_t and x_s cannot identify (beta, r, a, b): without the
+        # check this fit returned numbers with standard errors above 1e5.
+        _, sys_ = factor_loading_panel((1.0, 1.5), seed=16, n=2000)
+        narrow = replace(sys_, instruments=sys_.instruments[:, :3])
+        with pytest.raises(IdentificationError, match="^3 instruments for 4 parameters$"):
+            nonlinear_gmm(narrow)
+
+    def test_singular_linear_block_reported(self):
+        # x_t = x_s = 0 makes the beta column of the linear block zero at every r.
+        _, sys_ = factor_loading_panel((1.0, 1.5), seed=16, n=2000)
+        Zw = _whiten_instruments(sys_.instruments[:, independent_columns(sys_.instruments)])
+        zero = np.zeros_like(sys_.x_t)
+        with pytest.raises(IdentificationError,
+                           match="^the linear block's GMM matrix at r = 1.5 is singular$"):
+            concentrated_linear_solve(replace(sys_, x_t=zero, x_s=zero), 1.5, Zw,
+                                      np.eye(Zw.shape[1]))
+
+    def test_singular_sandwich_bread_reported(self):
+        G = np.ones((3, 2))  # two equal columns: GW G is exactly singular
+        with pytest.raises(IdentificationError,
+                           match="^the moment Jacobian's GMM matrix is singular$"):
+            _sandwich(G, G.T, np.ones((5, 3)))
 
     def test_recovers_loadings_ratio(self):
         _, sys_ = factor_loading_panel((1.0, 1.5), seed=11)

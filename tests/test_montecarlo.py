@@ -81,10 +81,11 @@ class TestTruth:
 
 class TestOrderBound:
     def test_orders_up_to_the_oracle_bound_pass(self):
-        config = indep_config(variant="NonStationary")
         top = MAX_TOTAL_ORDER - 2  # k + m + 1 = MAX_TOTAL_ORDER
-        EstimatorSpec(orders=((1, top), (top, 1), (1, 1)),
-                      cross_section_order=MAX_TOTAL_ORDER - 1).validate(config)
+        EstimatorSpec(orders=((1, top), (top, 1), (1, 1))).validate(
+            indep_config(variant="NonStationary"))
+        EstimatorSpec(cross_section_order=MAX_TOTAL_ORDER - 1).validate(
+            indep_config(variant="CrossSection", n_periods=1, error_cov=((0.25,),)))
 
     @pytest.mark.parametrize("order", [(1, MAX_TOTAL_ORDER - 1), (10**6, 1)])
     def test_orders_past_it_are_config_errors(self, order):

@@ -270,3 +270,43 @@ def test_linear_parts_returns_fresh_arrays():
     system.linear_parts(2.0)
     nonlinear_gmm(system)
     assert np.array_equal(X1, kept)
+
+
+def stacked_estimate_system(n=1000):
+    """The benchmark's stacked system: NonStationary, T = 4, K = 2, orders (1, 1) and (2, 1)."""
+    config = PanelConfig(
+        variant="NonStationary", n_individuals=n, n_periods=4, n_regressors=2,
+        beta=(1.0, -0.5),
+        error_cov=((0.5, 0.2, 0.0, 0.0), (0.2, 0.5, 0.2, 0.0),
+                   (0.0, 0.2, 0.5, 0.2), (0.0, 0.0, 0.2, 0.5)),
+        seed=2026, fe_dist=LinearIndexDist(1.0, 0.5), x_dist=NormalDist(1.0, 1.0),
+    )
+    return build_estimation_system(simulate(config), config,
+                                   EstimatorSpec(orders=((1, 1), (2, 1))))
+
+
+def test_2sls_invariant_to_ulp_column_scales_and_column_order():
+    """Each distinct instrument block's columns, permuted and each moved by up
+    to 2 ulp, give the same fit: the pivoted QR may then keep another of the
+    default set's exactly collinear columns, which spans the same space.
+
+    `condition_number` is left unchecked: it is that of the kept columns, so
+    it moves by up to 5% here (the FOUND entry on 2SLS's kept columns,
+    ROADMAP item 7)."""
+    system = stacked_estimate_system()
+    base = two_stage_least_squares(system)
+    scale = np.maximum(np.abs(base.estimates), base.se)
+    rng = np.random.default_rng(7)
+    eps = np.finfo(float).eps
+    for _ in range(10):
+        moved = {}  # id of a block array -> its moved copy, shared like the array
+        for Z in system.instrument_blocks:
+            if id(Z) not in moved:
+                perm = rng.permutation(Z.shape[1])
+                moved[id(Z)] = Z[:, perm] * (1.0 + eps * rng.integers(-2, 3, Z.shape[1]))
+        res = two_stage_least_squares(
+            replace(system, instrument_blocks=[moved[id(Z)] for Z in system.instrument_blocks]))
+        assert res.j_dof == base.j_dof
+        assert np.all(np.abs(res.estimates - base.estimates) <= 1e-12 * scale)
+        np.testing.assert_allclose(res.se, base.se, rtol=1e-12, atol=0)
+        assert res.j_statistic == pytest.approx(base.j_statistic, rel=1e-12, abs=0)
