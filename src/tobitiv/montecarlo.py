@@ -43,12 +43,13 @@ from .moments import (
 )
 from .simulate import (
     SEED_RULE,
-    SYSTEM_SHAPES,
+    VARIANT_INPUTS,
     ModelVariant,
     PanelConfig,
     PanelDataset,
     check_keys,
     check_rules,
+    check_variant_fields,
     draw_panel,
     is_int,
 )
@@ -77,18 +78,6 @@ STUDY_RULES = {
 # The estimator field with a rule of its own value: its rows reach moment order k + 1.
 _SPEC_RULES = {"cross_section_order": (lambda v: is_int(v) and 1 <= v < MAX_TOTAL_ORDER,
                                        f"an integer in [1, {MAX_TOTAL_ORDER - 1}]")}
-
-# Variants whose system is built from one pair (the first of `pairs`).
-_SINGLE_PAIR = (ModelVariant.FACTOR_LOADING, ModelVariant.SLOPE_FE)
-
-# Estimator fields that only these variants' rows read; every variant reads
-# `instruments`. Any other variant must leave the field at its default.
-_VARIANT_ONLY_FIELDS = {
-    "pairs": tuple(v for v, shape in SYSTEM_SHAPES.items() if shape == "pair"),
-    "orders": (ModelVariant.NON_STATIONARY,),
-    "triple": tuple(v for v, shape in SYSTEM_SHAPES.items() if shape == "triple"),
-    "cross_section_order": (ModelVariant.CROSS_SECTION,),
-}
 
 
 @dataclass
@@ -134,20 +123,14 @@ class EstimatorSpec:
         whose rows' highest moment order, k + m + 1 or k + 1, is at most
         MAX_TOTAL_ORDER, the highest order the `truncmoments` oracle computes;
         no pair or order may repeat, and the single-pair variants take at most
-        one pair. A field the variant's rows do not read must keep its default.
+        one pair. A field the variant's rows do not read (VARIANT_INPUTS) must
+        keep its default; `pairs` None means the variant's default pairs.
         """
-        for name, variants in _VARIANT_ONLY_FIELDS.items():
-            if config.variant not in variants and not np.array_equal(
-                    getattr(self, name), getattr(EstimatorSpec, name)):
-                raise ConfigurationError(
-                    f"{name} is read only by the {', '.join(v.value for v in variants)} "
-                    f"variant{'s' if len(variants) > 1 else ''}, not by {config.variant.value}",
-                    field=name,
-                )
+        check_variant_fields(self, config.variant, "spec", unset_ok=("pairs",))
         _check_entries(self.orders, "orders", f"must be two {IDENTITY_ORDER_RULE}",
                        is_identity_order)
         check_rules(vars(self), _SPEC_RULES)
-        shape = SYSTEM_SHAPES[config.variant]
+        shape = VARIANT_INPUTS[config.variant].shape
         instrument_set(shape, self.instruments)
         if shape == "cell":
             return
@@ -157,7 +140,7 @@ class EstimatorSpec:
         _check_entries(
             entries, field_name, f"must be {width} distinct periods in [0, {T})",
             lambda e: len(e) == width and are_periods(e, T))
-        if len(entries) > 1 and config.variant in _SINGLE_PAIR:
+        if len(entries) > 1 and VARIANT_INPUTS[config.variant].single_pair:
             raise ConfigurationError(
                 f"variant {config.variant.value} takes one pair, got {len(entries)}",
                 field="pairs",

@@ -14,6 +14,7 @@ import json
 import math
 import os
 import sys
+from collections import namedtuple
 from dataclasses import MISSING, asdict, astuple, dataclass, field, fields, is_dataclass
 from enum import Enum
 from typing import Optional
@@ -33,17 +34,22 @@ class ModelVariant(str, Enum):
     SLOPE_FE = "SlopeFE"
 
 
-# Moment-system shape of each variant: one moment row uses a cell, a pair or a
-# triple of periods. It fixes the variant's instrument sets and, through
-# SHAPE_PERIODS, the fewest periods its panels need.
-SYSTEM_SHAPES = {
-    ModelVariant.CROSS_SECTION: "cell",
-    ModelVariant.INDEPENDENT_ERRORS: "pair",
-    ModelVariant.NON_STATIONARY: "pair",
-    ModelVariant.FACTOR_LOADING: "pair",
-    ModelVariant.VARIANCE_FE: "triple",
-    ModelVariant.ADDITIVE_VARIANCE: "triple",
-    ModelVariant.SLOPE_FE: "pair",
+# What each variant reads besides the inputs every variant reads. `shape`: one
+# moment row uses a "cell", a "pair" or a "triple" of periods, which fixes the
+# instrument sets and, through SHAPE_PERIODS, the fewest periods. `panel`: the
+# optional panel fields its draws read. `spec`: the estimator fields its rows
+# read besides `instruments`. `single_pair`: its system is built from one pair.
+VariantInputs = namedtuple("VariantInputs", "shape panel spec single_pair", defaults=(False,))
+VARIANT_INPUTS = {
+    ModelVariant.CROSS_SECTION: VariantInputs("cell", (), ("cross_section_order",)),
+    ModelVariant.INDEPENDENT_ERRORS: VariantInputs("pair", ("fe_dist",), ("pairs",)),
+    ModelVariant.NON_STATIONARY: VariantInputs("pair", ("fe_dist",), ("pairs", "orders")),
+    ModelVariant.FACTOR_LOADING: VariantInputs("pair", ("fe_dist", "factor_loadings"),
+                                               ("pairs",), True),
+    ModelVariant.VARIANCE_FE: VariantInputs("triple", ("fe_dist", "variance_fe_dist"), ("triple",)),
+    ModelVariant.ADDITIVE_VARIANCE: VariantInputs("triple", ("fe_dist", "variance_fe_dist"),
+                                                  ("triple",)),
+    ModelVariant.SLOPE_FE: VariantInputs("pair", ("fe_dist", "z_dist"), ("pairs",), True),
 }
 SHAPE_PERIODS = {"cell": 1, "pair": 2, "triple": 3}
 
@@ -122,13 +128,6 @@ _DIST_NAMES = {cls: name for name, cls in _DIST_TYPES.items()}
 # The panel's distribution fields, in the order `validate` checks them.
 _DIST_FIELDS = ("fe_dist", "x_dist", "z_dist", "variance_fe_dist")
 
-# Fields a panel carries exactly when its variant is one of these.
-_VARIANT_ONLY_FIELDS = {
-    "factor_loadings": (ModelVariant.FACTOR_LOADING,),
-    "z_dist": (ModelVariant.SLOPE_FE,),
-    "variance_fe_dist": (ModelVariant.VARIANCE_FE, ModelVariant.ADDITIVE_VARIANCE),
-}
-
 
 def dist_to_dict(dist) -> dict:
     return {"type": _DIST_NAMES[type(dist)], **asdict(dist)}
@@ -152,6 +151,24 @@ def check_rules(values: dict, rules: dict) -> None:
     for name, (valid, rule) in rules.items():
         if name in values and not valid(values[name]):
             raise ConfigurationError(f"{name} must be {rule}", field=name)
+
+
+def check_variant_fields(obj, variant: ModelVariant, column: str, unset_ok=()) -> None:
+    """The variant table's rule for the dataclass `obj`, whose fields some
+    variants read as VARIANT_INPUTS's `column` lists: a field `variant` does not
+    read must keep its default, and one it reads whose default is None must be
+    set, unless it is in `unset_ok`. ConfigurationError names the field."""
+    for f in fields(obj):
+        readers = [v for v, inputs in VARIANT_INPUTS.items() if f.name in getattr(inputs, column)]
+        value = getattr(obj, f.name)
+        default = f.default if f.default_factory is MISSING else f.default_factory()
+        if readers and variant not in readers and not np.array_equal(value, default):
+            raise ConfigurationError(
+                f"{f.name} is read only by the {', '.join(v.value for v in readers)} variant"
+                f"{'s' if len(readers) > 1 else ''}, not by {variant.value}", field=f.name)
+        if variant in readers and value is None and default is None and f.name not in unset_ok:
+            raise ConfigurationError(f"{f.name} is required by the {variant.value} variant",
+                                     field=f.name)
 
 
 # Every seed's rule: a Philox key, the generator `simulate` draws with.
@@ -213,7 +230,7 @@ class PanelConfig:
     def validate(self):
         check_rules(vars(self), _PANEL_RULES)
         N, T, K = self.n_individuals, self.n_periods, self.n_regressors
-        min_T = SHAPE_PERIODS[SYSTEM_SHAPES[self.variant]]
+        min_T = SHAPE_PERIODS[VARIANT_INPUTS[self.variant].shape]
         if T < min_T:
             raise ConfigurationError(
                 f"variant {self.variant.value} requires n_periods >= {min_T}, got {T}",
@@ -261,14 +278,15 @@ class PanelConfig:
             raise ConfigurationError(
                 "error_cov must be positive definite", field="error_cov"
             ) from None
-        for name, variants in _VARIANT_ONLY_FIELDS.items():
-            if (getattr(self, name) is not None) != (self.variant in variants):
-                raise ConfigurationError(
-                    f"{name} must be present exactly for the "
-                    f"{' and '.join(v.value for v in variants)} "
-                    f"variant{'s' if len(variants) > 1 else ''}",
-                    field=name,
-                )
+        if self.variant is ModelVariant.VARIANCE_FE and not np.array_equal(cov, np.eye(T)):
+            raise ConfigurationError("VarianceFE draws sqrt(sigma_i^2) * N(0, 1) in each "
+                                     "period, so error_cov must be the identity",
+                                     field="error_cov")
+        if self.variant is ModelVariant.ADDITIVE_VARIANCE and not np.array_equal(
+                cov, np.diag(np.diag(cov))):
+            raise ConfigurationError("AdditiveVariance draws sqrt(sigma_i^2 + sigma_t^2) * "
+                                     "N(0, 1), so error_cov must be diagonal", field="error_cov")
+        check_variant_fields(self, self.variant, "panel")
         if self.factor_loadings is not None:
             if len(self.factor_loadings) != T:
                 raise ConfigurationError(

@@ -723,6 +723,41 @@ class TestMonteCarlo:
         assert_config_error(capsys, next(iter(estimator)))
         assert not (tmp_path / "o").exists()
 
+    # Panel inputs that the draws ignored: a CrossSection panel draws no individual
+    # effect, VarianceFE errors have unit variance in each period, and AdditiveVariance
+    # errors are independent across periods.
+    IGNORED_INPUTS = {
+        "CrossSection-fe_dist": (
+            "CrossSection",
+            {"n_individuals": 200, "n_periods": 1, "error_cov": [[0.25]], "seed": 3,
+             "fe_dist": {"type": "linear_index", "index_coef": 50, "noise_sigma": 9}},
+            "fe_dist"),
+        "VarianceFE-error_cov": (
+            "VarianceFE",
+            {"n_periods": 3, "error_cov": [[4, 1.5, 0.5], [1.5, 3, 0.2], [0.5, 0.2, 2]],
+             "variance_fe_dist": {"type": "shifted_halfnormal", "shift": 0.25, "scale": 0.2}},
+            "error_cov"),
+        "AdditiveVariance-error_cov": (
+            "AdditiveVariance",
+            {"n_periods": 3, "error_cov": [[0.25, 0.1, 0], [0.1, 0.375, 0], [0, 0, 0.5]],
+             "variance_fe_dist": {"type": "shifted_halfnormal", "shift": 0.25, "scale": 0.2}},
+            "error_cov"),
+    }
+
+    @pytest.mark.parametrize("command", ["simulate", "montecarlo"])
+    @pytest.mark.parametrize("variant, panel, field", IGNORED_INPUTS.values(),
+                             ids=list(IGNORED_INPUTS))
+    def test_input_the_draws_ignore_exit_2(self, tmp_path, capsys, variant, panel, field,
+                                           command):
+        # Each of these used to exit 0, its input written to meta.json but not drawn.
+        payload = json.loads(open(self.mc_config(tmp_path, variant=variant,
+                                                 estimator={"instruments": "default"})).read())
+        payload["panel"].update(panel)
+        cfg = write_config(tmp_path, "mc.json", payload)
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert_config_error(capsys, field)
+        assert not (tmp_path / "o").exists()
+
     def test_unread_field_at_its_default_accepted(self, tmp_path, capsys):
         payload = json.loads(open(self.mc_config(tmp_path)).read())
         payload["panel"].update(self.T3_PANELS["IndependentErrors"])

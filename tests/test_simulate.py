@@ -29,7 +29,7 @@ from tobitiv.errors import (
 )
 from tobitiv.simulate import (
     SHAPE_PERIODS,
-    SYSTEM_SHAPES,
+    VARIANT_INPUTS,
     ModelVariant,
     PanelDataset,
     Sampling,
@@ -213,7 +213,7 @@ class TestSerialization:
 def simulated_panels(draw, variant):
     """A small simulated panel of either sampling; positive indices keep truncated
     sampling's acceptance well above its 1-in-100 floor."""
-    T = draw(st.integers(SHAPE_PERIODS[SYSTEM_SHAPES[variant]], 4))
+    T = draw(st.integers(SHAPE_PERIODS[VARIANT_INPUTS[variant].shape], 4))
     K = draw(st.integers(1, 3))
     extra = {
         ModelVariant.FACTOR_LOADING: {"factor_loadings": (1.0,) + (1.5,) * (T - 1)},
@@ -228,9 +228,11 @@ def simulated_panels(draw, variant):
         n_periods=T,
         n_regressors=K,
         beta=tuple(draw(st.floats(0.5, 1.5)) for _ in range(K)),
-        error_cov=0.5 * np.eye(T),
+        # VarianceFE's errors have unit variance; CrossSection draws no effect.
+        error_cov=(1.0 if variant is ModelVariant.VARIANCE_FE else 0.5) * np.eye(T),
         seed=draw(st.integers(0, 2**64 - 1)),
-        fe_dist=LinearIndexDist(1.0, 0.5),
+        fe_dist=(LinearIndexDist() if variant is ModelVariant.CROSS_SECTION
+                 else LinearIndexDist(1.0, 0.5)),
         x_dist=NormalDist(1.0, 1.0),
         **extra,
     )
@@ -285,6 +287,23 @@ class TestValidation:
         with pytest.raises(ConfigurationError) as err:
             cfg.validate()
         assert err.value.field == "factor_loadings"
+
+    def test_unread_field_names_the_variants_that_read_it(self):
+        cfg = indep_config(variant="CrossSection", n_periods=1, error_cov=((0.25,),))
+        with pytest.raises(ConfigurationError, match="fe_dist is read only by the "
+                           "IndependentErrors, .*, SlopeFE variants, not by CrossSection") as err:
+            cfg.validate()
+        assert err.value.field == "fe_dist"
+
+    @pytest.mark.parametrize("variant, field", [("FactorLoading", "factor_loadings"),
+                                                ("SlopeFE", "z_dist"),
+                                                ("AdditiveVariance", "variance_fe_dist")])
+    def test_field_the_variant_reads_is_required(self, variant, field):
+        cfg = indep_config(variant=variant, n_periods=3, error_cov=0.5 * np.eye(3))
+        with pytest.raises(ConfigurationError, match=f"{field} is required by the {variant}"
+                           ) as err:
+            cfg.validate()
+        assert err.value.field == field
 
     def test_z_dist_only_for_slope_fe(self):
         cfg = indep_config(z_dist=LogNormalDist(0.0, 0.5))
