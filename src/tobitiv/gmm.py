@@ -10,12 +10,13 @@ rows come in blocks, each with instrument columns of its own and regressors
 in a subset of the parameters' columns, so 2SLS factorises each row block on
 its own and writes each block's small products into its own rows and
 columns; a block array that several blocks share (one pair's instruments,
-held by each of its orders) is scaled and factorised once. The per-cluster
-moments Gc (clusters x instruments) are summed block by block, each block
-over its own rows into its own columns, so no zero-padded matrix, nor any
-other n-by-q or n-by-p matrix, is formed. Each block's rows are grouped by
-cluster at most once per solve, and the one Gc serves both the covariance
-and J. The factor-loading GMM prunes with the same QR and shares 2SLS's
+held by each of its orders) is scaled and factorised once. One function,
+`_block_cluster_sums`, gives the per-cluster moments Gc (clusters x
+instruments): each block's rows, sorted by cluster only when out of order,
+are summed over each cluster into the block's own columns, so no zero-padded
+matrix, nor any other n-by-q or n-by-p matrix, is formed. Gc's rows come in
+increasing cluster-id order, and the one Gc serves both the covariance and
+J. The factor-loading GMM prunes with the same QR and shares 2SLS's
 instrument-count and rank checks, cluster sums and sandwich. Both solvers
 reject input that is not finite, or whose squares overflow, before any
 arithmetic. The helpers that factorise import ``scipy.linalg`` on first use,
@@ -82,56 +83,44 @@ class NonlinearGMMResult(LinearIVResult):
     objective_value: float = 0.0
 
 
-class _Clusters:
-    """Rows grouped by cluster id, with at most one (stable) sort."""
-
-    def __init__(self, cluster: np.ndarray):
-        self._cluster = cluster = np.asarray(cluster)
-        self.order = None
-        if np.any(cluster[1:] < cluster[:-1]):
-            self.order = np.argsort(cluster, kind="stable")
-            cluster = cluster[self.order]
-        self._sorted = cluster
-        self.starts = np.flatnonzero(np.r_[True, cluster[1:] != cluster[:-1]])
-        self.count = self.starts.size if cluster.size else 0
-
-    @property
-    def ids(self) -> np.ndarray:
-        """The cluster id of each row of `sums`."""
-        if self.count == self._cluster.size:
-            return self._cluster
-        return self._sorted[self.starts]
-
-    def sums(self, rows: np.ndarray) -> np.ndarray:
-        """Per-cluster column sums of `rows`, one row per cluster."""
-        if self.count == rows.shape[0]:
-            return rows  # every cluster holds one row
-        if self.order is not None:
-            rows = rows[self.order]
-        return np.add.reduceat(rows, self.starts, axis=0)
-
-
 def _block_cluster_sums(cluster, block_rows, Qs, u) -> np.ndarray:
-    """Per-cluster sums of the block-diagonal product Q * u, one row per cluster.
+    """Per-cluster sums of the block-diagonal product Q * u: one row per
+    cluster, in increasing cluster-id order.
 
     Block b's columns are zero outside its rows, so they are the cluster sums
     of Q_b * u over those rows alone, written into the rows of the block's
-    clusters; the n-by-q product is never formed. Several blocks' rows come
-    in cluster-id order. Where a block holds at most one row of each cluster,
+    clusters; the n-by-q product is never formed. Each block's rows are
+    sorted by cluster (stably, and only when out of order) and summed over
+    each run of one id. The runs of every block come first, to size Gc;
+    then each block's Q_b * u is formed and summed in turn, so only one is
+    held at a time. Where a block holds at most one row of each cluster,
     as every built pair or triple block does, the sums equal those of the
     dense product bit for bit; otherwise they agree to rounding, since numpy
     adds long runs pairwise and the dense zeros regroup them.
     """
-    groups = [_Clusters(cluster[rows]) for rows in block_rows]
-    if len(groups) == 1:
-        return groups[0].sums(Qs[0] * u[:, None])
-    ids, slot = np.unique(np.concatenate([g.ids for g in groups]), return_inverse=True)
+    runs = []  # per block: its row order (None when sorted), run starts and run ids
+    for rows in block_rows:
+        ids = cluster[rows]
+        order = np.argsort(ids, kind="stable") if np.any(ids[1:] < ids[:-1]) else None
+        ids = ids if order is None else ids[order]
+        starts = np.flatnonzero(np.r_[ids.size > 0, ids[1:] != ids[:-1]])
+        runs.append((order, starts, ids if starts.size == ids.size else ids[starts]))
+
+    def sums(b):  # block b's cluster sums, one row per run
+        order, starts, run_ids = runs[b]
+        Qu = Qs[b] * u[block_rows[b], None]
+        Qu = Qu if order is None else Qu[order]
+        return Qu if run_ids.size == Qu.shape[0] else np.add.reduceat(Qu, starts, axis=0)
+
+    if len(runs) == 1:
+        return sums(0)
+    ids, slot = np.unique(np.concatenate([run_ids for *_, run_ids in runs]), return_inverse=True)
     Gc = np.zeros((ids.size, sum(Q.shape[1] for Q in Qs)))
     r0 = c0 = 0
-    for g, rows, Q in zip(groups, block_rows, Qs):
-        Gc[slot[r0 : r0 + g.count], c0 : c0 + Q.shape[1]] = g.sums(Q * u[rows, None])
-        r0 += g.count
-        c0 += Q.shape[1]
+    for b, (*_, run_ids) in enumerate(runs):
+        Gc[slot[r0 : r0 + run_ids.size], c0 : c0 + Qs[b].shape[1]] = sums(b)
+        r0 += run_ids.size
+        c0 += Qs[b].shape[1]
     return Gc
 
 

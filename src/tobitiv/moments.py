@@ -498,25 +498,26 @@ def build_triple_additive_variance(
 def build_pairwise_slope_fe(
     dataset: PanelDataset, t: int, s: int, instruments: str = "default"
 ) -> MomentSystem:
-    """Pairwise rows for individual effects entering through slopes on z."""
+    """Pairwise rows for individual effects entering through slopes on z: the
+    k = m = 1 rows of `build_pairwise_nonstationary` on the rescaled outcomes
+    y_t z_s and y_s z_t, with regressors x_t z_s and x_s z_t,
+
+    (y_t z_s)^2 y_s z_t - (y_s z_t)^2 y_t z_s
+        = y_t z_s y_s z_t (x_t z_s - x_s z_t)' beta + y_s z_t (z_s^2 sigma_t^2 - z_t z_s sigma_ts)
+          - y_t z_s (z_t^2 sigma_s^2 - z_t z_s sigma_ts) + xi.
+    """
     if dataset.z is None:
         raise DomainError("dataset has no z variable")
     idx, y_t, y_s, x_t, x_s = _pair_arrays(dataset, t, s)
     z_t, z_s = dataset.z[idx, t], dataset.z[idx, s]
     if np.any(z_t <= 0.0) or np.any(z_s <= 0.0):
         raise DomainError("slope-effect rows require z > 0 in both periods")
-    dep = y_t**2 * z_s**2 * y_s * z_t - y_s**2 * z_t**2 * y_t * z_s
-    beta_block = (y_t * z_s * y_s * z_t)[:, None] * (
-        x_t * z_s[:, None] - x_s * z_t[:, None]
-    )
-    reg = np.column_stack(
-        [
-            beta_block,
-            y_s * z_t * z_s**2,  # sigma_t^2
-            -y_t * z_s * z_t**2,  # sigma_s^2
-            z_t * z_s * (y_t * z_s - y_s * z_t),  # sigma_ts
-        ]
-    )
+    # Rescaled, y_t z_s and y_s z_t share the effect alpha z_t z_s; the pair's variance
+    # differences are z_s^2 sigma_t^2 - z_t z_s sigma_ts and z_t^2 sigma_s^2 - z_t z_s sigma_ts.
+    dep, beta_block, d_t, d_s = _pair_row(
+        y_t * z_s, y_s * z_t, x_t * z_s[:, None], x_s * z_t[:, None], 1, 1)
+    del y_t, y_s  # not used again: not held while the columns are stacked
+    reg = np.column_stack([beta_block, d_t * z_s**2, d_s * z_t**2, -z_t * z_s * (d_t + d_s)])
     return MomentSystem.one_block(
         dep, reg, instrument_set("pair", instruments)(x_t, x_s, z_t, z_s), idx,
         _beta_params(x_t.shape[1])

@@ -79,6 +79,10 @@ STUDY_RULES = {
 _SPEC_RULES = {"cross_section_order": (lambda v: is_int(v) and 1 <= v < MAX_TOTAL_ORDER,
                                        f"an integer in [1, {MAX_TOTAL_ORDER - 1}]")}
 
+# The estimator fields that `EstimatorSpec.from_dict` converts from JSON lists.
+_SPEC_CONVERSIONS = {"pairs": lambda v: None if v is None else [tuple(p) for p in v],
+                     "triple": tuple, "orders": lambda v: tuple(tuple(o) for o in v)}
+
 
 @dataclass
 class EstimatorSpec:
@@ -103,15 +107,12 @@ class EstimatorSpec:
             raise ConfigurationError("estimator must be a JSON object", field="estimator")
         check_keys(d, cls, "estimator")
         d = dict(d)
-        try:
-            if d.get("pairs") is not None:
-                d["pairs"] = [tuple(p) for p in d["pairs"]]
-            if "triple" in d:
-                d["triple"] = tuple(d["triple"])
-            if "orders" in d:
-                d["orders"] = tuple(tuple(o) for o in d["orders"])
-        except TypeError as exc:
-            raise ConfigurationError(f"bad estimator config: {exc}", field="estimator") from None
+        for name, convert in _SPEC_CONVERSIONS.items():
+            if name in d:
+                try:
+                    d[name] = convert(d[name])
+                except TypeError as exc:
+                    raise ConfigurationError(f"bad {name}: {exc}", field=name) from None
         return cls(**d)
 
     def validate(self, config: PanelConfig) -> None:

@@ -125,8 +125,19 @@ _DIST_TYPES = {
 }
 _DIST_NAMES = {cls: name for name, cls in _DIST_TYPES.items()}
 
-# The panel's distribution fields, in the order `validate` checks them.
-_DIST_FIELDS = ("fe_dist", "x_dist", "z_dist", "variance_fe_dist")
+# The panel's distribution fields, in the order `validate` checks them, each with
+# the test of its distribution and the rule it states: fe_dist is drawn around the
+# regressor index, the others by shape, and z and the variances sigma_i^2 positive.
+_POSITIVE = (lambda d: isinstance(d, LogNormalDist) or isinstance(d, ShiftedHalfNormalDist)
+             and d.shift > 0 and d.scale >= 0,
+             "lognormal, or shifted_halfnormal with shift > 0 and scale >= 0")
+_DIST_FIELDS = {
+    "fe_dist": (lambda d: isinstance(d, LinearIndexDist), "linear_index"),
+    "x_dist": (lambda d: not isinstance(d, LinearIndexDist),
+               "normal, lognormal or shifted_halfnormal"),
+    "z_dist": _POSITIVE,
+    "variance_fe_dist": _POSITIVE,
+}
 
 
 def dist_to_dict(dist) -> dict:
@@ -256,20 +267,14 @@ class PanelConfig:
         for name in ("beta", "error_cov", "factor_loadings"):
             if not np.all(np.isfinite(np.asarray(getattr(self, name) or (), dtype=float))):
                 raise ConfigurationError(f"{name} must be finite", field=name)
+        dists = {name: dist for name in _DIST_FIELDS if (dist := getattr(self, name)) is not None}
         for name in _DIST_FIELDS:
-            dist = getattr(self, name)
-            if dist is None and name in ("fe_dist", "x_dist"):
+            if name not in dists and name in ("fe_dist", "x_dist"):
                 raise ConfigurationError(f"{name} is required", field=name)
-            # fe_dist alone is drawn around the regressor index; the others by shape.
-            if dist is not None and isinstance(dist, LinearIndexDist) != (name == "fe_dist"):
-                raise ConfigurationError(
-                    f"{name} cannot have type {_DIST_NAMES[type(dist)]!r}: fe_dist takes "
-                    "linear_index, the others normal, lognormal or shifted_halfnormal",
-                    field=name,
-                )
-            if dist is not None and not all(is_number(v) for v in astuple(dist)):
+            if name in dists and not all(is_number(v) for v in astuple(dists[name])):
                 raise ConfigurationError(f"{name} parameters must be finite numbers",
                                          field=name)
+        check_rules(dists, _DIST_FIELDS)
         if not np.allclose(cov, cov.T, atol=1e-12):
             raise ConfigurationError("error_cov must be symmetric", field="error_cov")
         try:

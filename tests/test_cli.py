@@ -554,6 +554,12 @@ class TestMonteCarlo:
             ({"cross_section_order": "two"}, "cross_section_order"),
             ({"cross_section_order": 0}, "cross_section_order"),
             ({"cross_section_order": 1000000}, "cross_section_order"),
+            # Values that do not convert to lists of tuples name their own field.
+            ({"pairs": [5]}, "pairs"),
+            ({"pairs": 5}, "pairs"),
+            ({"orders": 5}, "orders"),
+            ({"orders": [[1, 1], 3]}, "orders"),
+            ({"triple": 5}, "triple"),
         ],
     )
     def test_bad_estimator_spec_exit_2(self, tmp_path, capsys, estimator, field):
@@ -750,6 +756,43 @@ class TestMonteCarlo:
     def test_input_the_draws_ignore_exit_2(self, tmp_path, capsys, variant, panel, field,
                                            command):
         # Each of these used to exit 0, its input written to meta.json but not drawn.
+        payload = json.loads(open(self.mc_config(tmp_path, variant=variant,
+                                                 estimator={"instruments": "default"})).read())
+        payload["panel"].update(panel)
+        cfg = write_config(tmp_path, "mc.json", payload)
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert_config_error(capsys, field)
+        assert not (tmp_path / "o").exists()
+
+    # Distributions that can draw a variance or a z at or below zero.
+    NONPOSITIVE_DRAWS = {
+        "VarianceFE-negative_shift": (
+            "VarianceFE", {**T3_PANELS["VarianceFE"], "variance_fe_dist": {
+                "type": "shifted_halfnormal", "shift": -5, "scale": 0.2}}, "variance_fe_dist"),
+        "VarianceFE-normal": (
+            "VarianceFE", {**T3_PANELS["VarianceFE"], "variance_fe_dist": {
+                "type": "normal", "mu": 0.5, "sigma": 1}}, "variance_fe_dist"),
+        "VarianceFE-negative_scale": (
+            "VarianceFE", {**T3_PANELS["VarianceFE"], "variance_fe_dist": {
+                "type": "shifted_halfnormal", "shift": 0.5, "scale": -1}}, "variance_fe_dist"),
+        "VarianceFE-zero_shift": (
+            "VarianceFE", {**T3_PANELS["VarianceFE"], "variance_fe_dist": {
+                "type": "shifted_halfnormal", "shift": 0, "scale": 1}}, "variance_fe_dist"),
+        "SlopeFE-normal": (
+            "SlopeFE", {"z_dist": {"type": "normal", "mu": 0, "sigma": 1}}, "z_dist"),
+    }
+
+    @pytest.mark.parametrize("command", ["simulate", "montecarlo"])
+    @pytest.mark.parametrize("variant, panel, field", NONPOSITIVE_DRAWS.values(),
+                             ids=list(NONPOSITIVE_DRAWS))
+    def test_nonpositive_draws_exit_2_before_any_draw(self, tmp_path, capsys, monkeypatch,
+                                                      variant, panel, field, command):
+        # VarianceFE used to exit 2 blaming overflow with field `panel`; SlopeFE
+        # `simulate` wrote z <= 0 and `montecarlo` exited 3 on every replication.
+        def no_draw(*args, **kwargs):
+            raise AssertionError("a panel was drawn before its distributions were checked")
+
+        monkeypatch.setattr(sys.modules["tobitiv.simulate"], "_draw_batch", no_draw)
         payload = json.loads(open(self.mc_config(tmp_path, variant=variant,
                                                  estimator={"instruments": "default"})).read())
         payload["panel"].update(panel)

@@ -264,7 +264,39 @@ class TestRowsBitForBit:
         assert np.array_equal(sys_.regressor_blocks[0][:, :2], beta_block)
 
 
+def hand_expanded_slope_rows(ds, t, s):
+    """The slope-effect rows of the pair (t, s) written out term by term:
+    their individuals, dependent and regressors (beta, sigma_t^2, sigma_s^2, sigma_ts)."""
+    rows = np.flatnonzero((ds.y[:, t] > 0.0) & (ds.y[:, s] > 0.0))
+    y_t, y_s, x_t, x_s = ds.y[rows, t], ds.y[rows, s], ds.x[rows, t], ds.x[rows, s]
+    z_t, z_s = ds.z[rows, t], ds.z[rows, s]
+    dep = y_t**2 * z_s**2 * y_s * z_t - y_s**2 * z_t**2 * y_t * z_s
+    beta_block = (y_t * z_s * y_s * z_t)[:, None] * (x_t * z_s[:, None] - x_s * z_t[:, None])
+    reg = np.column_stack([
+        beta_block,
+        y_s * z_t * z_s**2,  # sigma_t^2
+        -y_t * z_s * z_t**2,  # sigma_s^2
+        z_t * z_s * (y_t * z_s - y_s * z_t),  # sigma_ts
+    ])
+    return rows, dep, reg
+
+
 class TestSlopeFE:
+    def test_rows_match_the_hand_expanded_identity(self):
+        """The pairwise rows of the rescaled outcomes are the slope-effect
+        identity, to 1e-12 of each column's largest entry."""
+        rng = np.random.default_rng(17)
+        for _ in range(20):
+            N, T, K = rng.integers(30, 80), rng.integers(2, 5), rng.integers(1, 4)
+            y = np.where(rng.random((N, T)) < 0.3, 0.0, rng.exponential(2.0, (N, T)))
+            ds = toy_dataset(y, rng.normal(size=(N, T, K)), z=np.exp(rng.normal(0.0, 1.0, (N, T))))
+            t, s = (int(p) for p in rng.choice(T, 2, replace=False))
+            system = build_pairwise_slope_fe(ds, t, s)
+            rows, dep, reg = hand_expanded_slope_rows(ds, t, s)
+            assert np.array_equal(system.cluster, rows)
+            for got, want in ((system.dependent, dep), (dense_regressors(system), reg)):
+                assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want).max(axis=0))
+
     def test_substitution(self):
         ds = toy_dataset(
             [[2.0, 1.0]], [[[1.0], [0.0]]], z=[[1.0, 2.0]]

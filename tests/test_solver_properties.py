@@ -1,5 +1,6 @@
 """Solver invariants: row order, instrument scale, cluster labels, shared
-instrument blocks, dense cluster sums, and the cached factor-loading objective."""
+instrument blocks, per-block and dense cluster sums, and the cached
+factor-loading objective."""
 
 from dataclasses import replace
 
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy.linalg import block_diag
 
 from tobitiv import (
     EstimatorSpec,
@@ -23,6 +25,7 @@ from tobitiv import (
     two_stage_least_squares,
 )
 from tobitiv.gmm import (
+    _block_cluster_sums,
     _column_scale,
     _whiten_instruments,
     concentrated_linear_solve,
@@ -140,6 +143,46 @@ def test_2sls_invariant_to_row_order_within_blocks_and_cluster_labels(case):
     moved = permuted_within_blocks(system, rng)
     assert len(moved.instrument_blocks) == len(system.instrument_blocks) > 1
     assert_same_fit(two_stage_least_squares(system), two_stage_least_squares(moved))
+
+
+def dense_cluster_sums(cluster, Qs, u):
+    """D'(blockdiag(Qs) * u), D the row-by-cluster indicator of the sorted distinct ids."""
+    ids = np.unique(cluster)
+    return (cluster[:, None] == ids).astype(float).T @ (block_diag(*Qs) * u[:, None])
+
+
+# Cluster-id maps that keep ids distinct: as drawn, negative, and near 2**62.
+ID_MAPS = (lambda c: c, lambda c: -3 * c - 7, lambda c: 2**62 - 5 * c)
+
+
+@given(multi_block_systems())
+def test_block_cluster_sums_match_the_dense_indicator_product(case):
+    """`_block_cluster_sums` of every block, and of the first block alone, has
+    one row per distinct cluster id in increasing id order: it is the dense
+    indicator product, bit for bit where each block holds at most one row of
+    each cluster, else to 1e-12 of the largest sum. Every block's ids are
+    out of order."""
+    system, rng = case
+    moved = permuted_within_blocks(system, rng)
+    sizes = [Z.shape[0] for Z in moved.instrument_blocks]
+    ends = np.cumsum(sizes)
+    block_rows = [slice(e - n, e) for e, n in zip(ends, sizes)]
+    Qs = [rng.normal(size=(n, rng.integers(1, 4))) for n in sizes]
+    u = rng.normal(size=ends[-1])
+    # The same layout with distinct ids in each block, some shared across blocks.
+    distinct = np.concatenate([rng.choice(2 * max(sizes), n, replace=False) for n in sizes])
+    for cluster, one_row_each in ((moved.cluster, False), (distinct, True)):
+        for id_map in ID_MAPS:
+            c = id_map(cluster.astype(np.int64))
+            for k in (len(sizes), 1):
+                n = ends[k - 1]
+                got = _block_cluster_sums(c[:n], block_rows[:k], Qs[:k], u[:n])
+                want = dense_cluster_sums(c[:n], Qs[:k], u[:n])
+                assert got.shape == want.shape
+                if one_row_each:
+                    assert np.array_equal(got, want)
+                else:
+                    assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want).max())
 
 
 def test_shared_block_arrays_match_copies_bit_for_bit():
