@@ -71,7 +71,7 @@ _CONFIG_KEYS = ("variant", "panel", "estimator", "replications", "sample_sizes",
 
 
 def _load_json(path: str, keys=_CONFIG_KEYS) -> dict:
-    """The config object at `path`; a top-level key outside `keys` is an error."""
+    """The config object at `path`; a non-object or a key outside `keys` is an error."""
     try:
         with open(path) as fh:
             cfg = json.load(fh)
@@ -79,8 +79,6 @@ def _load_json(path: str, keys=_CONFIG_KEYS) -> dict:
         raise ConfigurationError(f"config file not found: {path}")
     except json.JSONDecodeError as exc:
         raise ConfigurationError(f"config is not valid JSON: {exc}")
-    if not isinstance(cfg, dict):
-        raise ConfigurationError("config must be a JSON object")
     check_keys(cfg, keys)
     return cfg
 

@@ -50,6 +50,7 @@ from .simulate import (
     check_keys,
     check_rules,
     check_variant_fields,
+    convert_fields,
     draw_panel,
     is_int,
 )
@@ -62,9 +63,11 @@ simulate = draw_panel
 
 FAILURE_FRACTION_LIMIT = 0.2
 
-# Each study count: the test a value must pass and the rule it states. Every
-# replication's record is held until the summary, hence the bound.
+# Each study input: the test a value must pass and the rule it states. Every
+# replication's record is held until the summary, hence the bound on the count.
 STUDY_RULES = {
+    "config": (lambda v: isinstance(v, PanelConfig), "a PanelConfig"),
+    "spec": (lambda v: isinstance(v, EstimatorSpec), "an EstimatorSpec"),
     "replications": (lambda v: is_int(v) and 1 <= v <= 100_000, "an integer in [1, 100000]"),
     "sample_sizes": (lambda v: v is None or isinstance(v, (list, tuple)) and len(v) > 0 and all(
         is_int(n) and n >= 1 for n in v) and list(v) == sorted(set(v)),
@@ -75,44 +78,43 @@ STUDY_RULES = {
 }
 
 
-# The estimator field with a rule of its own value: its rows reach moment order k + 1.
-_SPEC_RULES = {"cross_section_order": (lambda v: is_int(v) and 1 <= v < MAX_TOTAL_ORDER,
-                                       f"an integer in [1, {MAX_TOTAL_ORDER - 1}]")}
+# Each estimator field with a rule of its own value: an empty pairs list would run the
+# default pairs, an empty orders list no rows, and cross-section rows reach order k + 1.
+_SPEC_RULES = {
+    "pairs": (lambda v: v is None or len(v) > 0, "null or a non-empty list of pairs"),
+    "orders": (lambda v: len(v) > 0, "a non-empty list of [k, m]"),
+    "cross_section_order": (lambda v: is_int(v) and 1 <= v < MAX_TOTAL_ORDER,
+                            f"an integer in [1, {MAX_TOTAL_ORDER - 1}]"),
+}
 
-# The estimator fields that `EstimatorSpec.from_dict` converts from JSON lists.
-_SPEC_CONVERSIONS = {"pairs": lambda v: None if v is None else [tuple(p) for p in v],
+# The estimator fields that EstimatorSpec converts from their JSON lists to tuples.
+_SPEC_CONVERSIONS = {"pairs": lambda v: None if v is None else tuple(tuple(p) for p in v),
                      "triple": tuple, "orders": lambda v: tuple(tuple(o) for o in v)}
 
 
-@dataclass
+@dataclass(frozen=True)
 class EstimatorSpec:
     """Which moment rows to build and which instruments the builders use.
 
     `instruments` names a set in `moments.INSTRUMENT_SETS` for the variant's
     system shape: "default", "levels_squares" or "products" for pair systems,
     "default", "index_proxy" or "levels_squares" for triple systems, and
-    "default" for the cross-section. `validate` checks the spec against a
-    panel config before anything is built.
+    "default" for the cross-section. The constructor converts `pairs`, `triple`
+    and `orders` to tuples; `validate` checks the spec against a panel config.
     """
 
-    pairs: Optional[Sequence] = None  # [(t, s), ...]; None = variant default
+    pairs: Optional[Sequence] = None  # ((t, s), ...); None = variant default
     triple: Sequence = (0, 1, 2)
-    orders: Sequence = ((1, 1),)  # (k, m) list for the nonstationary rows
+    orders: Sequence = ((1, 1),)  # ((k, m), ...) for the nonstationary rows
     instruments: str = "default"
     cross_section_order: int = 1
 
+    def __post_init__(self):
+        convert_fields(self, _SPEC_CONVERSIONS)
+
     @classmethod
     def from_dict(cls, d: dict) -> "EstimatorSpec":
-        if not isinstance(d, dict):
-            raise ConfigurationError("estimator must be a JSON object", field="estimator")
         check_keys(d, cls, "estimator")
-        d = dict(d)
-        for name, convert in _SPEC_CONVERSIONS.items():
-            if name in d:
-                try:
-                    d[name] = convert(d[name])
-                except TypeError as exc:
-                    raise ConfigurationError(f"bad {name}: {exc}", field=name) from None
         return cls(**d)
 
     def validate(self, config: PanelConfig) -> None:
@@ -123,20 +125,20 @@ class EstimatorSpec:
         order (k, m), and the cross-section order k, must hold integers >= 1
         whose rows' highest moment order, k + m + 1 or k + 1, is at most
         MAX_TOTAL_ORDER, the highest order the `truncmoments` oracle computes;
-        no pair or order may repeat, and the single-pair variants take at most
-        one pair. A field the variant's rows do not read (VARIANT_INPUTS) must
-        keep its default; `pairs` None means the variant's default pairs.
+        no list may be empty, no pair or order may repeat, and the single-pair variants
+        take one pair. A field the variant's rows do not read (VARIANT_INPUTS) must keep
+        its default; `pairs` None means the variant's default pairs.
         """
         check_variant_fields(self, config.variant, "spec", unset_ok=("pairs",))
+        check_rules(vars(self), _SPEC_RULES)
         _check_entries(self.orders, "orders", f"must be two {IDENTITY_ORDER_RULE}",
                        is_identity_order)
-        check_rules(vars(self), _SPEC_RULES)
         shape = VARIANT_INPUTS[config.variant].shape
         instrument_set(shape, self.instruments)
         if shape == "cell":
             return
         field_name, width = ("pairs", 2) if shape == "pair" else ("triple", 3)
-        entries = list(self.pairs or []) if shape == "pair" else [self.triple]
+        entries = list(self.pairs or ()) if shape == "pair" else [self.triple]
         T = config.n_periods
         _check_entries(
             entries, field_name, f"must be {width} distinct periods in [0, {T})",
@@ -160,10 +162,9 @@ def is_identity_order(o) -> bool:
 
 
 def _check_entries(entries, field_name: str, rule: str, valid) -> None:
-    """ConfigurationError on the first entry that breaks `valid` or repeats."""
+    """ConfigurationError on the first entry, a tuple, that breaks `valid` or repeats."""
     seen = set()
     for entry in entries:
-        entry = tuple(entry) if isinstance(entry, (list, tuple, np.ndarray)) else (entry,)
         if not valid(entry):
             raise ConfigurationError(f"{field_name} entry {list(entry)} {rule}",
                                      field=field_name)
@@ -326,10 +327,10 @@ def run_study(
     Worker-pool execution returns results in replication order, so output is
     identical to sequential execution. One pool serves every sample size. It
     has at most `workers` processes, and no more than there are replications
-    or available CPUs. Each count is checked against STUDY_RULES before any work.
+    or available CPUs. Each input is checked against STUDY_RULES before any work.
     """
-    check_rules({"replications": n_replications, "sample_sizes": sample_sizes,
-                 "master_seed": master_seed, "workers": workers}, STUDY_RULES)
+    check_rules({"config": config, "spec": spec, "workers": workers, "master_seed": master_seed,
+                 "replications": n_replications, "sample_sizes": sample_sizes}, STUDY_RULES)
     spec.validate(config)
     sizes = list(sample_sizes) if sample_sizes is not None else [config.n_individuals]
     configs = [replace(config, n_individuals=int(size)) for size in sizes]

@@ -144,16 +144,21 @@ def dist_to_dict(dist) -> dict:
     return {"type": _DIST_NAMES[type(dist)], **asdict(dist)}
 
 
-def check_keys(d: dict, keys, where: str = "") -> None:
-    """Raise ConfigurationError for a key of `d` outside `keys`, the field names
-    of a dataclass or a sequence of names. The field is `where.key`, or the bare
-    key for a top-level config (`where` empty)."""
+def check_keys(d, keys, where: str = "") -> None:
+    """ConfigurationError unless `d` is a dict whose keys are among `keys`: the fields
+    of a dataclass, each one without a default required, or a sequence of names. The
+    field is `where.key`, or the bare key for a top-level config or a missing field."""
+    if not isinstance(d, dict):
+        raise ConfigurationError(f"{where or 'config'} must be a JSON object", field=where or None)
     names = [f.name for f in fields(keys)] if is_dataclass(keys) else list(keys)
     for key in d:
         if key not in names:
             raise ConfigurationError(
                 f"unknown key {key!r} in {where or 'config'}; expected one of {names}",
                 field=f"{where}.{key}" if where else key)
+    for f in fields(keys) if is_dataclass(keys) else ():
+        if f.name not in d and f.default is MISSING and f.default_factory is MISSING:
+            raise ConfigurationError(f"{where} config is missing {f.name!r}", field=f.name)
 
 
 def check_rules(values: dict, rules: dict) -> None:
@@ -205,8 +210,23 @@ def dist_from_dict(d: dict, name: str):
     return cls(**kwargs)
 
 
-# The fields that PanelConfig converts from their JSON form (strings, lists).
+def convert_fields(obj, conversions: dict) -> None:
+    """Convert fields of the frozen `obj` by `conversions`, in order, naming one that fails."""
+    for name, convert in conversions.items():
+        try:
+            object.__setattr__(obj, name, convert(getattr(obj, name)))
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ConfigurationError(f"bad {name}: {exc}", field=name) from None
+
+
+def _dist_conversion(name: str):
+    """Field `name`'s conversion: a distribution or None stays; the rest goes to dist_from_dict."""
+    return lambda v: v if v is None or type(v) in _DIST_NAMES else dist_from_dict(v, name)
+
+
+# PanelConfig's conversions from JSON, distributions first: a fault in one is named first.
 _CONVERSIONS = {
+    **{name: _dist_conversion(name) for name in _DIST_FIELDS},
     "variant": ModelVariant,
     "sampling": Sampling,
     "beta": lambda v: tuple(float(b) for b in v),
@@ -232,11 +252,7 @@ class PanelConfig:
     z_dist: Optional[LogNormalDist] = None
 
     def __post_init__(self):
-        for name, convert in _CONVERSIONS.items():
-            try:
-                object.__setattr__(self, name, convert(getattr(self, name)))
-            except (TypeError, ValueError) as exc:
-                raise ConfigurationError(f"bad {name}: {exc}", field=name) from None
+        convert_fields(self, _CONVERSIONS)
 
     def validate(self):
         check_rules(vars(self), _PANEL_RULES)
@@ -318,17 +334,11 @@ class PanelConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "PanelConfig":
-        """The config a JSON object describes. An unknown key, a missing one or
-        a value that does not convert raises ConfigurationError naming it
+        """The config a JSON object describes. A non-object, an unknown key, a missing
+        one or a value that does not convert raises ConfigurationError naming it
         (`panel.key`, or `x_dist.key` inside a distribution)."""
-        if not isinstance(d, dict):
-            raise ConfigurationError("panel config must be a JSON object", field="panel")
         check_keys(d, cls, "panel")
-        for f in fields(cls):
-            if f.name not in d and f.default is MISSING and f.default_factory is MISSING:
-                raise ConfigurationError(f"panel config is missing {f.name!r}", field=f.name)
-        return cls(**{k: dist_from_dict(v, k) if k in _DIST_FIELDS and v is not None else v
-                      for k, v in d.items()})
+        return cls(**d)
 
 
 @dataclass

@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from tobitiv import ConfigurationError, EstimatorSpec, PanelConfig
 from tobitiv.cli import build_parser, main
 from tobitiv.simulate import format_float
 from tobitiv.truncmoments import _full_power_integrals, moment_identity_residual
@@ -560,14 +561,26 @@ class TestMonteCarlo:
             ({"orders": 5}, "orders"),
             ({"orders": [[1, 1], 3]}, "orders"),
             ({"triple": 5}, "triple"),
+            # An empty list would run the default pairs, or build no system.
+            ({"pairs": []}, "pairs"),
+            ({"pairs": {}}, "pairs"),
+            ({"pairs": ""}, "pairs"),
+            ({"orders": []}, "orders"),
+            ({"orders": {}}, "orders"),
         ],
     )
-    def test_bad_estimator_spec_exit_2(self, tmp_path, capsys, estimator, field):
+    def test_bad_estimator_spec_exit_2(self, tmp_path, capsys, monkeypatch, estimator, field):
         panel, _ = self.long_panel()
         cfg = self.mc_config(tmp_path, variant="NonStationary", panel=panel,
                              estimator=estimator)
+        stop_at_first_work(monkeypatch)  # each fault is found before any replication
         assert main(["montecarlo", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
         assert_config_error(capsys, field)
+        # The library's twin: the constructor and `validate` name the same field.
+        with pytest.raises(ConfigurationError) as exc:
+            EstimatorSpec(**estimator).validate(
+                PanelConfig.from_dict({"variant": "NonStationary", **panel}))
+        assert exc.value.field == field
 
     @pytest.mark.parametrize(
         "variant, extra",
@@ -590,11 +603,13 @@ class TestMonteCarlo:
     @pytest.mark.parametrize(
         "field, value, reported",
         [("beta", [float("nan")], "beta"),
+         ("beta", [10**400], "beta"),  # an integer that no float holds
          ("error_cov", [[0.25, 0.0], [0.0, float("inf")]], "error_cov"),
          ("n_individuals", "300", "n_individuals"),
          # finite parameters whose draws overflow to inf
          ("x_dist", {"type": "normal", "mu": 1.0, "sigma": 1e308}, "panel")],
-        ids=["beta-value0", "error_cov-value1", "n_individuals-300", "overflowing_draws"],
+        ids=["beta-value0", "beta-huge_int", "error_cov-value1", "n_individuals-300",
+             "overflowing_draws"],
     )
     def test_non_finite_panel_exit_2(self, tmp_path, capsys, field, value, reported):
         cfg = self.mc_config(tmp_path)

@@ -1,0 +1,67 @@
+"""Property test: the library fails as the CLI does. A panel config or an
+estimator spec with one field replaced by a JSON-like value is constructed,
+validated and run through a 2-replication study at N = 200. Either the study
+runs, or a TobitIVError is raised; a ConfigurationError names the replaced
+field, or a dotted field under it. A count of periods or regressors may
+instead name the field that must agree with it. No other exception escapes.
+"""
+
+from dataclasses import fields, replace
+
+import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
+
+from test_variant_inputs import base_config
+from tobitiv import ConfigurationError, EstimatorSpec, PanelConfig, TobitIVError, run_study
+from tobitiv.simulate import ModelVariant
+
+PANEL_FIELDS = [f.name for f in fields(PanelConfig)]
+SPEC_FIELDS = [f.name for f in fields(EstimatorSpec)]
+
+# The fields whose length a count must agree with; a bad count may be named by them.
+AGREES_WITH = {"n_periods": ("error_cov", "factor_loadings", "pairs", "triple"),
+               "n_regressors": ("beta",)}
+
+SMALL_INTS = st.integers(-2, 6)
+JSON_LIKE = st.one_of(
+    st.none(), st.booleans(), SMALL_INTS, st.just(2**70), st.floats(), st.text(max_size=3),
+    st.lists(SMALL_INTS, max_size=3), st.lists(st.lists(SMALL_INTS, max_size=3), max_size=3),
+    st.dictionaries(st.text(max_size=3), SMALL_INTS, max_size=2),
+)
+
+
+def assert_names(exc: ConfigurationError, name: str) -> None:
+    assert exc.field is not None, exc
+    assert exc.field.split(".")[0] in (name, *AGREES_WITH.get(name, ())), (exc.field, exc)
+
+
+@pytest.mark.parametrize("name", PANEL_FIELDS + SPEC_FIELDS)
+@given(variant=st.sampled_from(list(ModelVariant)), value=JSON_LIKE)
+@example(variant=ModelVariant.INDEPENDENT_ERRORS, value=5)
+@example(variant=ModelVariant.NON_STATIONARY, value=5)
+@example(variant=ModelVariant.NON_STATIONARY, value=None)
+def test_one_bad_field_runs_or_names_itself(name, variant, value):
+    config, spec = replace(base_config(variant), n_individuals=200), EstimatorSpec()
+    try:
+        if name in PANEL_FIELDS:
+            config = replace(config, **{name: value})
+        else:
+            spec = replace(spec, **{name: value})
+        config.validate()
+        spec.validate(config)
+        run_study(config, spec, 2, master_seed=1)
+    except ConfigurationError as exc:
+        assert_names(exc, name)
+    except TobitIVError:
+        pass
+
+
+@pytest.mark.parametrize("name", ["config", "spec"])
+@pytest.mark.parametrize("value", [None, {}, "NonStationary"])
+def test_run_study_names_a_config_or_spec_of_another_type(name, value):
+    inputs = {"config": base_config(ModelVariant.NON_STATIONARY), "spec": EstimatorSpec(),
+              name: value}
+    with pytest.raises(ConfigurationError) as exc:
+        run_study(inputs["config"], inputs["spec"], 2, master_seed=1)
+    assert exc.value.field == name
