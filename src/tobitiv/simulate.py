@@ -113,8 +113,8 @@ def is_int(v) -> bool:
 
 
 def is_number(v) -> bool:
-    """True for ints and floats that are finite as floats, not for booleans."""
-    return isinstance(v, (int, float)) and not isinstance(v, bool) and abs(v) <= sys.float_info.max
+    """True for Python and NumPy ints and floats that are finite as floats, not for booleans."""
+    return (is_int(v) or isinstance(v, (float, np.floating))) and abs(v) <= sys.float_info.max
 
 
 _DIST_TYPES = {
@@ -215,7 +215,7 @@ def convert_fields(obj, conversions: dict) -> None:
     for name, convert in conversions.items():
         try:
             object.__setattr__(obj, name, convert(getattr(obj, name)))
-        except (TypeError, ValueError, OverflowError) as exc:
+        except (TypeError, ValueError) as exc:
             raise ConfigurationError(f"bad {name}: {exc}", field=name) from None
 
 
@@ -224,15 +224,31 @@ def _dist_conversion(name: str):
     return lambda v: v if v is None or type(v) in _DIST_NAMES else dist_from_dict(v, name)
 
 
+def _floats(v) -> tuple:
+    """The floats of a list of numbers that pass `is_number`; TypeError for anything else."""
+    if isinstance(v, (str, bytes, dict)) or not all(map(is_number, v)):
+        raise TypeError("expected a list of finite numbers")
+    return tuple(map(float, v))
+
+
 # PanelConfig's conversions from JSON, distributions first: a fault in one is named first.
 _CONVERSIONS = {
     **{name: _dist_conversion(name) for name in _DIST_FIELDS},
     "variant": ModelVariant,
     "sampling": Sampling,
-    "beta": lambda v: tuple(float(b) for b in v),
-    "error_cov": lambda v: tuple(tuple(float(x) for x in row) for row in v),
-    "factor_loadings": lambda v: None if v is None else tuple(float(r) for r in v),
+    "beta": _floats,
+    "error_cov": lambda v: tuple(map(_floats, v)),
+    "factor_loadings": lambda v: None if v is None else _floats(v),
 }
+
+# Each array field's shape, as the panel counts that give it.
+_SHAPES = {"beta": ("n_regressors",), "error_cov": ("n_periods", "n_periods"),
+           "factor_loadings": ("n_periods",)}
+
+
+def _has_shape(value, shape) -> bool:
+    """True if the nested tuple `value` has `shape`; a ragged one has none."""
+    return not shape or len(value) == shape[0] and all(_has_shape(v, shape[1:]) for v in value)
 
 
 @dataclass(frozen=True)
@@ -263,26 +279,16 @@ class PanelConfig:
                 f"variant {self.variant.value} requires n_periods >= {min_T}, got {T}",
                 field="n_periods",
             )
-        if len(self.beta) != K:
-            raise ConfigurationError(
-                f"beta has length {len(self.beta)}, expected {K}", field="beta"
-            )
-        try:
-            cov = np.asarray(self.error_cov, dtype=float)
-        except ValueError:  # rows of different lengths
-            raise ConfigurationError(f"error_cov must be {T} x {T}", field="error_cov") from None
-        if cov.shape != (T, T):
-            raise ConfigurationError(
-                f"error_cov has shape {cov.shape}, expected ({T}, {T})", field="error_cov"
-            )
+        for name, dims in _SHAPES.items():
+            shape = tuple(getattr(self, d) for d in dims)
+            if (value := getattr(self, name)) is not None and not _has_shape(value, shape):
+                raise ConfigurationError(f"{name} must have shape ({', '.join(dims)}) = {shape}",
+                                         field=name)
         # x holds N * T * K float64 values; numpy cannot index more bytes than intp holds.
         if 8 * N * T * K > np.iinfo(np.intp).max:
             raise ConfigurationError(
                 f"an {N} x {T} x {K} regressor array exceeds the largest array this "
                 "platform can hold", field="n_individuals")
-        for name in ("beta", "error_cov", "factor_loadings"):
-            if not np.all(np.isfinite(np.asarray(getattr(self, name) or (), dtype=float))):
-                raise ConfigurationError(f"{name} must be finite", field=name)
         dists = {name: dist for name in _DIST_FIELDS if (dist := getattr(self, name)) is not None}
         for name in _DIST_FIELDS:
             if name not in dists and name in ("fe_dist", "x_dist"):
@@ -291,6 +297,7 @@ class PanelConfig:
                 raise ConfigurationError(f"{name} parameters must be finite numbers",
                                          field=name)
         check_rules(dists, _DIST_FIELDS)
+        cov = np.asarray(self.error_cov)
         if not np.allclose(cov, cov.T, atol=1e-12):
             raise ConfigurationError("error_cov must be symmetric", field="error_cov")
         try:
@@ -308,16 +315,9 @@ class PanelConfig:
             raise ConfigurationError("AdditiveVariance draws sqrt(sigma_i^2 + sigma_t^2) * "
                                      "N(0, 1), so error_cov must be diagonal", field="error_cov")
         check_variant_fields(self, self.variant, "panel")
-        if self.factor_loadings is not None:
-            if len(self.factor_loadings) != T:
-                raise ConfigurationError(
-                    "factor_loadings must have one entry per period", field="factor_loadings"
-                )
-            if not math.isclose(self.factor_loadings[0], 1.0):
-                raise ConfigurationError(
-                    "the first factor loading is the scale normalization and must be 1",
-                    field="factor_loadings",
-                )
+        if self.factor_loadings is not None and not math.isclose(self.factor_loadings[0], 1.0):
+            raise ConfigurationError("the first factor loading is the scale normalization "
+                                     "and must be 1", field="factor_loadings")
 
     def to_dict(self):
         """Every field that is set, as JSON values: enums by value, tuples as lists."""

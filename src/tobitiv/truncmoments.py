@@ -40,15 +40,18 @@ from .errors import (
     InsufficientAcceptanceError,
     UnsupportedOrderError,
 )
+from .simulate import is_int, is_number
 
 MAX_TOTAL_ORDER = 8
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 
-def _check_finite(name, value):
-    if not math.isfinite(value):
-        raise DomainError(f"{name} must be finite, got {value!r}")
+def _check_number(name, value, positive=False):
+    """DomainError unless `value` passes `is_number` and, if `positive`, is > 0."""
+    if not (is_number(value) and (value > 0 or not positive)):
+        raise DomainError(f"{name} must be a {'positive' if positive else 'finite'} number, "
+                          f"got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -59,10 +62,8 @@ class UnivariateNormalSpec:
     sigma2: float
 
     def __post_init__(self):
-        _check_finite("mu", self.mu)
-        _check_finite("sigma2", self.sigma2)
-        if self.sigma2 <= 0.0:
-            raise DomainError(f"sigma2 must be positive, got {self.sigma2}")
+        _check_number("mu", self.mu)
+        _check_number("sigma2", self.sigma2, positive=True)
 
     @property
     def sigma(self) -> float:
@@ -81,9 +82,7 @@ class BivariateNormalSpec:
 
     def __post_init__(self):
         for name in ("mu1", "mu2", "sigma1_sq", "sigma2_sq", "sigma12"):
-            _check_finite(name, getattr(self, name))
-        if self.sigma1_sq <= 0.0 or self.sigma2_sq <= 0.0:
-            raise DomainError("variances must be strictly positive")
+            _check_number(name, getattr(self, name), positive=name.endswith("_sq"))
         # compared unsquared: sigma12**2 overflows for large finite covariances
         if abs(self.sigma12) >= self.sigma1 * self.sigma2:
             raise DomainError(
@@ -113,7 +112,7 @@ class MomentQuery:
     m: int
 
     def __post_init__(self):
-        if not all(isinstance(v, (int, np.integer)) and v >= 0 for v in (self.k, self.m)):
+        if not all(is_int(v) and v >= 0 for v in (self.k, self.m)):
             raise DomainError(f"exponents must be integers >= 0, got k={self.k!r}, m={self.m!r}")
         if self.k + self.m > MAX_TOTAL_ORDER:
             raise UnsupportedOrderError(
@@ -323,8 +322,7 @@ def quadrant_moments(
     within ``tol`` absolute. Raises ``DomainError`` when a requested moment
     overflows.
     """
-    if tol <= 0.0:
-        raise DomainError(f"tol must be positive, got {tol}")
+    _check_number("tol", tol, positive=True)
     for a, b in exponent_pairs:
         MomentQuery(a, b)  # validates range
 
@@ -373,9 +371,9 @@ def bivariate_truncated_moment_mc(
     the positive quadrant, and returns the sample mean of U1^k U2^m together
     with its standard error. Deterministic given ``seed``.
     """
-    if not (isinstance(n_draws, (int, np.integer)) and 1000 <= n_draws <= 10**9):
+    if not (is_int(n_draws) and 1000 <= n_draws <= 10**9):
         raise DomainError(f"n_draws must be an integer in [1000, 10**9], got {n_draws!r}")
-    if not (isinstance(seed, (int, np.integer)) and seed >= 0):
+    if not (is_int(seed) and seed >= 0):
         raise DomainError(f"seed must be an integer >= 0, got {seed!r}")
     rng = np.random.Generator(np.random.PCG64(seed))
     s1 = spec.sigma1
@@ -434,6 +432,7 @@ def moment_identity_residual(
     """
     if q.k < 1 or q.m < 1:
         raise DomainError(f"identity requires k >= 1 and m >= 1, got k={q.k}, m={q.m}")
+    _check_number("tol", tol, positive=True)
     k, m = q.k, q.m
     pairs = [(k + 1, m), (k, m + 1), (k, m), (k - 1, m), (k, m - 1)]
     mom = quadrant_moments(spec, pairs, tol / 10.0)

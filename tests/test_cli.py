@@ -625,6 +625,26 @@ class TestMonteCarlo:
 
     @pytest.mark.parametrize(
         "field, value",
+        [("beta", "1"), ("beta", [True]), ("beta", ["1"]), ("error_cov", ["10", "01"]),
+         ("factor_loadings", "15")],
+    )
+    def test_non_number_array_exit_2(self, tmp_path, capsys, field, value):
+        # Each used to read as a valid panel and exit 0: "1" and [true] as beta (1.0,),
+        # ["10", "01"] as the identity and "15" as the loadings (1.0, 5.0).
+        cfg = self.mc_config(tmp_path, variant="FactorLoading",
+                             estimator={"instruments": "products"})
+        payload = json.loads(open(cfg).read())
+        payload["panel"].update({"factor_loadings": [1.0, 1.5], field: value})
+        cfg = write_config(tmp_path, "mc.json", payload)
+        assert main(["montecarlo", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert_config_error(capsys, field)
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "ds")]) == 2
+        assert_config_error(capsys, field)
+        assert not (tmp_path / "o").exists()
+        assert not (tmp_path / "ds").exists()
+
+    @pytest.mark.parametrize(
+        "field, value",
         [("fe_dist", {"type": "normal", "mu": 0.0, "sigma": 1.0}),
          ("x_dist", {"type": "linear_index", "index_coef": 1.0, "noise_sigma": 0.5})],
     )

@@ -3,9 +3,11 @@ estimator spec with one field replaced by a JSON-like value is constructed,
 validated and run through a 2-replication study at N = 200. Either the study
 runs, or a TobitIVError is raised; a ConfigurationError names the replaced
 field, or a dotted field under it. A count of periods or regressors may
-instead name the field that must agree with it. No other exception escapes.
+instead name the field that must agree with it. No other exception escapes,
+and a panel array that validates was given as a list (of lists) of numbers.
 """
 
+import sys
 from dataclasses import fields, replace
 
 import pytest
@@ -23,12 +25,24 @@ SPEC_FIELDS = [f.name for f in fields(EstimatorSpec)]
 AGREES_WITH = {"n_periods": ("error_cov", "factor_loadings", "pairs", "triple"),
                "n_regressors": ("beta",)}
 
+# The panel's array fields, each with its depth of nesting.
+ARRAYS = {"beta": 1, "error_cov": 2, "factor_loadings": 1}
+
 SMALL_INTS = st.integers(-2, 6)
+DIGITS = st.sampled_from(["1", "15", "10", "01"])
 JSON_LIKE = st.one_of(
     st.none(), st.booleans(), SMALL_INTS, st.just(2**70), st.floats(), st.text(max_size=3),
-    st.lists(SMALL_INTS, max_size=3), st.lists(st.lists(SMALL_INTS, max_size=3), max_size=3),
+    DIGITS, st.lists(SMALL_INTS, max_size=3), st.lists(st.booleans(), max_size=3),
+    st.lists(DIGITS, max_size=4), st.lists(st.lists(SMALL_INTS, max_size=3), max_size=3),
     st.dictionaries(st.text(max_size=3), SMALL_INTS, max_size=2),
 )
+
+
+def is_array(value, depth: int) -> bool:
+    """True for a list (of lists, to `depth`) of numbers that are finite as floats."""
+    if depth == 0:
+        return type(value) in (int, float) and abs(value) <= sys.float_info.max
+    return isinstance(value, (list, tuple)) and all(is_array(v, depth - 1) for v in value)
 
 
 def assert_names(exc: ConfigurationError, name: str) -> None:
@@ -41,6 +55,13 @@ def assert_names(exc: ConfigurationError, name: str) -> None:
 @example(variant=ModelVariant.INDEPENDENT_ERRORS, value=5)
 @example(variant=ModelVariant.NON_STATIONARY, value=5)
 @example(variant=ModelVariant.NON_STATIONARY, value=None)
+# Each read as a panel of the base's shape (T = 4, K = 2): "15" as (1.0, 5.0), a
+# boolean as 0.0 or 1.0, a digit string as its digits.
+@example(variant=ModelVariant.FACTOR_LOADING, value="15")
+@example(variant=ModelVariant.FACTOR_LOADING, value="1523")
+@example(variant=ModelVariant.NON_STATIONARY, value=[True, False])
+@example(variant=ModelVariant.NON_STATIONARY, value=["1", "5"])
+@example(variant=ModelVariant.NON_STATIONARY, value=["1000", "0100", "0010", "0001"])
 def test_one_bad_field_runs_or_names_itself(name, variant, value):
     config, spec = replace(base_config(variant), n_individuals=200), EstimatorSpec()
     try:
@@ -49,6 +70,8 @@ def test_one_bad_field_runs_or_names_itself(name, variant, value):
         else:
             spec = replace(spec, **{name: value})
         config.validate()
+        if name in ARRAYS and not (name == "factor_loadings" and value is None):
+            assert is_array(value, ARRAYS[name]), (name, value)
         spec.validate(config)
         run_study(config, spec, 2, master_seed=1)
     except ConfigurationError as exc:
