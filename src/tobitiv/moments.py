@@ -196,8 +196,7 @@ def default_instruments(
     Columns: constant, x_t, x_s, x_t - x_s, (x_t - x_s)^2 elementwise, and
     when z is present z_t, z_s, z_t z_s, z_t^2, z_s^2.
     """
-    x_t = np.atleast_2d(x_t)
-    x_s = np.atleast_2d(x_s)
+    x_t, x_s = _as_cols(x_t), _as_cols(x_s)
     diff = x_t - x_s
     cols = [np.ones((x_t.shape[0], 1)), x_t, x_s, diff, diff**2]
     if z_t is not None:
@@ -315,8 +314,8 @@ def build_cross_section(
     individual effect (this is exactly what makes it a biased benchmark on
     fixed-effects data).
     """
-    if k < 1:
-        raise DomainError(f"k must be >= 1, got {k}")
+    if not (is_int(k) and k >= 1):
+        raise DomainError(f"k must be an integer >= 1, got {k!r}")
     N, T = dataset.y.shape
     K = dataset.n_regressors
     y = dataset.y.ravel()
@@ -336,6 +335,12 @@ def are_periods(periods, n_periods: int) -> bool:
     periods of a pair or a triple, in the builders and in `EstimatorSpec`."""
     return (all(is_int(p) and 0 <= p < n_periods for p in periods)
             and len(set(periods)) == len(periods))
+
+
+def is_order(o) -> bool:
+    """True for an order (k, m) of two integers >= 1: the rule for the orders of
+    pairwise rows, in the builders and, bounded by MAX_TOTAL_ORDER, in `EstimatorSpec`."""
+    return isinstance(o, (list, tuple)) and len(o) == 2 and all(is_int(v) and v >= 1 for v in o)
 
 
 def _positive_rows(dataset: PanelDataset, what: str, *periods):
@@ -400,9 +405,8 @@ def build_pairwise_nonstationary_orders(
     built once and every system holds that one array as its block; 2SLS then
     factorises it once for all of them.
     """
-    for k, m in orders:
-        if k < 1 or m < 1:
-            raise DomainError(f"k and m must be >= 1, got k={k}, m={m}")
+    if not (isinstance(orders, (list, tuple)) and all(map(is_order, orders))):
+        raise DomainError(f"orders must be a list of (k, m), two integers >= 1, got {orders!r}")
     idx, y_t, y_s, x_t, x_s = _pair_arrays(dataset, t, s)
     Z = instrument_set("pair", instruments)(x_t, x_s)
     params = _beta_params(x_t.shape[1]) + [Param("dvar", (t, s)), Param("dvar", (s, t))]

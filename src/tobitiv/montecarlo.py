@@ -35,6 +35,7 @@ from .moments import (
     build_triple_additive_variance,
     build_triple_variance_fe,
     instrument_set,
+    is_order,
     # Not used here: perfbench/tracing.py looks these three names up on this module.
     censored_index_instruments,
     levels_squares_instruments,
@@ -154,11 +155,10 @@ IDENTITY_ORDER_RULE = f"integers >= 1 with k + m + 1 <= {MAX_TOTAL_ORDER}"
 
 
 def is_identity_order(o) -> bool:
-    """True for an order (k, m) of two integers >= 1 whose identity's highest
+    """True for an order (k, m) that passes `is_order` and whose identity's highest
     moment order, k + m + 1, is at most MAX_TOTAL_ORDER: the rule for the
     orders of nonstationary rows and of `verify`."""
-    return (isinstance(o, (list, tuple)) and len(o) == 2
-            and all(is_int(v) and v >= 1 for v in o) and o[0] + o[1] + 1 <= MAX_TOTAL_ORDER)
+    return is_order(o) and o[0] + o[1] + 1 <= MAX_TOTAL_ORDER
 
 
 def _check_entries(entries, field_name: str, rule: str, valid) -> None:

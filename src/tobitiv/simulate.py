@@ -114,7 +114,9 @@ def is_int(v) -> bool:
 
 def is_number(v) -> bool:
     """True for Python and NumPy ints and floats that are finite as floats, not for booleans."""
-    return (is_int(v) or isinstance(v, (float, np.floating))) and abs(v) <= sys.float_info.max
+    if isinstance(v, (float, np.floating)):
+        return math.isfinite(v)  # compared with a float, a float32 casts it to float32
+    return is_int(v) and abs(v) <= sys.float_info.max
 
 
 _DIST_TYPES = {
@@ -320,14 +322,17 @@ class PanelConfig:
                                      "and must be 1", field="factor_loadings")
 
     def to_dict(self):
-        """Every field that is set, as JSON values: enums by value, tuples as lists."""
+        """Every field that is set, as JSON values: enums by value, tuples as lists,
+        NumPy numbers as Python numbers."""
 
         def plain(v):
             if isinstance(v, Enum):
                 return v.value
             if isinstance(v, tuple):
                 return [plain(e) for e in v]
-            return dist_to_dict(v) if is_dataclass(v) else v
+            if is_dataclass(v):
+                return {k: plain(e) for k, e in dist_to_dict(v).items()}
+            return v.item() if isinstance(v, np.generic) else v
 
         return {f.name: plain(v) for f in fields(self)
                 if (v := getattr(self, f.name)) is not None}

@@ -4,8 +4,9 @@ study count or a path, or returns a result; it never raises another exception.
 
 Covered: the moment builders (periods negative or >= T included), `run_study`
 counts, sample sizes and workers, `replication_seed`, `save_dataset` /
-`load_dataset` paths, and the `truncmoments` entry points. Panels stay small
-(N <= 400) so that every example runs in milliseconds.
+`load_dataset` paths, and the `truncmoments` entry points. A non-number or a
+boolean where the builders or `truncmoments` take a number is a DomainError.
+Panels stay small (N <= 400) so that every example runs in milliseconds.
 """
 
 import math
@@ -66,6 +67,19 @@ def outcome(fn, *args, **kwargs):
 NOT_COUNTS = st.sampled_from([None, "3", 2.5, True, [], -1, 0, 10**6, 2**70])
 ODD_FLOATS = st.sampled_from([-math.inf, -1e300, -50.0, -3.5, -1.0, 0.0, 1e-300, 0.5, 1.0,
                               4.0, 1e100, 1e300, math.inf, math.nan])
+# Values in place of a number, which a numeric argument rejects.
+NOT_NUMBERS = [None, "1", True, [0.0]]
+NUMBERS_OR_NOT = st.one_of(ODD_FLOATS, st.sampled_from(NOT_NUMBERS))
+# Values in place of an integer moment order, which an order argument rejects.
+NOT_ORDERS = st.sampled_from([True, "1", None, 1.0])
+
+
+def is_number(v):
+    return type(v) in (int, float)
+
+
+def is_order(v):
+    return type(v) is int and v >= 1
 
 
 # ---- builders ---------------------------------------------------------------
@@ -104,16 +118,27 @@ def in_range(periods, T):
 
 
 PERIODS = st.integers(-6, 7)
+TOY = PanelDataset(y=np.ones((4, 3)), x=np.ones((4, 3, 1)), config=None)
 
 
 @pytest.mark.parametrize("builder", sorted(PAIR_BUILDERS))
-@given(dataset=panels(), t=PERIODS, s=PERIODS, k=st.integers(-1, 3), m=st.integers(-1, 3),
-       kind=st.sampled_from(KINDS))
+@given(dataset=panels(), t=PERIODS, s=PERIODS, k=st.one_of(st.integers(-1, 3), NOT_ORDERS),
+       m=st.one_of(st.integers(-1, 3), NOT_ORDERS), kind=st.sampled_from(KINDS))
 def test_pair_builders_reject_or_build(builder, dataset, t, s, k, m, kind):
     result = outcome(PAIR_BUILDERS[builder], dataset, t, s, k, m, kind)
+    bad_order = builder in ("nonstationary", "orders") and not (is_order(k) and is_order(m))
+    if bad_order:
+        assert isinstance(result, DomainError)
     if not in_range((t, s), dataset.n_periods):
-        assert isinstance(result, DomainError)  # an order below 1 may be named first
-        assert "periods must be" in str(result) or min(k, m) < 1
+        assert isinstance(result, DomainError)  # a bad order may be named first
+        assert "periods must be" in str(result) or bad_order
+
+
+@pytest.mark.parametrize("orders", [None, 5, [5], [(1,)], [(True, 1)], [("1", 1)], [(1, 0)]])
+def test_bad_orders_are_a_domain_error(orders):
+    # None, 5, [5] and [("1", 1)] raised a bare TypeError; [(True, 1)] ran as order 1.
+    with pytest.raises(DomainError, match="orders must be"):
+        build_pairwise_nonstationary_orders(TOY, 0, 1, orders)
 
 
 @pytest.mark.parametrize("builder", sorted(TRIPLE_BUILDERS))
@@ -125,9 +150,12 @@ def test_triple_builders_reject_or_build(builder, dataset, periods, kind):
         assert isinstance(result, DomainError) and "periods must be" in str(result)
 
 
-@given(dataset=panels(), k=st.integers(-2, 4), kind=st.sampled_from(KINDS))
+@given(dataset=panels(), k=st.one_of(st.integers(-2, 4), NOT_ORDERS),
+       kind=st.sampled_from(KINDS))
 def test_cross_section_rejects_or_builds(dataset, k, kind):
-    outcome(build_cross_section, dataset, k, kind)
+    result = outcome(build_cross_section, dataset, k, kind)
+    if not is_order(k):
+        assert isinstance(result, DomainError)
 
 
 @pytest.mark.parametrize("periods", [(-1, 0), (0, 5), (3, 0), (0, 0)])
@@ -269,12 +297,15 @@ def test_load_dataset_names_the_bad_directory(tmp_path, where):
 
 # ---- truncmoments -----------------------------------------------------------
 
-ORDERS = st.one_of(st.integers(-2, 10), st.sampled_from([1.5, 2.0, math.inf, math.nan, "2"]))
+ORDERS = st.one_of(st.integers(-2, 10),
+                   st.sampled_from([1.5, 2.0, math.inf, math.nan, "2", True, None]))
 
 
-@given(mu=ODD_FLOATS, sigma2=ODD_FLOATS, k=ORDERS)
+@given(mu=NUMBERS_OR_NOT, sigma2=NUMBERS_OR_NOT, k=ORDERS)
 def test_univariate_moments_reject_or_return(mu, sigma2, k):
     spec = outcome(UnivariateNormalSpec, mu, sigma2)
+    if not (is_number(mu) and is_number(sigma2)):
+        assert isinstance(spec, DomainError)
     if isinstance(spec, TobitIVError):
         return
     for route in (univariate_truncated_moment, univariate_truncated_moment_quad):
@@ -282,30 +313,38 @@ def test_univariate_moments_reject_or_return(mu, sigma2, k):
         assert isinstance(value, TobitIVError) or math.isfinite(value)
 
 
-@given(coords=st.tuples(ODD_FLOATS, ODD_FLOATS, ODD_FLOATS, ODD_FLOATS, ODD_FLOATS),
-       k=ORDERS, m=ORDERS, tol=st.sampled_from([-1.0, 0.0, 1e-300, 1e-8, 1e-3, math.nan]))
+@given(coords=st.tuples(*[NUMBERS_OR_NOT] * 5), k=ORDERS, m=ORDERS,
+       tol=st.sampled_from([-1.0, 0.0, 1e-300, 1e-8, 1e-3, math.nan, math.inf, *NOT_NUMBERS]))
 def test_bivariate_moments_reject_or_return(coords, k, m, tol):
     spec = outcome(BivariateNormalSpec, *coords)
     query = outcome(MomentQuery, k, m)
+    if not all(map(is_number, coords)):
+        assert isinstance(spec, DomainError)
+    if not (type(k) is int and type(m) is int):
+        assert isinstance(query, DomainError)
     if isinstance(spec, TobitIVError) or isinstance(query, TobitIVError):
         return
     for value in (outcome(bivariate_truncated_moment_quad, spec, query, tol),
                   outcome(moment_identity_residual, spec, query, tol),
                   outcome(quadrant_moments, spec, [(k, m), (0, 0)], tol)):
         assert isinstance(value, (TobitIVError, float, dict))
+        if not (is_number(tol) and 0 < tol < math.inf):
+            assert isinstance(value, DomainError)
 
 
 @settings(max_examples=10)
 @given(coords=st.tuples(ODD_FLOATS, ODD_FLOATS, ODD_FLOATS, ODD_FLOATS, ODD_FLOATS),
        k=st.integers(0, 4), n_draws=st.sampled_from([-1, 0, 999, 1000, 5000, 1500.0, math.nan,
                                                 10**9 + 1, 10**15]),
-       seed=st.sampled_from([-1, 0, 2**70, 1.5, None]))
+       seed=st.sampled_from([-1, 0, 2**70, 1.5, None, True, "1"]))
 def test_monte_carlo_oracle_rejects_or_returns(coords, k, n_draws, seed):
     spec = outcome(BivariateNormalSpec, *coords)
     if isinstance(spec, TobitIVError):
         return
     value = outcome(bivariate_truncated_moment_mc, spec, MomentQuery(k, 1), n_draws, seed)
     assert isinstance(value, (TobitIVError, tuple))
+    if type(seed) is not int:
+        assert isinstance(value, DomainError)
 
 
 @pytest.mark.parametrize("n_draws", [999, 10**9 + 1, 10**15])
@@ -325,3 +364,32 @@ def test_non_integer_moment_order_is_a_domain_error(k):
                                         MomentQuery(k, 1))
     with pytest.raises(DomainError):
         univariate_truncated_moment(UnivariateNormalSpec(0.0, 1.0), k)
+
+
+SPEC = BivariateNormalSpec(0.0, 0.0, 1.0, 1.0, 0.0)
+
+# Each raised a bare TypeError, or ran with True read as 1.
+NON_NUMBER_CALLS = {
+    "univariate_spec": lambda: UnivariateNormalSpec("1", 1.0),
+    "univariate_spec_bool": lambda: UnivariateNormalSpec(True, 1.0),
+    "bivariate_spec": lambda: BivariateNormalSpec(0, 0, 1, 1, [0.0]),
+    "quadrant_tol": lambda: quadrant_moments(SPEC, [(1, 1)], "1e-8"),
+    "identity_tol": lambda: moment_identity_residual(SPEC, MomentQuery(1, 1), None),
+    "query_bool": lambda: MomentQuery(True, 1),
+    "mc_seed_bool": lambda: bivariate_truncated_moment_mc(SPEC, MomentQuery(1, 1), 1000, True),
+    "cross_section_str": lambda: build_cross_section(TOY, "2"),
+    "cross_section_bool": lambda: build_cross_section(TOY, True),
+    "nonstationary_str": lambda: build_pairwise_nonstationary(TOY, 0, 1, "1", 1),
+}
+
+
+@pytest.mark.parametrize("call", sorted(NON_NUMBER_CALLS))
+def test_a_non_number_or_a_boolean_is_a_domain_error(call):
+    with pytest.raises(DomainError):
+        NON_NUMBER_CALLS[call]()
+
+
+def test_identity_names_the_callers_tol():
+    # It used to name tol / 10: "tol must be positive, got -0.1".
+    with pytest.raises(DomainError, match=r"tol must be a positive number, got -1\.0$"):
+        moment_identity_residual(SPEC, MomentQuery(1, 1), tol=-1.0)

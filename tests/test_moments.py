@@ -21,6 +21,7 @@ from tobitiv import (
     build_triple_additive_variance,
     build_triple_variance_fe,
     default_instruments,
+    levels_squares_instruments,
     simulate,
     stack_systems,
     two_stage_least_squares,
@@ -337,6 +338,14 @@ class TestInstruments:
             [[1.0, 1.0, -1.0, 2.0, 4.0], [1.0, 2.0, 0.0, 2.0, 4.0]],
             atol=1e-12,
         )
+
+    def test_default_set_reads_a_1d_regressor_as_a_column(self):
+        # np.atleast_2d used to read it as one row: a 1 x 13 matrix.
+        x_t, x_s = np.array([1.0, 2.0, 3.0]), np.array([0.0, 1.0, 5.0])
+        got = default_instruments(x_t, x_s)
+        assert got.shape == (3, 5)
+        assert np.array_equal(got, default_instruments(x_t[:, None], x_s[:, None]))
+        assert got.shape == levels_squares_instruments(x_t, x_s).shape
 
     def test_duplicate_columns_leave_the_fit_unchanged(self):
         # The default triple set repeats each period's x block (25 columns,

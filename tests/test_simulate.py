@@ -208,6 +208,20 @@ class TestSerialization:
         cfg = indep_config()
         assert PanelConfig.from_dict(cfg.to_dict()) == cfg
 
+    def test_numpy_numbers_round_trip(self, tmp_path):
+        # NumPy numbers pass the panel's rules; a NumPy seed, and a float32
+        # distribution parameter, used to fail json.dump in save_dataset.
+        cfg = indep_config(n_individuals=50, seed=np.int64(3), beta=np.array([1.0]),
+                           x_dist=NormalDist(np.float32(1.0), np.int64(1)))
+        save_dataset(simulate(cfg), str(tmp_path))
+        assert load_dataset(str(tmp_path)).config.to_dict() == cfg.to_dict()
+
+    @pytest.mark.parametrize("value", [np.float32(np.inf), np.float32(np.nan), np.float64(np.inf)])
+    def test_a_non_finite_numpy_float_is_named(self, value):
+        with pytest.raises(ConfigurationError) as exc:
+            indep_config(beta=(value,))
+        assert exc.value.field == "beta"
+
 
 @st.composite
 def simulated_panels(draw, variant):
