@@ -19,13 +19,19 @@ increasing cluster-id order, and the one Gc serves both the covariance and
 J. The factor-loading GMM prunes with the same QR and shares 2SLS's
 instrument-count and rank checks, cluster sums and sandwich. Both solvers
 reject input that is not finite, or whose squares overflow, before any
-arithmetic. The helpers that factorise import ``scipy.linalg`` on first use,
-so importing this module loads only numpy.
+arithmetic. The helpers that factorise call scipy's compiled LAPACK wrappers,
+`scipy.linalg._flapack`, loaded alone on first use, with the arguments and
+checks that `scipy.linalg` gives them; importing this module loads only numpy,
+and no solve imports the `scipy.linalg` package.
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
 from dataclasses import dataclass, fields
 from typing import Optional
 
@@ -172,6 +178,49 @@ def _check_rank(M: np.ndarray, param_names) -> float:
     return float(svals[0] / svals[-1])
 
 
+_FLAPACK = "scipy.linalg._flapack"
+
+
+def _lapack():
+    """scipy's compiled LAPACK wrappers, the extension `scipy.linalg._flapack`.
+
+    At scipy 1.17.1, importing the `scipy.linalg` package costs a process
+    about 300 ms and 27 MB (it loads `numpy.f2py`, `numpy.testing` and more);
+    the extension alone costs 2.6 MB. So it is loaded by itself from scipy's `linalg`
+    directory, once, and registered under its own name, where a later
+    `import scipy.linalg` finds it and reuses it.
+    """
+    lapack = sys.modules.get(_FLAPACK)
+    if lapack is None:
+        scipy_spec = importlib.util.find_spec("scipy")
+        roots = scipy_spec.submodule_search_locations if scipy_spec else ()
+        dirs = [os.path.join(root, "linalg") for root in roots]
+        spec = importlib.machinery.PathFinder.find_spec(_FLAPACK, dirs)
+        if spec is None:
+            raise ModuleNotFoundError(f"No module named {_FLAPACK!r}", name=_FLAPACK)
+        lapack = importlib.util.module_from_spec(spec)
+        sys.modules[_FLAPACK] = lapack
+        spec.loader.exec_module(lapack)
+    return lapack
+
+
+def _lapack_call(name, *args, workspace=False, **kwargs):
+    """The LAPACK routine `name` called as `scipy.linalg` calls it: its outputs
+    and its info, a positive info being the routine's own finding (a matrix
+    that is singular or not positive definite). A negative info, an illegal
+    argument, raises ValueError. With `workspace`, the routine is first asked
+    for its work array's size (lwork = -1), and the work array is left out of
+    the outputs.
+    """
+    routine = getattr(_lapack(), name)
+    if workspace:
+        kwargs["lwork"] = routine(*args, lwork=-1, **kwargs)[-2][0].real.astype(np.int_)
+    *out, info = routine(*args, **kwargs)
+    if info < 0:
+        raise ValueError(f"illegal value in {-info}th argument of internal {name}")
+    return (*out[:-1], info) if workspace else (*out, info)
+
+
 def _pivoted_qr(Z: np.ndarray, scale: np.ndarray):
     """Economic pivoted QR of the rescaled instruments: (Q, R11, kept columns).
 
@@ -181,27 +230,29 @@ def _pivoted_qr(Z: np.ndarray, scale: np.ndarray):
     full-rank instrument matrix. The kept columns are the first `rank`
     pivots, so the first `rank` columns of Q span them; times R11, the
     leading block of R, they give the rescaled kept columns in pivot order.
+    The calls are those of ``scipy.linalg.qr(mode="economic", pivoting=True)``:
+    dgeqp3, then dorgqr on the first min(rows, columns) columns of its output.
     """
-    from scipy import linalg as sla
-
-    Zs = np.divide(Z, scale, order="F")  # LAPACK's layout, factorised in place
-    Q, R, piv = sla.qr(Zs, mode="economic", pivoting=True, overwrite_a=True)
-    diag = np.abs(np.diag(R))
+    # LAPACK's layout, factorised in place
+    Zs = np.asarray_chkfinite(np.divide(Z, scale, order="F"))
+    qr, piv, tau, _ = _lapack_call("dgeqp3", Zs, overwrite_a=True, workspace=True)
+    diag = np.abs(np.diag(qr))
     rank = int(np.sum(diag > RANK_RTOL * diag[0])) if diag.size else 0
-    return Q, R[:rank, :rank], np.sort(piv[:rank])
+    R11 = np.triu(qr[:rank, :rank])  # taken before dorgqr overwrites qr with Q
+    Q, _ = _lapack_call("dorgqr", qr[:, : min(Zs.shape)], tau, overwrite_a=True, workspace=True)
+    return Q, R11, np.sort(piv[:rank] - 1)  # dgeqp3 counts columns from 1
 
 
 def _spd_solver(S: np.ndarray):
     """``B -> S^-1 B`` from one Cholesky factor of S, or from its pseudo-inverse
-    when S is not positive definite."""
-    from scipy import linalg as sla
-
-    try:
-        factor = sla.cho_factor(S)
-    except np.linalg.LinAlgError:
+    when S is not positive definite. The calls are scipy.linalg's
+    ``cho_solve(cho_factor(S), B)``: dpotrf on the upper triangle, the lower
+    left as it was, then dpotrs."""
+    c, info = _lapack_call("dpotrf", np.asarray_chkfinite(S), lower=False, clean=False)
+    if info > 0:
         S_pinv = np.linalg.pinv(S)
         return lambda B: S_pinv @ B
-    return lambda B: sla.cho_solve(factor, B)
+    return lambda B: _lapack_call("dpotrs", c, np.asarray_chkfinite(B), lower=False)[0]
 
 
 def _nonsingular_solve(A, B, what: str, *what_args):
@@ -354,12 +405,17 @@ GRAD_TOL = 1e-5  # gradient norm below which the result counts as converged
 
 
 def _whiten_instruments(Z: np.ndarray):
-    from scipy import linalg as sla
-
+    """Zw = Zs C'^-1, with Zs the rescaled instruments and C the Cholesky
+    factor of Zs'Zs/n, so Zw'Zw/n = I. The solve is that of
+    ``scipy.linalg.solve_triangular(C, Zs.T, lower=True)``: dtrtrs on C', the
+    upper triangle in LAPACK's column order, transposed back. A positive
+    diagonal, which the Cholesky factor has, is never singular."""
     scale = _column_scale(Z)
     Zs = Z / scale
     C = np.linalg.cholesky(Zs.T @ Zs / Z.shape[0])
-    return sla.solve_triangular(C, Zs.T, lower=True).T  # Zw with Zw'Zw/n = I
+    ZwT, _ = _lapack_call("dtrtrs", np.asarray_chkfinite(C).T, np.asarray_chkfinite(Zs.T),
+                          lower=False, trans=1)
+    return ZwT.T
 
 
 def concentrated_linear_solve(system: NonlinearMomentSystem, r: float, Zw, Wmat):

@@ -24,6 +24,8 @@ moment that overflows raises ``DomainError``.
 
 ``moment_identity_residual`` combines five quadrature moments to check the
 identity that the panel moment conditions in :mod:`tobitiv.moments` rest on.
+Each entry point raises ``DomainError`` naming the argument for a spec, a
+query or an exponent list of the wrong kind.
 """
 
 from __future__ import annotations
@@ -52,6 +54,12 @@ def _check_number(name, value, positive=False):
     if not (is_number(value) and (value > 0 or not positive)):
         raise DomainError(f"{name} must be a {'positive' if positive else 'finite'} number, "
                           f"got {value!r}")
+
+
+def _check_instance(name, value, cls):
+    """DomainError unless `value` is a `cls`."""
+    if not isinstance(value, cls):
+        raise DomainError(f"{name} must be a {cls.__name__}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -175,6 +183,7 @@ def univariate_truncated_moment(spec: UnivariateNormalSpec, k: int) -> float:
     more than 3 sigma below 0 the recursion runs backwards instead, as a
     continued fraction. Raises ``DomainError`` when the moment overflows.
     """
+    _check_instance("spec", spec, UnivariateNormalSpec)
     MomentQuery(k, 0)  # k must be an integer in [0, MAX_TOTAL_ORDER]
     if k == 0:
         return 1.0
@@ -199,6 +208,7 @@ def univariate_truncated_moment_quad(spec: UnivariateNormalSpec, k: int) -> floa
     of the same shape, so neither integral underflows. Raises ``DomainError``
     when the moment overflows or the range cannot be resolved.
     """
+    _check_instance("spec", spec, UnivariateNormalSpec)
     MomentQuery(k, 0)  # k must be an integer in [0, MAX_TOTAL_ORDER]
     from scipy import integrate, special
 
@@ -322,7 +332,12 @@ def quadrant_moments(
     within ``tol`` absolute. Raises ``DomainError`` when a requested moment
     overflows.
     """
+    _check_instance("spec", spec, BivariateNormalSpec)
     _check_number("tol", tol, positive=True)
+    if not (isinstance(exponent_pairs, (list, tuple)) and exponent_pairs
+            and all(isinstance(p, (list, tuple)) and len(p) == 2 for p in exponent_pairs)):
+        raise DomainError("exponent_pairs must be a non-empty list of (k, m) pairs, "
+                          f"got {exponent_pairs!r}")
     for a, b in exponent_pairs:
         MomentQuery(a, b)  # validates range
 
@@ -356,6 +371,7 @@ def bivariate_truncated_moment_quad(
     spec: BivariateNormalSpec, q: MomentQuery, tol: float = 1e-8
 ) -> float:
     """E[U1^k U2^m | U1>0, U2>0] by deterministic quadrature."""
+    _check_instance("q", q, MomentQuery)
     return quadrant_moments(spec, [(q.k, q.m)], tol)[(q.k, q.m)]
 
 
@@ -371,6 +387,8 @@ def bivariate_truncated_moment_mc(
     the positive quadrant, and returns the sample mean of U1^k U2^m together
     with its standard error. Deterministic given ``seed``.
     """
+    _check_instance("spec", spec, BivariateNormalSpec)
+    _check_instance("q", q, MomentQuery)
     if not (is_int(n_draws) and 1000 <= n_draws <= 10**9):
         raise DomainError(f"n_draws must be an integer in [1000, 10**9], got {n_draws!r}")
     if not (is_int(seed) and seed >= 0):
@@ -430,9 +448,12 @@ def moment_identity_residual(
     The five constituent moments are evaluated by quadrature at tolerance
     tol/10; |residual| <= 5 tol certifies the identity at this point.
     """
+    _check_instance("q", q, MomentQuery)
     if q.k < 1 or q.m < 1:
         raise DomainError(f"identity requires k >= 1 and m >= 1, got k={q.k}, m={q.m}")
     _check_number("tol", tol, positive=True)
+    if tol / 10.0 == 0.0:  # the subnormal tol's tenth rounds to 0
+        raise DomainError(f"tol must be a positive number whose tenth is not 0, got {tol!r}")
     k, m = q.k, q.m
     pairs = [(k + 1, m), (k, m + 1), (k, m), (k - 1, m), (k, m - 1)]
     mom = quadrant_moments(spec, pairs, tol / 10.0)

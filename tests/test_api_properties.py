@@ -5,7 +5,8 @@ study count or a path, or returns a result; it never raises another exception.
 Covered: the moment builders (periods negative or >= T included), `run_study`
 counts, sample sizes and workers, `replication_seed`, `save_dataset` /
 `load_dataset` paths, and the `truncmoments` entry points. A non-number or a
-boolean where the builders or `truncmoments` take a number is a DomainError.
+boolean where the builders or `truncmoments` take a number is a DomainError,
+and so is a `truncmoments` spec, query or exponent list of the wrong kind.
 Panels stay small (N <= 400) so that every example runs in milliseconds.
 """
 
@@ -393,3 +394,40 @@ def test_identity_names_the_callers_tol():
     # It used to name tol / 10: "tol must be positive, got -0.1".
     with pytest.raises(DomainError, match=r"tol must be a positive number, got -1\.0$"):
         moment_identity_residual(SPEC, MomentQuery(1, 1), tol=-1.0)
+    # tol / 10 underflowed to 0, and the error quoted that: "got 0.0".
+    with pytest.raises(DomainError, match=r"^tol must be a positive number whose tenth is not 0, "
+                                          r"got 5e-324$"):
+        moment_identity_residual(SPEC, MomentQuery(1, 1), tol=5e-324)
+
+
+# Each raised a bare AttributeError, TypeError or ValueError.
+WRONG_ARGUMENT_CALLS = {
+    "identity_query_tuple": (lambda: moment_identity_residual(SPEC, (1, 1)),
+                             "q must be a MomentQuery, got (1, 1)"),
+    "quad_query_none": (lambda: bivariate_truncated_moment_quad(SPEC, None),
+                        "q must be a MomentQuery, got None"),
+    "mc_query_tuple": (lambda: bivariate_truncated_moment_mc(SPEC, (1, 1), 1000, 0),
+                       "q must be a MomentQuery, got (1, 1)"),
+    "quadrant_pairs_none": (lambda: quadrant_moments(SPEC, None),
+                            "exponent_pairs must be a non-empty list of (k, m) pairs, got None"),
+    "quadrant_pairs_short": (lambda: quadrant_moments(SPEC, [(1,)]),
+                             "exponent_pairs must be a non-empty list of (k, m) pairs, got [(1,)]"),
+    "quadrant_pairs_empty": (lambda: quadrant_moments(SPEC, []),
+                             "exponent_pairs must be a non-empty list of (k, m) pairs, got []"),
+    "quadrant_spec_tuple": (lambda: quadrant_moments((1, 2), [(1, 1)]),
+                            "spec must be a BivariateNormalSpec, got (1, 2)"),
+    "mc_spec_none": (lambda: bivariate_truncated_moment_mc(None, MomentQuery(1, 1), 1000, 0),
+                     "spec must be a BivariateNormalSpec, got None"),
+    "univariate_spec_none": (lambda: univariate_truncated_moment(None, 1),
+                             "spec must be a UnivariateNormalSpec, got None"),
+    "univariate_quad_spec_bivariate": (lambda: univariate_truncated_moment_quad(SPEC, 1),
+                                       f"spec must be a UnivariateNormalSpec, got {SPEC!r}"),
+}
+
+
+@pytest.mark.parametrize("call", sorted(WRONG_ARGUMENT_CALLS))
+def test_a_wrong_argument_is_a_domain_error_naming_it(call):
+    fn, message = WRONG_ARGUMENT_CALLS[call]
+    with pytest.raises(DomainError) as exc:
+        fn()
+    assert str(exc.value) == message

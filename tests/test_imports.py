@@ -1,13 +1,16 @@
-"""Start-up cost: no command loads the scipy quadrature stack or a process pool,
-and only the commands that solve load `scipy.linalg`.
+"""Start-up cost: no command loads the scipy quadrature stack, the
+`scipy.linalg` package or a process pool, and only the commands that solve
+load scipy's LAPACK extension.
 
 Only the univariate quadrature oracle needs `scipy.integrate` and
 `scipy.special`, and only a multi-worker Monte Carlo study needs
-`multiprocessing`. `scipy.linalg` is imported by the solver helpers on first
-use, so `import tobitiv`, `simulate`, `verify` and the dense instrument view
-of a stacked system run without it, while `estimate` and `montecarlo` must
-load it. Each case runs in a fresh interpreter, because this test process has
-loaded those modules already.
+`multiprocessing`. The solver helpers load the one extension
+`scipy.linalg._flapack` on first use, never the `scipy.linalg` package,
+whose import also loads `numpy.f2py` and `numpy.testing`. So `import
+tobitiv`, `simulate`, `verify` and the dense instrument view of a stacked
+system run without the extension, `estimate` and `montecarlo` must load it,
+and no command loads the package. Each case runs in a fresh interpreter,
+because this test process has loaded those modules already.
 """
 
 import json
@@ -22,8 +25,8 @@ import test_cli
 from test_cli import sim_config, write_config
 
 NOT_LOADED = ("scipy.integrate", "scipy.optimize", "scipy.special", "scipy.stats",
-              "scipy.sparse", "multiprocessing")
-SOLVER = "scipy.linalg"
+              "scipy.sparse", "scipy.linalg", "numpy.f2py", "numpy.testing", "multiprocessing")
+SOLVER = "scipy.linalg._flapack"
 SOLVING = ("estimate", "montecarlo")  # the commands that solve a moment system
 
 SCRIPT = """
@@ -37,15 +40,20 @@ print(json.dumps([name for name in names if name in sys.modules]))
 """
 
 
-def loaded_after(argv):
-    """The NOT_LOADED modules and SOLVER, those of them in `sys.modules` after
-    `import tobitiv` and `main(argv)`."""
+def run_fresh(script, *args):
+    """The last line that `script` prints, run with `args` in a fresh interpreter."""
     proc = subprocess.run(
-        [sys.executable, "-c", SCRIPT, json.dumps(argv), json.dumps([*NOT_LOADED, SOLVER])],
+        [sys.executable, "-c", script, *args],
         capture_output=True, text=True, timeout=120,
         env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)))
     assert proc.returncode == 0, proc.stderr
-    return json.loads(proc.stdout.splitlines()[-1])
+    return proc.stdout.splitlines()[-1]
+
+
+def loaded_after(argv):
+    """The NOT_LOADED modules and SOLVER, those of them in `sys.modules` after
+    `import tobitiv` and `main(argv)`."""
+    return json.loads(run_fresh(SCRIPT, json.dumps(argv), json.dumps([*NOT_LOADED, SOLVER])))
 
 
 def command(name, tmp_path):
@@ -77,14 +85,23 @@ config = PanelConfig(variant="NonStationary", n_individuals=300, n_periods=3, n_
                      seed=5)
 system = build_estimation_system(simulate(config), config, EstimatorSpec(orders=((1, 1), (2, 1))))
 assert len(system.instrument_blocks) > 1 and system.instruments.ndim == 2
-print({SOLVER!r} in sys.modules)
+print([name for name in {[*NOT_LOADED, SOLVER]!r} if name in sys.modules])
 """
 
 
 def test_dense_instruments_of_a_stacked_system_load_no_solver():
-    proc = subprocess.run(
-        [sys.executable, "-c", DENSE_VIEW],
-        capture_output=True, text=True, timeout=120,
-        env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)))
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["False"]
+    assert run_fresh(DENSE_VIEW) == "[]"
+
+
+REUSE = """
+import sys
+from tobitiv.gmm import _lapack
+lapack = _lapack()
+assert "scipy.linalg" not in sys.modules
+import scipy.linalg
+print(scipy.linalg.lapack._flapack is lapack and scipy.linalg.lapack.dgeqp3 is lapack.dgeqp3)
+"""
+
+
+def test_a_later_scipy_linalg_import_reuses_the_loaded_extension():
+    assert run_fresh(REUSE) == "True"
