@@ -46,10 +46,12 @@ from .simulate import (
     load_dataset,
     save_dataset,
     simulate,
+    tabulate,
     write_csv,
     write_json,
 )
-from .truncmoments import BivariateNormalSpec, MomentQuery, moment_identity_residual
+from .truncmoments import (IDENTITY_TOL_RULE, BivariateNormalSpec, IdentityCheck, MomentQuery,
+                           moment_identity_residual)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -145,34 +147,6 @@ def cmd_estimate(args) -> int:
     return EXIT_OK
 
 
-def _replication_rows(summaries):
-    names = summaries[0].param_names
-    header = ["sample_size", "replication", "converged", "wall_ms", "j_statistic", "error"]
-    header += [f"est_{n}" for n in names] + [f"se_{n}" for n in names]
-    rows, blank = [], [None] * len(names)
-    for rec in (rec for summ in summaries for rec in summ.records):
-        res = rec.result  # None, with an error, when the replication failed
-        est, se = (blank, blank) if res is None else (res.estimates, res.se)
-        rows.append([rec.sample_size, rec.replication, int(res is not None and res.converged),
-                     rec.wall_ms, None if res is None else res.j_statistic, rec.error, *est, *se])
-    return header, rows
-
-
-# The per-parameter StudySummary fields, in column order.
-_SUMMARY_STATS = ("truth", "mean_estimate", "mean_bias", "se_of_mean", "rmse", "median_se",
-                  "coverage95")
-
-
-def _summary_rows(summaries):
-    header = ["sample_size", "parameter", *_SUMMARY_STATS, "n_replications", "n_failed"]
-    rows = [
-        [s.sample_size, name, *(getattr(s, stat)[i] for stat in _SUMMARY_STATS),
-         s.n_replications, s.n_failed]
-        for s in summaries for i, name in enumerate(s.param_names)
-    ]
-    return header, rows
-
-
 def cmd_montecarlo(args) -> int:
     cfg, config, spec, out, _ = _study(args, master_seed=args.seed)
     summaries = run_study(
@@ -180,8 +154,9 @@ def cmd_montecarlo(args) -> int:
         sample_sizes=cfg.get("sample_sizes"), workers=args.workers,
     )
     os.makedirs(out, exist_ok=True)
-    for name, (header, rows) in (("replications", _replication_rows(summaries)),
-                                 ("summary", _summary_rows(summaries))):
+    names, records = summaries[0].param_names, [r for s in summaries for r in s.records]
+    for name, (header, rows) in (("replications", tabulate(records, names)),
+                                 ("summary", tabulate(summaries, names, row_per_param=True))):
         path = os.path.join(out, f"{name}.{args.format}")
         if args.format == "json":
             write_json(path, [dict(zip(header, r)) for r in rows])
@@ -215,13 +190,9 @@ _VERIFY_FIELDS = {
                lambda v: isinstance(v, list) and len(v) > 0 and all(map(is_identity_order, v)),
                f"a non-empty list of [k, m], {IDENTITY_ORDER_RULE}"),
     "tolerance": (1e-6, lambda v: is_number(v) and v > 0, "a positive number"),
-    "quadrature_tol": (1e-7, lambda v: is_number(v) and v > 0, "a positive number"),
+    "quadrature_tol": (1e-7, lambda v: is_number(v) and v / 10 > 0, IDENTITY_TOL_RULE),
     "grid_seed": (20260823, *SEED_RULE),
 }
-
-
-# The coordinates that name a verify point, in the CSV and in a failure's JSON.
-_POINT_COORDS = ("mu1", "mu2", "sigma1_sq", "sigma2_sq", "rho")
 
 
 def cmd_verify(args) -> int:
@@ -243,16 +214,13 @@ def cmd_verify(args) -> int:
         # sqrt(s1_sq) * sqrt(s2_sq): s1_sq * s2_sq may overflow
         points.append(BivariateNormalSpec(mu1, mu2, s1_sq, s2_sq,
                                           rho * math.sqrt(s1_sq) * math.sqrt(s2_sq)))
-    tol = cfg["tolerance"]
-    quad_tol = cfg["quadrature_tol"]
-    orders = cfg["orders"]
+    tol, quad_tol = cfg["tolerance"], cfg["quadrature_tol"]
+    checks = [IdentityCheck(k, m) for k, m in cfg["orders"]]
     # Points outer, orders inner: every order at a point slices its full-order integrals.
-    maxima = [-1.0] * len(orders)
-    argmax = [None] * len(orders)
     for spec in points:
-        for i, (k, m) in enumerate(orders):
+        for c in checks:
             try:
-                res = abs(moment_identity_residual(spec, MomentQuery(k=k, m=m), tol=quad_tol))
+                res = abs(moment_identity_residual(spec, MomentQuery(c.k, c.m), tol=quad_tol))
             except ConvergenceError as exc:
                 if exc.achieved is None:
                     raise
@@ -262,21 +230,18 @@ def cmd_verify(args) -> int:
                     f"(quadrature_tol = {quad_tol:g}); achieved {exc.achieved:.3e}",
                     achieved=exc.achieved, field="quadrature_tol",
                 ) from None
-            if res > maxima[i]:
-                maxima[i], argmax[i] = res, spec
-    rows = []
-    for (k, m), max_abs, best_point in zip(orders, maxima, argmax):
-        rows.append([k, m, max_abs, *(getattr(best_point, c) for c in _POINT_COORDS)])
-        print(f"(k={k}, m={m}): max |residual| = {max_abs:.3e}")
+            if res > c.max_abs_residual:
+                c.max_abs_residual, c.point = res, spec
+    for c in checks:
+        print(f"(k={c.k}, m={c.m}): max |residual| = {c.max_abs_residual:.3e}")
     os.makedirs(out, exist_ok=True)
-    write_csv(os.path.join(out, "verification.csv"),
-              ["k", "m", "max_abs_residual", *_POINT_COORDS], rows)
-    worst = maxima.index(max(maxima))  # the first order with the largest residual
-    if maxima[worst] >= tol:
-        (k, m), pt = orders[worst], argmax[worst]
+    write_csv(os.path.join(out, "verification.csv"), *tabulate(checks, []))
+    worst = max(checks, key=lambda c: c.max_abs_residual)  # the first with the largest
+    if worst.max_abs_residual >= tol:
+        header, (point,) = tabulate([worst.point], [])
         print(json.dumps({"error": "VerificationFailure",
-                          "message": f"residual {maxima[worst]:.3e} >= tolerance {tol:g}",
-                          "k": k, "m": m, "point": {c: getattr(pt, c) for c in _POINT_COORDS}}),
+                          "message": f"residual {worst.max_abs_residual:.3e} >= tolerance {tol:g}",
+                          "k": worst.k, "m": worst.m, "point": dict(zip(header, point))}),
               file=sys.stderr)
         return EXIT_VERIFY
     print(f"all residuals below {tol:g}")

@@ -45,48 +45,41 @@ from .errors import (
     NotApplicableError,
 )
 from .moments import MomentSystem, NonlinearMomentSystem
+from .simulate import json_value, written
 
 RANK_RTOL = 1e-10
 
 
 @dataclass
 class LinearIVResult:
-    """One solve's estimates and diagnostics; a Monte Carlo replication keeps it whole."""
+    """One solve's estimates and diagnostics, each field `written`; a replication keeps it whole."""
 
     params: list  # moments.Param per estimate
-    estimates: np.ndarray
-    covariance: np.ndarray
-    n_rows: int
-    n_clusters: int
-    condition_number: float
-    j_statistic: Optional[float] = None
-    j_dof: int = 0
-    converged: bool = True  # closed-form 2SLS always converges
+    param_names: list = written(key=True, init=False)
+    estimates: np.ndarray = written("est_", key=True, per_param=True)
+    se: np.ndarray = written("se_", key=True, per_param=True, init=False)
+    covariance: np.ndarray = written(key=True)
+    n_rows: int = written(key=True)
+    n_clusters: int = written(key=True)
+    condition_number: float = written(key=True)
+    j_statistic: Optional[float] = written(key=True, default=None)
+    j_dof: int = written(key=True, default=0)
+    converged: bool = written(key=True, default=True)  # closed-form 2SLS always converges
 
-    @property
-    def param_names(self) -> list:
-        return [p.name for p in self.params]
-
-    @property
-    def se(self) -> np.ndarray:
-        return np.sqrt(np.diag(self.covariance))
+    def __post_init__(self):  # the derived fields
+        self.param_names = [p.name for p in self.params]
+        self.se = np.sqrt(np.diag(self.covariance))
 
     def to_dict(self) -> dict:
-        """JSON-ready fields: parameter names, arrays as flat float lists, and `se`."""
-        d = {"param_names": self.param_names, "se": [float(v) for v in self.se]}
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if isinstance(value, np.ndarray):
-                value = [float(v) for v in value.ravel()]
-            if f.name != "params":
-                d[f.name] = value
-        return d
+        """Each declared key's JSON value (`json_value`): derived fields first, in field order."""
+        return {f.name: json_value(getattr(self, f.name))
+                for f in sorted(fields(self), key=lambda f: f.init) if f.metadata.get("key")}
 
 
 @dataclass
 class NonlinearGMMResult(LinearIVResult):
-    iterations: int = 0
-    objective_value: float = 0.0
+    iterations: int = written(key=True, default=0)
+    objective_value: float = written(key=True, default=0.0)
 
 
 def _block_cluster_sums(cluster, block_rows, Qs, u) -> np.ndarray:

@@ -54,6 +54,7 @@ from .simulate import (
     convert_fields,
     draw_panel,
     is_int,
+    written,
 )
 from .truncmoments import MAX_TOTAL_ORDER
 
@@ -176,11 +177,17 @@ def _check_entries(entries, field_name: str, rule: str, valid) -> None:
 
 @dataclass
 class ReplicationRecord:
-    replication: int
-    sample_size: int
-    wall_ms: float
-    result: Optional[LinearIVResult]  # None when the replication failed
-    error: Optional[str] = None
+    sample_size: int = written("sample_size")  # a replications.csv row, in field order
+    replication: int = written("replication")
+    converged: int = written("converged", init=False)  # 0 when the replication failed
+    wall_ms: float = written("wall_ms")
+    j_statistic: Optional[float] = written("j_statistic", init=False)
+    error: Optional[str] = written("error", default=None)
+    result: Optional[LinearIVResult] = written(nested=True, default=None)  # None if failed
+
+    def __post_init__(self):
+        self.converged = int(self.result is not None and self.result.converged)
+        self.j_statistic = None if self.result is None else self.result.j_statistic
 
     @property
     def failed(self) -> bool:
@@ -189,19 +196,19 @@ class ReplicationRecord:
 
 @dataclass
 class StudySummary:
-    """Per-parameter Monte Carlo summary at one sample size."""
+    """Per-parameter Monte Carlo summary at one sample size: summary.csv's rows."""
 
-    sample_size: int
-    param_names: list
-    truth: np.ndarray
-    n_replications: int
-    n_failed: int
-    mean_estimate: np.ndarray
-    mean_bias: np.ndarray
-    se_of_mean: np.ndarray
-    rmse: np.ndarray
-    median_se: np.ndarray
-    coverage95: np.ndarray
+    sample_size: int = written("sample_size")
+    param_names: list = written("parameter", per_param=True)
+    truth: np.ndarray = written("truth", per_param=True)
+    mean_estimate: np.ndarray = written("mean_estimate", per_param=True)
+    mean_bias: np.ndarray = written("mean_bias", per_param=True)
+    se_of_mean: np.ndarray = written("se_of_mean", per_param=True)
+    rmse: np.ndarray = written("rmse", per_param=True)
+    median_se: np.ndarray = written("median_se", per_param=True)
+    coverage95: np.ndarray = written("coverage95", per_param=True)
+    n_replications: int = written("n_replications")
+    n_failed: int = written("n_failed")
     records: list = field(repr=False, default_factory=list)
 
 
@@ -275,7 +282,7 @@ def run_replication(
     except TobitIVError as exc:
         error = f"{type(exc).__name__}: {exc}"
     wall = 1e3 * (time.perf_counter() - start)
-    return ReplicationRecord(j, cfg.n_individuals, wall, result, error)
+    return ReplicationRecord(cfg.n_individuals, j, wall, error, result)
 
 
 def available_cpus() -> int:
@@ -298,18 +305,12 @@ def summarize(
     bias = est.mean(axis=0) - truth
     covered = np.abs(est - truth) <= 1.959963984540054 * se
     return StudySummary(
-        sample_size=records[0].sample_size,
-        param_names=list(param_names),
-        truth=truth,
-        n_replications=len(records),
-        n_failed=n_failed,
-        mean_estimate=est.mean(axis=0),
-        mean_bias=bias,
+        sample_size=records[0].sample_size, param_names=list(param_names), truth=truth,
+        mean_estimate=est.mean(axis=0), mean_bias=bias,
         se_of_mean=(est.std(axis=0, ddof=1) / np.sqrt(len(good)) if len(good) > 1
                     else np.zeros(est.shape[1])),
-        rmse=np.sqrt(((est - truth) ** 2).mean(axis=0)),
-        median_se=np.median(se, axis=0),
-        coverage95=covered.mean(axis=0),
+        rmse=np.sqrt(((est - truth) ** 2).mean(axis=0)), median_se=np.median(se, axis=0),
+        coverage95=covered.mean(axis=0), n_replications=len(records), n_failed=n_failed,
         records=list(records),
     )
 

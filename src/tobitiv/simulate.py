@@ -142,8 +142,16 @@ _DIST_FIELDS = {
 }
 
 
-def dist_to_dict(dist) -> dict:
-    return {"type": _DIST_NAMES[type(dist)], **asdict(dist)}
+def json_value(v):
+    """`v` as a JSON value: enums by value, tuples and arrays as flat lists, a
+    distribution as its type name and fields, NumPy numbers as Python numbers."""
+    if isinstance(v, Enum):
+        return v.value
+    if isinstance(v, (tuple, np.ndarray)):  # a float64 array's tolist gives the same floats
+        return v.ravel().tolist() if isinstance(v, np.ndarray) else [json_value(e) for e in v]
+    if is_dataclass(v):
+        return {"type": _DIST_NAMES[type(v)], **{k: json_value(e) for k, e in asdict(v).items()}}
+    return v.item() if isinstance(v, np.generic) else v
 
 
 def check_keys(d, keys, where: str = "") -> None:
@@ -322,19 +330,8 @@ class PanelConfig:
                                      "and must be 1", field="factor_loadings")
 
     def to_dict(self):
-        """Every field that is set, as JSON values: enums by value, tuples as lists,
-        NumPy numbers as Python numbers."""
-
-        def plain(v):
-            if isinstance(v, Enum):
-                return v.value
-            if isinstance(v, tuple):
-                return [plain(e) for e in v]
-            if is_dataclass(v):
-                return {k: plain(e) for k, e in dist_to_dict(v).items()}
-            return v.item() if isinstance(v, np.generic) else v
-
-        return {f.name: plain(v) for f in fields(self)
+        """Every field that is set, as a JSON value (`json_value`)."""
+        return {f.name: json_value(v) for f in fields(self)
                 if (v := getattr(self, f.name)) is not None}
 
     @classmethod
@@ -493,6 +490,41 @@ def write_json(path: str, value) -> None:
     with open(path, "w") as fh:
         json.dump(value, fh, indent=2)
         fh.write("\n")
+
+
+def written(column=None, *, key=False, per_param=False, nested=False, **kw):
+    """A dataclass field that a result's JSON writes under its name if `key`, and a `tabulate`
+    table as `column`: one cell, one per parameter (`per_param`) or, `nested`, its value's."""
+    return field(metadata=dict(column=column, key=key, per_param=per_param, nested=nested), **kw)
+
+
+def tabulate(records, param_names, row_per_param=False) -> tuple:
+    """(header, rows) of `records`, dataclasses of one type, in their fields' `written` columns
+    in order: a per-parameter field's prefix + each name, or with `row_per_param` one column
+    and a row per parameter; a nested field's value's, from the first one set, empty if unset."""
+    header, parts = [], []  # per field written: nested field or None, field, "one"/"each"/"row"
+
+    def lay_out(obj, outer=None):
+        for f in fields(obj):
+            column, per_param = f.metadata.get("column"), f.metadata.get("per_param")
+            if f.metadata.get("nested"):
+                lay_out(next(v for r in records if (v := getattr(r, f.name))), f.name)
+            elif column is not None:
+                each = per_param and not row_per_param
+                header.extend([column + n for n in param_names] if each else [column])
+                parts.append((outer, f.name, "each" if each else "row" if per_param else "one"))
+
+    def cells(record, i):
+        row = []
+        for outer, name, how in parts:  # a None nested value leaves its cells empty
+            v = getattr(getattr(record, outer) if outer else record, name, None)
+            row.extend(([None] * len(param_names) if v is None else v) if how == "each"
+                       else [v[i] if how == "row" and v is not None else v])
+        return row
+
+    lay_out(records[0])
+    return header, [cells(r, i) for r in records
+                    for i in range(len(param_names) if row_per_param else 1)]
 
 
 # The version of the dataset directory format that save_dataset writes.

@@ -42,9 +42,10 @@ from .errors import (
     InsufficientAcceptanceError,
     UnsupportedOrderError,
 )
-from .simulate import is_int, is_number
+from .simulate import is_int, is_number, written
 
 MAX_TOTAL_ORDER = 8
+IDENTITY_TOL_RULE = "a positive number whose tenth is not 0"  # the identity asks for tol / 10
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -80,13 +81,14 @@ class UnivariateNormalSpec:
 
 @dataclass(frozen=True)
 class BivariateNormalSpec:
-    """Means and covariance of a latent normal pair."""
+    """Means and covariance of a latent normal pair; its columns name a `verify` point."""
 
-    mu1: float
-    mu2: float
-    sigma1_sq: float
-    sigma2_sq: float
+    mu1: float = written("mu1")
+    mu2: float = written("mu2")
+    sigma1_sq: float = written("sigma1_sq")
+    sigma2_sq: float = written("sigma2_sq")
     sigma12: float
+    rho: float = written("rho", init=False)
 
     def __post_init__(self):
         for name in ("mu1", "mu2", "sigma1_sq", "sigma2_sq", "sigma12"):
@@ -98,6 +100,7 @@ class BivariateNormalSpec:
                 f"|sigma12| = {abs(self.sigma12)} >= sigma1 * sigma2 = "
                 f"{self.sigma1 * self.sigma2}"
             )
+        object.__setattr__(self, "rho", self.sigma12 / (self.sigma1 * self.sigma2))
 
     @property
     def sigma1(self) -> float:
@@ -106,10 +109,6 @@ class BivariateNormalSpec:
     @property
     def sigma2(self) -> float:
         return math.sqrt(self.sigma2_sq)
-
-    @property
-    def rho(self) -> float:
-        return self.sigma12 / (self.sigma1 * self.sigma2)
 
 
 @dataclass(frozen=True)
@@ -433,6 +432,16 @@ def bivariate_truncated_moment_mc(
     return mean, math.sqrt(var / count)
 
 
+@dataclass
+class IdentityCheck:
+    """The identity's largest |residual| at order (k, m), and the first point with it."""
+
+    k: int = written("k")
+    m: int = written("m")
+    max_abs_residual: float = written("max_abs_residual", default=-1.0)
+    point: BivariateNormalSpec = written(nested=True, default=None)  # None before a point
+
+
 def moment_identity_residual(
     spec: BivariateNormalSpec, q: MomentQuery, tol: float = 1e-7
 ) -> float:
@@ -453,7 +462,7 @@ def moment_identity_residual(
         raise DomainError(f"identity requires k >= 1 and m >= 1, got k={q.k}, m={q.m}")
     _check_number("tol", tol, positive=True)
     if tol / 10.0 == 0.0:  # the subnormal tol's tenth rounds to 0
-        raise DomainError(f"tol must be a positive number whose tenth is not 0, got {tol!r}")
+        raise DomainError(f"tol must be {IDENTITY_TOL_RULE}, got {tol!r}")
     k, m = q.k, q.m
     pairs = [(k + 1, m), (k, m + 1), (k, m), (k - 1, m), (k, m - 1)]
     mom = quadrant_moments(spec, pairs, tol / 10.0)

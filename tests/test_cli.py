@@ -5,18 +5,22 @@ import importlib.util
 import json
 import os
 import pickle
+import re
 import subprocess
 import sys
 import warnings
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from tobitiv import ConfigurationError, EstimatorSpec, PanelConfig
+from tobitiv import (ConfigurationError, EstimatorSpec, LinearIVResult, NonlinearGMMResult,
+                    PanelConfig, Param, run_study, two_stage_least_squares)
 from tobitiv.cli import build_parser, main
-from tobitiv.simulate import format_float
-from tobitiv.truncmoments import _full_power_integrals, moment_identity_residual
+from tobitiv.simulate import format_float, tabulate, written
+from tobitiv.truncmoments import (BivariateNormalSpec, IdentityCheck, _full_power_integrals,
+                                  moment_identity_residual)
 
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -432,6 +436,63 @@ class TestMonteCarlo:
                 "se_of_mean", "rmse", "median_se", "coverage95",
                 "n_replications", "n_failed",
             ]
+
+    def test_declared_result_field_is_written_everywhere(self, tmp_path, monkeypatch):
+        """One declaration on a result subclass puts its field in result.json,
+        replications.csv and the --format json table, after the fields it inherits."""
+
+        @dataclass
+        class TaggedResult(LinearIVResult):
+            tag: float = written("tag", key=True, default=0.25)
+
+        def tagged(system):
+            res = two_stage_least_squares(system)
+            return TaggedResult(**{f.name: getattr(res, f.name) for f in fields(res) if f.init})
+
+        monkeypatch.setattr("tobitiv.cli.two_stage_least_squares", tagged)
+        monkeypatch.setattr("tobitiv.montecarlo.two_stage_least_squares", tagged)
+        ds, est = tmp_path / "ds", tmp_path / "est"
+        assert main(["simulate", "--config", sim_config(tmp_path), "--out", str(ds)]) == 0
+        assert main(["estimate", "--data", str(ds), "--out", str(est)]) == 0
+        result = json.loads((est / "result.json").read_text())
+        assert list(result)[-2:] == ["converged", "tag"] and result["tag"] == 0.25
+        cfg = self.mc_config(tmp_path)
+        for fmt in ("csv", "json"):
+            assert main(["montecarlo", "--config", cfg, "--out", str(tmp_path / fmt),
+                         "--format", fmt]) == 0
+        with open(tmp_path / "csv" / "replications.csv", newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0][-2:] == ["se_sigma2_t1", "tag"]
+        assert [row[-1] for row in rows[1:]] == ["0.25"] * 3
+        reps = json.loads((tmp_path / "json" / "replications.json").read_text())
+        assert [list(rep)[-1] for rep in reps] == ["tag"] * 3
+        assert [rep["tag"] for rep in reps] == [0.25] * 3
+
+    def test_readme_lists_the_declared_keys_and_columns(self):
+        """README's table of keys and columns is the one the declarations give."""
+        readme = (ROOT / "README.md").read_text().splitlines()
+
+        def listed(name):
+            row = next(line for line in readme if line.startswith(f"| `{name}` |"))
+            return re.findall(r"`([^`]+)`", row.split("|")[2])
+
+        [summary] = run_study(PanelConfig(
+            variant="IndependentErrors", n_individuals=300, n_periods=2, n_regressors=1,
+            beta=(1.0,), error_cov=((0.25, 0.0), (0.0, 0.375)), seed=0,
+        ), EstimatorSpec(instruments="levels_squares"), 1, master_seed=99)
+        names = summary.param_names
+
+        def expand(columns):
+            return [c.replace("<name>", n) for c in columns
+                    for n in (names if "<name>" in c else [""])]
+
+        assert expand(listed("replications.csv")) == tabulate(summary.records, names)[0]
+        assert listed("summary.csv") == tabulate([summary], names, row_per_param=True)[0]
+        gmm = NonlinearGMMResult([Param("beta", (0,))], [1.0], [[1.0]], 10, 10, 1.0)
+        assert listed("result.json") == list(gmm.to_dict())
+        assert list(summary.records[0].result.to_dict()) == listed("result.json")[:-2]
+        check = IdentityCheck(1, 1, 0.0, BivariateNormalSpec(0.0, 0.0, 1.0, 1.0, 0.0))
+        assert listed("verification.csv") == tabulate([check], [])[0]
 
     def test_deterministic(self, tmp_path):
         cfg = self.mc_config(tmp_path)
@@ -1061,6 +1122,7 @@ class TestVerify:
             ({"grid_seed": -1}, "grid_seed"),
             ({"grid_seed": 2**128}, "grid_seed"),  # numpy took any integer >= 0
             ({"n_point": 3}, "n_point"),
+            ({"quadrature_tol": 5e-324}, "quadrature_tol"),  # its tenth rounds to 0
         ],
     )
     def test_bad_field_exit_2(self, tmp_path, capsys, override, field):

@@ -116,10 +116,16 @@ class TestTwoStageLeastSquares:
         res = two_stage_least_squares(replace(sys_, instrument_blocks=[Z]))
         assert np.all(np.abs(res.estimates - theta) < 5 * res.se)
 
-    def test_too_few_rows(self):
-        sys_ = linear_system([1.0], [[1.0, 0.0]], [[1.0, 0.0]])
-        with pytest.raises(InsufficientObservationsError):
-            two_stage_least_squares(sys_)
+    @pytest.mark.parametrize("solve, system, message", [
+        (two_stage_least_squares, lambda: linear_system([1.0], [[1.0, 0.0]], [[1.0, 0.0]]),
+         "1 rows for 2 parameters"),
+        # K = 1: beta0, r, a and b
+        (nonlinear_gmm, lambda: first_rows(factor_loading_panel((1.0, 1.5), 10, n=40)[1], 3),
+         "3 rows for 4 parameters"),
+    ], ids=["linear", "factor_loading"])
+    def test_too_few_rows(self, solve, system, message):
+        with pytest.raises(InsufficientObservationsError, match=f"^{message}$"):
+            solve(system())
 
     def test_too_few_instruments(self):
         sys_ = linear_system([1.0, 2.0, 4.0], [[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]],
@@ -181,6 +187,12 @@ def factor_loading_panel(loadings, seed, n=20_000):
     )
     ds = simulate(cfg)
     return ds, build_factor_loading(ds, 1, 0, instruments="products")
+
+
+def first_rows(system, n):
+    """A factor-loading system cut to its first n rows."""
+    return replace(system, **{name: getattr(system, name)[:n] for name in (
+        "y_t", "y_s", "x_t", "x_s", "instruments", "cluster")})
 
 
 class TestNonlinearGMM:

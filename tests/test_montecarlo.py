@@ -16,6 +16,7 @@ from tobitiv import (
     true_parameter_values,
 )
 from tobitiv.errors import ConfigurationError, ConvergenceError
+from tobitiv.montecarlo import summarize
 from tobitiv.truncmoments import MAX_TOTAL_ORDER
 
 
@@ -126,6 +127,15 @@ class TestRunStudy:
         rec = run_replication(cfg, EstimatorSpec(), 0, master_seed=1)
         assert rec.failed and rec.result is None
         assert rec.error.startswith("EmptySystemError")
+
+    def test_summarize_with_every_replication_failed_raises(self):
+        cfg = indep_config(
+            x_dist=NormalDist(-9.0, 0.5), fe_dist=LinearIndexDist(0.0, 0.1)
+        )
+        records = [run_replication(cfg, EstimatorSpec(), j, master_seed=1) for j in range(2)]
+        assert all(rec.failed for rec in records)
+        with pytest.raises(ConvergenceError, match="^all replications failed$"):
+            summarize(records, np.ones(3), ["beta0", "sigma2_t0", "sigma2_t1"])
 
     def test_sample_size_sweep(self):
         cfg = indep_config()
