@@ -50,8 +50,13 @@ from .simulate import (
     write_csv,
     write_json,
 )
-from .truncmoments import (IDENTITY_TOL_RULE, BivariateNormalSpec, IdentityCheck, MomentQuery,
-                           moment_identity_residual)
+from .truncmoments import (
+    IDENTITY_TOL_RULE,
+    BivariateNormalSpec,
+    IdentityCheck,
+    MomentQuery,
+    moment_identity_residual,
+)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -154,7 +159,8 @@ def cmd_montecarlo(args) -> int:
         sample_sizes=cfg.get("sample_sizes"), workers=args.workers,
     )
     os.makedirs(out, exist_ok=True)
-    names, records = summaries[0].param_names, [r for s in summaries for r in s.records]
+    records = [r for s in summaries for r in s.records]
+    names = summaries[0].param_names
     for name, (header, rows) in (("replications", tabulate(records, names)),
                                  ("summary", tabulate(summaries, names, row_per_param=True))):
         path = os.path.join(out, f"{name}.{args.format}")
@@ -214,7 +220,8 @@ def cmd_verify(args) -> int:
         # sqrt(s1_sq) * sqrt(s2_sq): s1_sq * s2_sq may overflow
         points.append(BivariateNormalSpec(mu1, mu2, s1_sq, s2_sq,
                                           rho * math.sqrt(s1_sq) * math.sqrt(s2_sq)))
-    tol, quad_tol = cfg["tolerance"], cfg["quadrature_tol"]
+    tol = cfg["tolerance"]
+    quad_tol = cfg["quadrature_tol"]
     checks = [IdentityCheck(k, m) for k, m in cfg["orders"]]
     # Points outer, orders inner: every order at a point slices its full-order integrals.
     for spec in points:

@@ -50,36 +50,37 @@ from .simulate import json_value, written
 RANK_RTOL = 1e-10
 
 
-@dataclass
+@dataclass(frozen=True)
 class LinearIVResult:
-    """One solve's estimates and diagnostics, each field `written`; a replication keeps it whole."""
+    """One solve's estimates and diagnostics, each field but `params` `written`; a replication
+    keeps it whole. `param_names` and `se` are derived from `params` and `covariance`."""
 
     params: list  # moments.Param per estimate
-    param_names: list = written(key=True, init=False)
-    estimates: np.ndarray = written("est_", key=True, per_param=True)
-    se: np.ndarray = written("se_", key=True, per_param=True, init=False)
-    covariance: np.ndarray = written(key=True)
-    n_rows: int = written(key=True)
-    n_clusters: int = written(key=True)
-    condition_number: float = written(key=True)
-    j_statistic: Optional[float] = written(key=True, default=None)
-    j_dof: int = written(key=True, default=0)
-    converged: bool = written(key=True, default=True)  # closed-form 2SLS always converges
+    param_names: list = written(init=False)
+    estimates: np.ndarray = written("est_", per_param=True)
+    se: np.ndarray = written("se_", per_param=True, init=False)
+    covariance: np.ndarray = written()
+    n_rows: int = written()
+    n_clusters: int = written()
+    condition_number: float = written()
+    j_statistic: Optional[float] = written(default=None)
+    j_dof: int = written(default=0)
+    converged: bool = written(default=True)  # closed-form 2SLS always converges
 
     def __post_init__(self):  # the derived fields
-        self.param_names = [p.name for p in self.params]
-        self.se = np.sqrt(np.diag(self.covariance))
+        object.__setattr__(self, "param_names", [p.name for p in self.params])
+        object.__setattr__(self, "se", np.sqrt(np.diag(self.covariance)))
 
     def to_dict(self) -> dict:
-        """Each declared key's JSON value (`json_value`): derived fields first, in field order."""
+        """Each written field's JSON value (`json_value`): derived fields first, in field order."""
         return {f.name: json_value(getattr(self, f.name))
-                for f in sorted(fields(self), key=lambda f: f.init) if f.metadata.get("key")}
+                for f in sorted(fields(self), key=lambda f: f.init) if f.metadata}
 
 
-@dataclass
+@dataclass(frozen=True)
 class NonlinearGMMResult(LinearIVResult):
-    iterations: int = written(key=True, default=0)
-    objective_value: float = written(key=True, default=0.0)
+    iterations: int = written(default=0)
+    objective_value: float = written(default=0.0)
 
 
 def _block_cluster_sums(cluster, block_rows, Qs, u) -> np.ndarray:

@@ -175,26 +175,31 @@ def _check_entries(entries, field_name: str, rule: str, valid) -> None:
         seen.add(entry)
 
 
-@dataclass
+@dataclass(frozen=True, kw_only=True)
 class ReplicationRecord:
-    sample_size: int = written("sample_size")  # a replications.csv row, in field order
+    """One replication: a replications.csv row, its fields in column order. `converged`
+    (0 when the replication failed) and `j_statistic` are derived from `result`."""
+
+    sample_size: int = written("sample_size")
     replication: int = written("replication")
-    converged: int = written("converged", init=False)  # 0 when the replication failed
+    converged: int = written("converged", init=False)
     wall_ms: float = written("wall_ms")
     j_statistic: Optional[float] = written("j_statistic", init=False)
     error: Optional[str] = written("error", default=None)
     result: Optional[LinearIVResult] = written(nested=True, default=None)  # None if failed
 
     def __post_init__(self):
-        self.converged = int(self.result is not None and self.result.converged)
-        self.j_statistic = None if self.result is None else self.result.j_statistic
+        object.__setattr__(self, "converged",
+                           int(self.result is not None and self.result.converged))
+        object.__setattr__(self, "j_statistic",
+                           None if self.result is None else self.result.j_statistic)
 
     @property
     def failed(self) -> bool:
         return self.result is None
 
 
-@dataclass
+@dataclass(kw_only=True)
 class StudySummary:
     """Per-parameter Monte Carlo summary at one sample size: summary.csv's rows."""
 
@@ -282,7 +287,8 @@ def run_replication(
     except TobitIVError as exc:
         error = f"{type(exc).__name__}: {exc}"
     wall = 1e3 * (time.perf_counter() - start)
-    return ReplicationRecord(cfg.n_individuals, j, wall, error, result)
+    return ReplicationRecord(sample_size=cfg.n_individuals, replication=j, wall_ms=wall,
+                             error=error, result=result)
 
 
 def available_cpus() -> int:
@@ -305,12 +311,18 @@ def summarize(
     bias = est.mean(axis=0) - truth
     covered = np.abs(est - truth) <= 1.959963984540054 * se
     return StudySummary(
-        sample_size=records[0].sample_size, param_names=list(param_names), truth=truth,
-        mean_estimate=est.mean(axis=0), mean_bias=bias,
+        sample_size=records[0].sample_size,
+        param_names=list(param_names),
+        truth=truth,
+        n_replications=len(records),
+        n_failed=n_failed,
+        mean_estimate=est.mean(axis=0),
+        mean_bias=bias,
         se_of_mean=(est.std(axis=0, ddof=1) / np.sqrt(len(good)) if len(good) > 1
                     else np.zeros(est.shape[1])),
-        rmse=np.sqrt(((est - truth) ** 2).mean(axis=0)), median_se=np.median(se, axis=0),
-        coverage95=covered.mean(axis=0), n_replications=len(records), n_failed=n_failed,
+        rmse=np.sqrt(((est - truth) ** 2).mean(axis=0)),
+        median_se=np.median(se, axis=0),
+        coverage95=covered.mean(axis=0),
         records=list(records),
     )
 

@@ -147,8 +147,10 @@ def json_value(v):
     distribution as its type name and fields, NumPy numbers as Python numbers."""
     if isinstance(v, Enum):
         return v.value
-    if isinstance(v, (tuple, np.ndarray)):  # a float64 array's tolist gives the same floats
-        return v.ravel().tolist() if isinstance(v, np.ndarray) else [json_value(e) for e in v]
+    if isinstance(v, np.ndarray):  # a float64 array's tolist gives the same floats
+        return v.ravel().tolist()
+    if isinstance(v, tuple):
+        return [json_value(e) for e in v]
     if is_dataclass(v):
         return {"type": _DIST_NAMES[type(v)], **{k: json_value(e) for k, e in asdict(v).items()}}
     return v.item() if isinstance(v, np.generic) else v
@@ -492,34 +494,44 @@ def write_json(path: str, value) -> None:
         fh.write("\n")
 
 
-def written(column=None, *, key=False, per_param=False, nested=False, **kw):
-    """A dataclass field that a result's JSON writes under its name if `key`, and a `tabulate`
-    table as `column`: one cell, one per parameter (`per_param`) or, `nested`, its value's."""
-    return field(metadata=dict(column=column, key=key, per_param=per_param, nested=nested), **kw)
+def written(column=None, *, per_param=False, nested=False, **kw):
+    """A dataclass field that is written: by a result's `to_dict` under its name and, given a
+    `column`, by `tabulate` as one cell or one per parameter (`per_param`); a `nested` field's
+    value's own written fields take its place in a table. A field set in `__post_init__`
+    (`init=False`) is derived: fixed at construction, and left out of eq, hash and repr."""
+    if kw.get("init") is False:
+        kw.update(compare=False, repr=False)
+    return field(metadata=dict(column=column, per_param=per_param, nested=nested), **kw)
 
 
 def tabulate(records, param_names, row_per_param=False) -> tuple:
     """(header, rows) of `records`, dataclasses of one type, in their fields' `written` columns
     in order: a per-parameter field's prefix + each name, or with `row_per_param` one column
     and a row per parameter; a nested field's value's, from the first one set, empty if unset."""
-    header, parts = [], []  # per field written: nested field or None, field, "one"/"each"/"row"
+    header, parts = [], []  # per field with a column: its nested field or None, name, per_param
 
     def lay_out(obj, outer=None):
         for f in fields(obj):
             column, per_param = f.metadata.get("column"), f.metadata.get("per_param")
             if f.metadata.get("nested"):
-                lay_out(next(v for r in records if (v := getattr(r, f.name))), f.name)
+                lay_out(next(v for r in records if (v := getattr(r, f.name)) is not None), f.name)
             elif column is not None:
                 each = per_param and not row_per_param
                 header.extend([column + n for n in param_names] if each else [column])
-                parts.append((outer, f.name, "each" if each else "row" if per_param else "one"))
+                parts.append((outer, f.name, per_param))
 
     def cells(record, i):
         row = []
-        for outer, name, how in parts:  # a None nested value leaves its cells empty
+        for outer, name, per_param in parts:
             v = getattr(getattr(record, outer) if outer else record, name, None)
-            row.extend(([None] * len(param_names) if v is None else v) if how == "each"
-                       else [v[i] if how == "row" and v is not None else v])
+            if not per_param:
+                row.append(v)
+            elif row_per_param:
+                row.append(v[i])
+            elif v is None:  # the estimates of a failed replication
+                row.extend([None] * len(param_names))
+            else:
+                row.extend(v)
         return row
 
     lay_out(records[0])

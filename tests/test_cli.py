@@ -441,9 +441,9 @@ class TestMonteCarlo:
         """One declaration on a result subclass puts its field in result.json,
         replications.csv and the --format json table, after the fields it inherits."""
 
-        @dataclass
+        @dataclass(frozen=True)
         class TaggedResult(LinearIVResult):
-            tag: float = written("tag", key=True, default=0.25)
+            tag: float = written("tag", default=0.25)
 
         def tagged(system):
             res = two_stage_least_squares(system)

@@ -2,7 +2,7 @@
 
 import json
 import tracemalloc
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -126,6 +126,18 @@ class TestTwoStageLeastSquares:
     def test_too_few_rows(self, solve, system, message):
         with pytest.raises(InsufficientObservationsError, match=f"^{message}$"):
             solve(system())
+
+    def test_derived_fields_are_set_at_construction(self):
+        """`se` and `param_names` come from `covariance` and `params` when a result is built:
+        `replace` recomputes them, and a frozen result cannot leave them stale."""
+        res = two_stage_least_squares(random_system(0)[0])
+        doubled = replace(res, covariance=4.0 * res.covariance)
+        assert np.array_equal(doubled.se, 2.0 * res.se)
+        assert doubled.to_dict()["se"] == (2.0 * res.se).tolist()
+        assert doubled.param_names == res.param_names == ["beta0", "beta1", "beta2"]
+        with pytest.raises(FrozenInstanceError):
+            res.covariance = doubled.covariance
+        assert "se=" not in repr(res) and "param_names=" not in repr(res)
 
     def test_too_few_instruments(self):
         sys_ = linear_system([1.0, 2.0, 4.0], [[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]],

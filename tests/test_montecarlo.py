@@ -1,5 +1,7 @@
 """Harness tests: seed splitting, truth labels, and failure policy."""
 
+from dataclasses import FrozenInstanceError, replace
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,9 @@ from tobitiv import (
     NormalDist,
     PanelConfig,
     Param,
+    ReplicationRecord,
     ShiftedHalfNormalDist,
+    StudySummary,
     replication_seed,
     run_replication,
     run_study,
@@ -127,6 +131,25 @@ class TestRunStudy:
         rec = run_replication(cfg, EstimatorSpec(), 0, master_seed=1)
         assert rec.failed and rec.result is None
         assert rec.error.startswith("EmptySystemError")
+
+    def test_records_take_keywords_and_derive_from_their_result(self):
+        """Field order is column order, so the record types take keywords only: a positional
+        call is a TypeError, not two ints swapped. `converged` and `j_statistic` follow
+        `result` through `replace`, and a frozen record cannot leave them stale."""
+        with pytest.raises(TypeError):
+            ReplicationRecord(7, 300, 1.0, None)
+        with pytest.raises(TypeError):
+            StudySummary(300, ["beta0"], *[np.zeros(1)] * 7, 1, 0)
+        [summary] = run_study(indep_config(), EstimatorSpec(instruments="levels_squares"), 1,
+                              master_seed=7)
+        good = summary.records[0]
+        assert (good.replication, good.sample_size, good.converged) == (0, 300, 1)
+        failed = replace(good, result=None, error="EmptySystemError: no rows")
+        assert (failed.converged, failed.j_statistic) == (0, None)
+        again = replace(failed, result=good.result, error=None)
+        assert (again.converged, again.j_statistic) == (1, good.result.j_statistic)
+        with pytest.raises(FrozenInstanceError):
+            good.result = None
 
     def test_summarize_with_every_replication_failed_raises(self):
         cfg = indep_config(

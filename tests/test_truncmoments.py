@@ -126,6 +126,14 @@ class TestBivariate:
             )
             assert got == pytest.approx(want, rel=1e-9)
 
+    def test_rho_is_derived(self):
+        """`rho` is set at construction and stays out of repr, eq and hash."""
+        spec = BivariateNormalSpec(0.0, 0.0, 4.0, 1.0, 1.0)
+        assert spec.rho == 0.5
+        assert repr(spec) == ("BivariateNormalSpec(mu1=0.0, mu2=0.0, sigma1_sq=4.0, "
+                              "sigma2_sq=1.0, sigma12=1.0)")
+        assert hash(spec) == hash(BivariateNormalSpec(0.0, 0.0, 4.0, 1.0, 1.0))
+
     def test_exchangeability(self):
         spec = BivariateNormalSpec(0.8, -0.2, 2.0, 0.5, 0.4)
         swapped = BivariateNormalSpec(-0.2, 0.8, 0.5, 2.0, 0.4)
