@@ -57,7 +57,6 @@ from .montecarlo import (
     StudySummary,
     build_estimation_system,
     replication_seed,
-    run_replication,
     run_study,
     true_parameter_values,
 )

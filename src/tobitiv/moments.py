@@ -87,13 +87,23 @@ class MomentSystem:
     params: list  # Param per parameter
 
     def __post_init__(self):
-        assert len(self.regressor_blocks) == len(self.regressor_columns) == len(
-            self.instrument_blocks)
-        for W, cols, Z in zip(self.regressor_blocks, self.regressor_columns,
-                              self.instrument_blocks):
-            assert W.shape == (Z.shape[0], len(cols))
-            assert all(0 <= j < len(self.params) for j in cols)
-        assert sum(Z.shape[0] for Z in self.instrument_blocks) == self.dependent.shape[0]
+        """DomainError naming the first block, or the list, that breaks the layout."""
+        blocks = (self.regressor_blocks, self.regressor_columns, self.instrument_blocks)
+        if len(set(map(len, blocks))) > 1:
+            raise DomainError("regressor blocks, regressor columns and instrument blocks "
+                              f"must be as many, got {tuple(map(len, blocks))}")
+        for b, (W, cols, Z) in enumerate(zip(*blocks)):
+            if W.shape != (Z.shape[0], len(cols)):
+                raise DomainError(f"regressor block {b} has shape {W.shape}, but its instrument "
+                                  f"block has {Z.shape[0]} rows and it has {len(cols)} column "
+                                  "indices")
+            if not all(0 <= j < len(self.params) for j in cols):
+                raise DomainError(f"regressor block {b}'s columns {list(map(int, cols))} are "
+                                  f"not all in [0, {len(self.params)})")
+        n_rows = sum(Z.shape[0] for Z in self.instrument_blocks)
+        if n_rows != self.dependent.shape[0]:
+            raise DomainError(f"the blocks hold {n_rows} rows, but the dependent holds "
+                              f"{self.dependent.shape[0]}")
 
     @classmethod
     def one_block(cls, dependent, regressors, instruments, cluster, params) -> "MomentSystem":

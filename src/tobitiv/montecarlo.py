@@ -224,44 +224,39 @@ def replication_seed(master_seed: int, j: int) -> int:
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
+# Each variant's moment system from its dataset, estimator spec and pairs.
+VARIANT_BUILDERS = {
+    ModelVariant.CROSS_SECTION: lambda data, spec, pairs: build_cross_section(
+        data, spec.cross_section_order, instruments=spec.instruments),
+    ModelVariant.INDEPENDENT_ERRORS: lambda data, spec, pairs: stack_systems(
+        [build_pairwise_independent(data, t, s, instruments=spec.instruments) for t, s in pairs]),
+    ModelVariant.NON_STATIONARY: lambda data, spec, pairs: stack_systems(
+        [system for t, s in pairs for system in build_pairwise_nonstationary_orders(
+            data, t, s, spec.orders, instruments=spec.instruments)]),
+    ModelVariant.FACTOR_LOADING: lambda data, spec, pairs: build_factor_loading(
+        data, *pairs[0], instruments=spec.instruments),
+    ModelVariant.VARIANCE_FE: lambda data, spec, pairs: build_triple_variance_fe(
+        data, *spec.triple, instruments=spec.instruments),
+    ModelVariant.ADDITIVE_VARIANCE: lambda data, spec, pairs: build_triple_additive_variance(
+        data, *spec.triple, instruments=spec.instruments),
+    ModelVariant.SLOPE_FE: lambda data, spec, pairs: build_pairwise_slope_fe(
+        data, *pairs[0], instruments=spec.instruments),
+}
+
+
 @np.errstate(over="ignore", invalid="ignore")
 def build_estimation_system(
     dataset: PanelDataset, config: PanelConfig, spec: EstimatorSpec
 ) -> Union[MomentSystem, NonlinearMomentSystem]:
-    """Variant-appropriate moment system, built with the spec's instrument set.
+    """The variant's system (VARIANT_BUILDERS), built with the spec's instrument set, on
+    the spec's pairs or by default every pair, or (1, 0) for a single-pair variant.
 
     Rows whose powers overflow come out inf or nan, without a warning; the
     solvers reject them with a DomainError.
     """
-    variant = config.variant
-    kind = spec.instruments
-    pairs = list(spec.pairs) if spec.pairs else all_pairs(config.n_periods)
-    first_pair = pairs[0] if spec.pairs else (1, 0)
-    if variant is ModelVariant.CROSS_SECTION:
-        return build_cross_section(dataset, spec.cross_section_order, instruments=kind)
-    if variant is ModelVariant.INDEPENDENT_ERRORS:
-        return stack_systems(
-            [build_pairwise_independent(dataset, t, s, instruments=kind) for t, s in pairs]
-        )
-    if variant is ModelVariant.NON_STATIONARY:
-        return stack_systems(
-            [
-                system
-                for t, s in pairs
-                for system in build_pairwise_nonstationary_orders(
-                    dataset, t, s, spec.orders, instruments=kind
-                )
-            ]
-        )
-    if variant is ModelVariant.FACTOR_LOADING:
-        return build_factor_loading(dataset, *first_pair, instruments=kind)
-    if variant is ModelVariant.VARIANCE_FE:
-        return build_triple_variance_fe(dataset, *spec.triple, instruments=kind)
-    if variant is ModelVariant.ADDITIVE_VARIANCE:
-        return build_triple_additive_variance(dataset, *spec.triple, instruments=kind)
-    if variant is ModelVariant.SLOPE_FE:
-        return build_pairwise_slope_fe(dataset, *first_pair, instruments=kind)
-    raise ValueError(f"unhandled variant {variant}")
+    single_pair = VARIANT_INPUTS[config.variant].single_pair
+    default_pairs = [(1, 0)] if single_pair else all_pairs(config.n_periods)
+    return VARIANT_BUILDERS[config.variant](dataset, spec, spec.pairs or default_pairs)
 
 
 def true_parameter_values(config: PanelConfig, params: Sequence[Param]) -> np.ndarray:
@@ -272,7 +267,8 @@ def true_parameter_values(config: PanelConfig, params: Sequence[Param]) -> np.nd
 def run_replication(
     config: PanelConfig, spec: EstimatorSpec, j: int, master_seed: int
 ) -> ReplicationRecord:
-    """Replication j of a study; `config` has passed `PanelConfig.validate`."""
+    """Replication j of a study. It takes only inputs that `run_study` has checked: it
+    checks neither the config nor the spec, and an unchecked one may raise any error."""
     seed = replication_seed(master_seed, j)
     cfg = replace(config, seed=seed)
     start = time.perf_counter()

@@ -371,20 +371,18 @@ class PanelDataset:
 
 @np.errstate(all="ignore")  # overflow shows as non-finite draws, checked below
 def _draw_batch(config: PanelConfig, rng, n: int):
-    """One batch of n individuals; fixed draw order keeps output reproducible."""
+    """One batch of n individuals; fixed draw order keeps output reproducible. z and the
+    effect's scale come from the fields that `validate` lets only their variants set."""
     T, K = config.n_periods, config.n_regressors
     beta = np.asarray(config.beta)
     x = config.x_dist.sample(rng, (n, T, K))
     index = (x.reshape(n * T, K) @ beta).reshape(n, T)  # one 2-D product, not n stacked ones
 
-    z = None
-    if config.variant is ModelVariant.SLOPE_FE:
-        z = config.z_dist.sample(rng, (n, T))
-
-    if config.variant is ModelVariant.CROSS_SECTION:
-        alpha = np.zeros(n)
-    else:
+    z = None if config.z_dist is None else config.z_dist.sample(rng, (n, T))
+    if "fe_dist" in VARIANT_INPUTS[config.variant].panel:
         alpha = config.fe_dist.sample(rng, index.mean(axis=1))
+    else:
+        alpha = np.zeros(n)
 
     sigma_i_sq = None
     if config.variant is ModelVariant.VARIANCE_FE:
@@ -399,13 +397,8 @@ def _draw_batch(config: PanelConfig, rng, n: int):
         L = np.linalg.cholesky(np.asarray(config.error_cov))
         eps = rng.standard_normal((n, T)) @ L.T
 
-    if config.variant is ModelVariant.FACTOR_LOADING:
-        fe_term = np.asarray(config.factor_loadings)[None, :] * alpha[:, None]
-    elif config.variant is ModelVariant.SLOPE_FE:
-        fe_term = z * alpha[:, None]
-    else:
-        fe_term = alpha[:, None]
-
+    scale = z if config.factor_loadings is None else np.asarray(config.factor_loadings)
+    fe_term = alpha[:, None] if scale is None else scale * alpha[:, None]
     latent = index + fe_term + eps
     if not np.isfinite(latent).all():  # a non-finite x or z makes latent non-finite too
         raise ConfigurationError("drawn panel values overflow to inf or NaN", field="panel")
@@ -551,7 +544,7 @@ def _restated(config: PanelConfig) -> dict:
         "n_individuals": int(config.n_individuals),
         "n_periods": int(config.n_periods),
         "n_regressors": int(config.n_regressors),
-        "has_z": config.variant is ModelVariant.SLOPE_FE,
+        "has_z": config.z_dist is not None,
     }
 
 

@@ -1377,3 +1377,18 @@ class TestSectionsEveryCommandChecks:
                else sim_config(tmp_path))
         assert main([command, "--config", cfg, "--out", str(tmp_path / "f" / "sub")]) == 2
         assert_config_error(capsys, "output_dir")
+
+
+def test_readme_names_only_defined_names():
+    """Each backticked Python name in README with a dot or an underscore, such as
+    `simulate.json_value`, is a word of the code in src/, tests/ or perfbench/, in each
+    of its dotted parts; a file name such as `meta.json` is not a Python name."""
+    files = ("csv", "json", "md", "npy", "py", "toml", "txt")
+    names = {name for name in re.findall(r"`([^`\n]+)`", (ROOT / "README.md").read_text())
+             if re.fullmatch(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)*", name, re.ASCII)
+             and re.search(r"[._]", name) and name.rsplit(".", 1)[-1] not in files}
+    code = "\n".join(path.read_text() for folder in ("src", "tests", "perfbench")
+                     for path in (ROOT / folder).rglob("*.py"))
+    words = set(re.findall(r"\w+", code))
+    assert len(names) > 100
+    assert sorted(name for name in names if not set(name.split(".")) <= words) == []

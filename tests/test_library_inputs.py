@@ -80,11 +80,25 @@ def test_one_bad_field_runs_or_names_itself(name, variant, value):
         pass
 
 
-@pytest.mark.parametrize("name", ["config", "spec"])
-@pytest.mark.parametrize("value", [None, {}, "NonStationary"])
-def test_run_study_names_a_config_or_spec_of_another_type(name, value):
-    inputs = {"config": base_config(ModelVariant.NON_STATIONARY), "spec": EstimatorSpec(),
-              name: value}
+@pytest.mark.parametrize("name, value", [
+    *((name, value) for name in ("config", "spec") for value in (None, {}, "NonStationary")),
+    # run_replication, which takes only checked inputs, raises LinAlgError or a bare
+    # ValueError on the first three and runs the last two.
+    ("error_cov", ((1.0, 2.0, 0.0, 0.0), (2.0, 1.0, 0.0, 0.0), (0.0, 0.0, 1.0, 0.0),
+                   (0.0, 0.0, 0.0, 1.0))),
+    ("beta", (1.0, 0.5, 2.0)),
+    ("n_individuals", 0),
+    ("orders", ((9, 9),)),
+    ("triple", (0, 1)),
+])
+def test_run_study_names_the_input_it_rejects(name, value):
+    """A config or spec of another type, or a NonStationary one with one field at fault."""
+    config, spec = base_config(ModelVariant.NON_STATIONARY), EstimatorSpec()
+    inputs = {"config": config, "spec": spec, name: value}
+    if name in PANEL_FIELDS:
+        inputs["config"] = replace(config, **{name: value})
+    if name in SPEC_FIELDS:
+        inputs["spec"] = replace(spec, **{name: value})
     with pytest.raises(ConfigurationError) as exc:
         run_study(inputs["config"], inputs["spec"], 2, master_seed=1)
     assert exc.value.field == name

@@ -2,6 +2,9 @@
 
 from dataclasses import replace
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.linalg import block_diag
@@ -20,6 +23,7 @@ from tobitiv import (
     build_pairwise_slope_fe,
     build_triple_additive_variance,
     build_triple_variance_fe,
+    censored_index_instruments,
     default_instruments,
     levels_squares_instruments,
     simulate,
@@ -27,6 +31,7 @@ from tobitiv import (
     two_stage_least_squares,
 )
 from tobitiv.errors import DomainError, EmptySystemError
+from tobitiv.moments import MomentSystem
 from tobitiv.moments import additive_variance_regressors
 
 from dense import dense_regressors
@@ -224,6 +229,9 @@ class TestTriples:
     def test_distinct_periods_required(self):
         with pytest.raises(DomainError):
             build_triple_variance_fe(self.ds, 0, 1, 1)
+        # The index-proxy set reads x at a triple's three periods.
+        with pytest.raises(DomainError, match=r"^expected x of shape \(n, 3, K\), got \(5, 2, 1\)"):
+            censored_index_instruments(np.zeros((5, 2, 1)))
 
 
 def random_positive_panel(seed, n=300, T=4, K=2):
@@ -433,6 +441,32 @@ class TestStacking:
     def test_stack_empty(self):
         with pytest.raises(EmptySystemError):
             stack_systems([])
+
+    @pytest.mark.parametrize("change, message", [
+        ({"regressor_columns": [np.arange(3)]},
+         r"^regressor block 0 has shape \(4, 2\), but its instrument block has 4 rows and it "
+         r"has 3 column indices$"),
+        ({"regressor_columns": [np.array([0, 2])]},
+         r"^regressor block 0's columns \[0, 2\] are not all in \[0, 2\)$"),
+        ({"instrument_blocks": []}, r"must be as many, got \(1, 1, 0\)$"),
+        ({"dependent": np.zeros(5)}, r"^the blocks hold 4 rows, but the dependent holds 5$"),
+    ], ids=["column_count", "column_range", "block_count", "row_count"])
+    def test_mismatched_layout_raises_domain_error(self, change, message):
+        """Under `python -O` too: a 2-column block given 3 indices used to reach the solver."""
+        parts = dict(dependent=np.zeros(4), regressor_blocks=[np.ones((4, 2))],
+                     regressor_columns=[np.arange(2)], instrument_blocks=[np.ones((4, 3))],
+                     cluster=np.arange(4), params=build_cross_section(
+                         toy_dataset([[2.0]], [[[1.0]]])).params)
+        with pytest.raises(DomainError, match=message):
+            MomentSystem(**{**parts, **change})
+
+
+def test_package_holds_no_assert():
+    """An input check raises a TobitIVError; `python -O` would drop an assert."""
+    src = Path(__file__).resolve().parents[1] / "src" / "tobitiv"
+    found = [f"{path.name}:{node.lineno}" for path in sorted(src.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text())) if isinstance(node, ast.Assert)]
+    assert found == []
 
 
 class TestOrthogonalityAtTruth:

@@ -8,19 +8,22 @@ import pytest
 from tobitiv import (
     EstimatorSpec,
     LinearIndexDist,
+    LogNormalDist,
     NormalDist,
     PanelConfig,
     Param,
     ReplicationRecord,
     ShiftedHalfNormalDist,
     StudySummary,
+    build_estimation_system,
     replication_seed,
-    run_replication,
     run_study,
+    simulate,
     true_parameter_values,
 )
 from tobitiv.errors import ConfigurationError, ConvergenceError
-from tobitiv.montecarlo import summarize
+from tobitiv.montecarlo import VARIANT_BUILDERS, run_replication, summarize
+from tobitiv.simulate import VARIANT_INPUTS, ModelVariant
 from tobitiv.truncmoments import MAX_TOTAL_ORDER
 
 
@@ -33,6 +36,16 @@ def indep_config(**over):
     )
     base.update(over)
     return PanelConfig(**base)
+
+
+def test_one_builder_per_variant():
+    """The builder table, like the variant table, has one entry per variant; a
+    single-pair variant builds from the pair (1, 0) by default, whatever T is."""
+    assert list(VARIANT_BUILDERS) == list(ModelVariant) == list(VARIANT_INPUTS)
+    cfg = indep_config(variant="SlopeFE", n_periods=3, error_cov=np.diag([0.25, 0.375, 0.5]),
+                       z_dist=LogNormalDist(0.0, 0.25))
+    system = build_estimation_system(simulate(cfg), cfg, EstimatorSpec())
+    assert system.param_names == ["beta0", "sigma2_t1", "sigma2_t0", "cov_01"]
 
 
 class TestSeeds:

@@ -110,6 +110,10 @@ class TestUnivariate:
             UnivariateNormalSpec(0.0, -1.0)
         with pytest.raises(DomainError):
             UnivariateNormalSpec(math.nan, 1.0)
+        # The far-censored range's end, sigma h, is 0 in float64 here.
+        with pytest.raises(DomainError, match=r"^mean -1e\+300 cannot be resolved at standard "
+                                              r"deviation 1e-150$"):
+            univariate_truncated_moment_quad(UnivariateNormalSpec(-1e300, 1e-300), 1)
 
 
 class TestBivariate:
