@@ -11,18 +11,20 @@ in a subset of the parameters' columns, so 2SLS factorises each row block on
 its own and writes each block's small products into its own rows and
 columns; a block array that several blocks share (one pair's instruments,
 held by each of its orders) is scaled and factorised once. One function,
-`_block_cluster_sums`, gives the per-cluster moments Gc (clusters x
-instruments): each block's rows, sorted by cluster only when out of order,
-are summed over each cluster into the block's own columns, so no zero-padded
-matrix, nor any other n-by-q or n-by-p matrix, is formed. Gc's rows come in
-increasing cluster-id order, and the one Gc serves both the covariance and
-J. The factor-loading GMM prunes with the same QR and shares 2SLS's
-instrument-count and rank checks, cluster sums and sandwich. Both solvers
-reject input that is not finite, or whose squares overflow, before any
-arithmetic. The helpers that factorise call scipy's compiled LAPACK wrappers,
-`scipy.linalg._flapack`, loaded alone on first use, with the arguments and
-checks that `scipy.linalg` gives them; importing this module loads only numpy,
-and no solve imports the `scipy.linalg` package.
+`_cluster_moment_covariance`, gives the cluster-robust moment covariance
+S = Gc'Gc (instruments x instruments) and the cluster count, Gc being the
+per-cluster moments: each block's rows, sorted by cluster only when out of
+order, are summed over each cluster into the block's own columns, so no
+n-by-q or n-by-p matrix is formed; several blocks add their sums into S a
+fixed number of clusters at a time, so their clusters-by-q Gc is never held
+either. The one S serves both the covariance and J. The factor-loading GMM
+prunes with the same QR and shares 2SLS's instrument-count and rank checks,
+S and sandwich. Both solvers reject input that is not finite, or whose
+squares overflow, before any arithmetic. The helpers that factorise call
+scipy's compiled LAPACK wrappers, `scipy.linalg._flapack`, loaded alone on
+first use, with the arguments and checks that `scipy.linalg` gives them;
+importing this module loads only numpy, and no solve imports the
+`scipy.linalg` package.
 """
 
 from __future__ import annotations
@@ -83,20 +85,24 @@ class NonlinearGMMResult(LinearIVResult):
     objective_value: float = written(default=0.0)
 
 
-def _block_cluster_sums(cluster, block_rows, Qs, u) -> np.ndarray:
-    """Per-cluster sums of the block-diagonal product Q * u: one row per
-    cluster, in increasing cluster-id order.
+CLUSTER_CHUNK = 512  # clusters whose moments a several-block S sum holds at once
+
+
+def _cluster_moment_covariance(cluster, block_rows, Qs, u):
+    """(S, number of clusters): S = Gc'Gc, where Gc holds the per-cluster sums
+    of the block-diagonal product Q * u, one row per distinct cluster id.
 
     Block b's columns are zero outside its rows, so they are the cluster sums
-    of Q_b * u over those rows alone, written into the rows of the block's
-    clusters; the n-by-q product is never formed. Each block's rows are
-    sorted by cluster (stably, and only when out of order) and summed over
-    each run of one id. The runs of every block come first, to size Gc;
-    then each block's Q_b * u is formed and summed in turn, so only one is
-    held at a time. Where a block holds at most one row of each cluster,
-    as every built pair or triple block does, the sums equal those of the
-    dense product bit for bit; otherwise they agree to rounding, since numpy
-    adds long runs pairwise and the dense zeros regroup them.
+    of Q_b * u over those rows alone; the n-by-q product is never formed.
+    Each block's rows are sorted by cluster (stably, and only when out of
+    order) and summed over each run of one id. One block gives its sums H
+    and S = H'H. Several blocks rank their run ids once, by one stable sort
+    of the concatenated (each already sorted) ids, then fill CLUSTER_CHUNK
+    ranked clusters of Gc at a time and add each chunk's H'H into S, so the
+    clusters-by-q Gc is never held. Where a block holds at most one row of
+    each cluster, as every built pair or triple block does, its sums equal
+    those of the dense product bit for bit; otherwise they agree to rounding,
+    since numpy adds long runs pairwise and the dense zeros regroup them.
     """
     runs = []  # per block: its row order (None when sorted), run starts and run ids
     for rows in block_rows:
@@ -106,22 +112,30 @@ def _block_cluster_sums(cluster, block_rows, Qs, u) -> np.ndarray:
         starts = np.flatnonzero(np.r_[ids.size > 0, ids[1:] != ids[:-1]])
         runs.append((order, starts, ids if starts.size == ids.size else ids[starts]))
 
-    def sums(b):  # block b's cluster sums, one row per run
-        order, starts, run_ids = runs[b]
-        Qu = Qs[b] * u[block_rows[b], None]
-        Qu = Qu if order is None else Qu[order]
-        return Qu if run_ids.size == Qu.shape[0] else np.add.reduceat(Qu, starts, axis=0)
+    def sums(b, k0, k1):  # block b's cluster sums over its runs k0 to k1, one row per run
+        order, starts, _ = runs[b]
+        lo, hi = starts[k0], starts[k1] if k1 < starts.size else Qs[b].shape[0]
+        rows = slice(lo, hi) if order is None else order[lo:hi]
+        Qu = Qs[b][rows] * u[block_rows[b]][rows, None]
+        return Qu if k1 - k0 == hi - lo else np.add.reduceat(Qu, starts[k0:k1] - lo, axis=0)
 
     if len(runs) == 1:
-        return sums(0)
-    ids, slot = np.unique(np.concatenate([run_ids for *_, run_ids in runs]), return_inverse=True)
-    Gc = np.zeros((ids.size, sum(Q.shape[1] for Q in Qs)))
-    r0 = c0 = 0
-    for b, (*_, run_ids) in enumerate(runs):
-        Gc[slot[r0 : r0 + run_ids.size], c0 : c0 + Qs[b].shape[1]] = sums(b)
-        r0 += run_ids.size
-        c0 += Qs[b].shape[1]
-    return Gc
+        H = sums(0, 0, runs[0][1].size)
+        return H.T @ H, H.shape[0]
+    run_ids = [run_ids for *_, run_ids in runs]
+    every = np.sort(np.concatenate(run_ids), kind="stable")  # merges the sorted runs
+    distinct = every[np.r_[every.size > 0, every[1:] != every[:-1]]]
+    ranks = [np.searchsorted(distinct, ids) for ids in run_ids]
+    col0 = np.cumsum([0] + [Q.shape[1] for Q in Qs])
+    S = np.zeros((col0[-1], col0[-1]))
+    for c0 in range(0, distinct.size, CLUSTER_CHUNK):
+        H = np.zeros((min(CLUSTER_CHUNK, distinct.size - c0), col0[-1]))
+        for b, rank in enumerate(ranks):
+            k0, k1 = np.searchsorted(rank, (c0, c0 + CLUSTER_CHUNK))
+            if k1 > k0:
+                H[rank[k0:k1] - c0, col0[b] : col0[b + 1]] = sums(b, k0, k1)
+        S += H.T @ H
+    return S, distinct.size
 
 
 def _column_scale(mat: np.ndarray) -> np.ndarray:
@@ -258,12 +272,13 @@ def _nonsingular_solve(A, B, what: str, *what_args):
         raise IdentificationError(f"{what.format(*what_args)} is singular") from None
 
 
-def _sandwich(G: np.ndarray, GW: np.ndarray, Hc: np.ndarray) -> np.ndarray:
-    """Sandwich A^-1 GW Hc'Hc GW' A^-1 = M M' with bread A = GW G, per-cluster
-    moments Hc and M = A^-1 GW Hc': the solve takes one right-hand side per
-    instrument, not one per cluster, and M M' is symmetric by construction."""
-    M = _nonsingular_solve(GW @ G, GW, "the moment Jacobian's GMM matrix") @ Hc.T
-    return M @ M.T
+def _sandwich(G: np.ndarray, GW: np.ndarray, S: np.ndarray) -> np.ndarray:
+    """Sandwich B S B' with bread A = GW G, moment covariance S and
+    B = A^-1 GW: the solve takes one right-hand side per instrument. The
+    product is averaged with its transpose, so it is exactly symmetric."""
+    B = _nonsingular_solve(GW @ G, GW, "the moment Jacobian's GMM matrix")
+    V = B @ S @ B.T
+    return 0.5 * (V + V.T)
 
 
 def two_stage_least_squares(system: MomentSystem) -> LinearIVResult:
@@ -320,14 +335,14 @@ def two_stage_least_squares(system: MomentSystem) -> LinearIVResult:
     estimates = theta_s / dW
     u = system.residuals(estimates)
 
-    Gc = _block_cluster_sums(system.cluster, block_rows, Qs, u)  # moments in the Q basis
-    covariance = _sandwich(QtW, QtW.T, Gc) / np.outer(dW, dW)
+    S, n_clusters = _cluster_moment_covariance(system.cluster, block_rows, Qs, u)  # Q basis
+    covariance = _sandwich(QtW, QtW.T, S) / np.outer(dW, dW)
 
     j_stat = None
     if q > p:
         # J does not change under a nonsingular change of instrument basis, and
         # the 1/n factors of the moments and of their covariance S cancel in it.
-        S_solve = _spd_solver(Gc.T @ Gc)
+        S_solve = _spd_solver(S)
         SinvG = S_solve(QtW)
         theta2 = _nonsingular_solve(QtW.T @ SinvG, SinvG.T @ Qty,
                                     "the two-step GMM matrix for J")
@@ -339,7 +354,7 @@ def two_stage_least_squares(system: MomentSystem) -> LinearIVResult:
         estimates=estimates,
         covariance=covariance,
         n_rows=n,
-        n_clusters=Gc.shape[0],
+        n_clusters=n_clusters,
         condition_number=cond,
         j_statistic=j_stat,
         j_dof=q - p,
@@ -487,8 +502,8 @@ def nonlinear_gmm(system: NonlinearMomentSystem) -> NonlinearGMMResult:
 
     # step 2: efficient weighting
     xi1 = system.residuals(_full_theta(r1, theta_lin1))
-    Hc1 = _block_cluster_sums(system.cluster, [slice(None)], [Zw], xi1)  # one row block
-    W2 = _spd_solver(Hc1.T @ Hc1 / n)(np.eye(q))
+    S1, _ = _cluster_moment_covariance(system.cluster, [slice(None)], [Zw], xi1)  # one block
+    W2 = _spd_solver(S1 / n)(np.eye(q))
     W2 = 0.5 * (W2 + W2.T)
     r2, (theta_lin2, obj2, gbar, G_lin), n_solved2 = _search(W2, r1)
     cond = _check_rank(G_lin, [prm.name for prm in system.params if prm.kind != "r"])
@@ -506,20 +521,21 @@ def nonlinear_gmm(system: NonlinearMomentSystem) -> NonlinearGMMResult:
         tm[j] -= step
         G[:, j] = (gbar_at(tp) - gbar_at(tm)) / (2.0 * step)
 
-    Hc = _block_cluster_sums(system.cluster, [slice(None)], [Zw], system.residuals(theta))
+    S, n_clusters = _cluster_moment_covariance(system.cluster, [slice(None)], [Zw],
+                                               system.residuals(theta))
     GW = G.T @ W2
-    # S = Hc'Hc/n, and the estimates' covariance is the sandwich over S divided by n.
-    covariance = _sandwich(G, GW, Hc) / n**2
+    # The moments' covariance is S/n, and the estimates' is the sandwich over it divided by n.
+    covariance = _sandwich(G, GW, S) / n**2
 
     grad = 2.0 * GW @ gbar
-    j_stat = float(n * gbar @ _spd_solver(Hc.T @ Hc / n)(gbar)) if q > p else None
+    j_stat = float(n * gbar @ _spd_solver(S / n)(gbar)) if q > p else None
 
     return NonlinearGMMResult(
         params=list(system.params),
         estimates=theta,
         covariance=covariance,
         n_rows=n,
-        n_clusters=Hc.shape[0],
+        n_clusters=n_clusters,
         condition_number=cond,
         j_statistic=j_stat,
         j_dof=q - p,

@@ -9,9 +9,10 @@ than 20% of replications fail.
 
 from __future__ import annotations
 
+import ctypes
+import importlib.util
 import os
 import time
-from concurrent import futures
 from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 from functools import partial
@@ -294,6 +295,55 @@ def available_cpus() -> int:
     return os.cpu_count() or 1
 
 
+# The thread-count setters of the OpenBLAS copies that numpy's and scipy's
+# wheels bundle: numpy's 64-bit-integer build, then scipy's.
+BLAS_THREAD_SETTERS = ("scipy_openblas_set_num_threads64_", "scipy_openblas_set_num_threads")
+
+
+def bundled_blas() -> list:
+    """ctypes handles of the OpenBLAS copies in the `numpy.libs` and
+    `scipy.libs` directories beside the packages, as their wheels install
+    them; none where a package has no such directory or a copy cannot load."""
+    import glob  # deferred, like the pool: `import tobitiv` does not load it
+
+    handles = []
+    for package in ("numpy", "scipy"):
+        spec = importlib.util.find_spec(package)
+        for root in spec.submodule_search_locations if spec else ():
+            libs = os.path.join(os.path.dirname(root), f"{package}.libs")
+            for path in sorted(glob.glob(os.path.join(libs, "libscipy_openblas*.so"))):
+                try:
+                    handles.append(ctypes.CDLL(path))
+                except OSError:
+                    pass
+    return handles
+
+
+def one_blas_thread() -> None:
+    """Pin every bundled OpenBLAS copy that exports a setter to one thread.
+
+    The pool runs it in each worker: a worker that keeps the caller's BLAS
+    threads competes with the other workers for the cores. Pinning numpy's
+    copy alone is not enough, since the solves run in scipy's. A copy or
+    setter that is missing is left as it is."""
+    for lib in bundled_blas():
+        for name in BLAS_THREAD_SETTERS:
+            setter = getattr(lib, name, None)
+            if setter is not None:
+                setter.argtypes, setter.restype = [ctypes.c_int], None
+                setter(1)
+
+
+def _pool(n_workers: int):
+    """A process pool of `n_workers` that each run one BLAS thread, or, for one
+    worker, a null context that gives None."""
+    if n_workers == 1:
+        return nullcontext()
+    from concurrent.futures import ProcessPoolExecutor  # deferred: it loads logging and more
+
+    return ProcessPoolExecutor(max_workers=n_workers, initializer=one_blas_thread)
+
+
 def summarize(
     records: Sequence[ReplicationRecord], truth: np.ndarray, param_names: Sequence[str]
 ) -> StudySummary:
@@ -348,9 +398,7 @@ def run_study(
     n_workers = min(workers, n_replications, available_cpus())
     chunksize = -(-n_replications // n_workers)  # one contiguous share per worker
     summaries = []
-    # futures loads the pool machinery on first access, so only a pool imports it.
-    with (futures.ProcessPoolExecutor(max_workers=n_workers) if n_workers > 1
-          else nullcontext()) as pool:
+    with _pool(n_workers) as pool:
         mapper = map if pool is None else partial(pool.map, chunksize=chunksize)
         for cfg in configs:
             records = list(mapper(partial(run_replication, cfg, spec, master_seed=master_seed),

@@ -18,6 +18,7 @@ import pytest
 from tobitiv import (ConfigurationError, EstimatorSpec, LinearIVResult, NonlinearGMMResult,
                     PanelConfig, Param, run_study, two_stage_least_squares)
 from tobitiv.cli import build_parser, main
+from tobitiv.montecarlo import one_blas_thread
 from tobitiv.simulate import format_float, tabulate, written
 from tobitiv.truncmoments import (BivariateNormalSpec, IdentityCheck, _full_power_integrals,
                                   moment_identity_residual)
@@ -184,7 +185,7 @@ class TestSimulate:
         ids=["unknown_variant", "text_dist_parameter", "null_dist", "ragged_error_cov"],
     )
     def test_bad_panel_value_exit_2(self, tmp_path, capsys, override):
-        payload = json.loads(open(sim_config(tmp_path)).read())
+        payload = json.loads(Path(sim_config(tmp_path)).read_text())
         payload["panel"].update(override)
         cfg = write_config(tmp_path, "bad.json", payload)
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
@@ -528,7 +529,7 @@ class TestMonteCarlo:
         """Each JSON value is a number equal to float() of its CSV cell, or null
         where the cell is empty; the text columns hold the same strings."""
         # 12 individuals: 5 of the 30 replications fail, so both tables hold empty cells.
-        panel = json.loads(open(self.mc_config(tmp_path)).read())["panel"]
+        panel = json.loads(Path(self.mc_config(tmp_path)).read_text())["panel"]
         panel.update(n_individuals=12, x_dist={"type": "normal", "mu": 0.0, "sigma": 1.0})
         cfg = self.mc_config(tmp_path, panel=panel, replications=30, sample_sizes=[12],
                              master_seed=3)
@@ -674,7 +675,7 @@ class TestMonteCarlo:
     )
     def test_non_finite_panel_exit_2(self, tmp_path, capsys, field, value, reported):
         cfg = self.mc_config(tmp_path)
-        payload = json.loads(open(cfg).read())
+        payload = json.loads(Path(cfg).read_text())
         payload["panel"][field] = value
         cfg = write_config(tmp_path, "mc.json", payload)
         assert main(["montecarlo", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
@@ -694,7 +695,7 @@ class TestMonteCarlo:
         # ["10", "01"] as the identity and "15" as the loadings (1.0, 5.0).
         cfg = self.mc_config(tmp_path, variant="FactorLoading",
                              estimator={"instruments": "products"})
-        payload = json.loads(open(cfg).read())
+        payload = json.loads(Path(cfg).read_text())
         payload["panel"].update({"factor_loadings": [1.0, 1.5], field: value})
         cfg = write_config(tmp_path, "mc.json", payload)
         assert main(["montecarlo", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
@@ -712,7 +713,7 @@ class TestMonteCarlo:
     def test_wrong_distribution_type_exit_2(self, tmp_path, capsys, field, value):
         # fe_dist is drawn around the regressor index, x_dist by shape.
         cfg = self.mc_config(tmp_path)
-        payload = json.loads(open(cfg).read())
+        payload = json.loads(Path(cfg).read_text())
         payload["panel"][field] = value
         cfg = write_config(tmp_path, "mc.json", payload)
         assert main(["montecarlo", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
@@ -729,7 +730,7 @@ class TestMonteCarlo:
     @pytest.mark.parametrize("sigma", [1e100, 1e150])
     def test_overflowing_moment_rows_exit_3(self, tmp_path, capsys, sigma):
         cfg = self.mc_config(tmp_path)
-        payload = json.loads(open(cfg).read())
+        payload = json.loads(Path(cfg).read_text())
         payload["panel"]["x_dist"]["sigma"] = sigma
         cfg = write_config(tmp_path, "mc.json", payload)
         assert main(["montecarlo", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
@@ -753,7 +754,7 @@ class TestMonteCarlo:
 
         # `tobitiv.simulate` names the function; the module is patched through sys.modules.
         monkeypatch.setattr(sys.modules["tobitiv.simulate"], "_draw_batch", no_draw)
-        payload = json.loads(open(self.mc_config(tmp_path, **study)).read())
+        payload = json.loads(Path(self.mc_config(tmp_path, **study)).read_text())
         payload["panel"].update(panel)
         cfg = write_config(tmp_path, "mc.json", payload)
         assert main(["montecarlo", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
@@ -788,8 +789,8 @@ class TestMonteCarlo:
     )
     def test_singular_gmm_matrix_exit_3(self, tmp_path, capsys, variant, panel, estimator,
                                         message):
-        payload = json.loads(open(self.mc_config(tmp_path, variant=variant,
-                                                 estimator=estimator)).read())
+        payload = json.loads(Path(self.mc_config(tmp_path, variant=variant,
+                                                 estimator=estimator)).read_text())
         payload["panel"].update(panel)
         cfg = write_config(tmp_path, "mc.json", payload)
         assert main(["montecarlo", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
@@ -817,7 +818,7 @@ class TestMonteCarlo:
     )
     def test_field_the_variant_does_not_read_exit_2(self, tmp_path, capsys, variant, estimator):
         # Each of these used to run with exit 0 and the field ignored.
-        payload = json.loads(open(self.mc_config(tmp_path, variant=variant)).read())
+        payload = json.loads(Path(self.mc_config(tmp_path, variant=variant)).read_text())
         payload["panel"].update(self.T3_PANELS[variant])
         payload["estimator"] = {"instruments": "default", **estimator}
         cfg = write_config(tmp_path, "mc.json", payload)
@@ -852,8 +853,8 @@ class TestMonteCarlo:
     def test_input_the_draws_ignore_exit_2(self, tmp_path, capsys, variant, panel, field,
                                            command):
         # Each of these used to exit 0, its input written to meta.json but not drawn.
-        payload = json.loads(open(self.mc_config(tmp_path, variant=variant,
-                                                 estimator={"instruments": "default"})).read())
+        payload = json.loads(Path(self.mc_config(tmp_path, variant=variant,
+                                                 estimator={"instruments": "default"})).read_text())
         payload["panel"].update(panel)
         cfg = write_config(tmp_path, "mc.json", payload)
         assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
@@ -889,8 +890,8 @@ class TestMonteCarlo:
             raise AssertionError("a panel was drawn before its distributions were checked")
 
         monkeypatch.setattr(sys.modules["tobitiv.simulate"], "_draw_batch", no_draw)
-        payload = json.loads(open(self.mc_config(tmp_path, variant=variant,
-                                                 estimator={"instruments": "default"})).read())
+        payload = json.loads(Path(self.mc_config(tmp_path, variant=variant,
+                                                 estimator={"instruments": "default"})).read_text())
         payload["panel"].update(panel)
         cfg = write_config(tmp_path, "mc.json", payload)
         assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
@@ -898,7 +899,7 @@ class TestMonteCarlo:
         assert not (tmp_path / "o").exists()
 
     def test_unread_field_at_its_default_accepted(self, tmp_path, capsys):
-        payload = json.loads(open(self.mc_config(tmp_path)).read())
+        payload = json.loads(Path(self.mc_config(tmp_path)).read_text())
         payload["panel"].update(self.T3_PANELS["IndependentErrors"])
         payload["estimator"].update(triple=[0, 1, 2], orders=[[1, 1]], cross_section_order=1)
         cfg = write_config(tmp_path, "mc.json", payload)
@@ -917,13 +918,15 @@ class TestMonteCarlo:
                              ids=["3-4-3", "5-4-4", "4-2-2", "5-1-None"])
     def test_workers_capped_by_replications_and_cpus(self, tmp_path, monkeypatch, replications,
                                                      cpus, pool_size, chunksize):
-        # One pool serves both sample sizes, and each worker maps one contiguous share.
+        # One pool serves both sample sizes, each worker maps one contiguous share,
+        # and each worker starts by pinning its BLAS to one thread.
         pools, chunksizes = [], []
 
         class RecordingPool:
             """Records its size and chunk sizes; maps in this process, starting none."""
 
-            def __init__(self, max_workers):
+            def __init__(self, max_workers, initializer):
+                assert initializer is one_blas_thread
                 pools.append(max_workers)
 
             def __enter__(self):
@@ -936,7 +939,7 @@ class TestMonteCarlo:
                 chunksizes.append(chunksize)
                 return map(fn, *iterables)
 
-        monkeypatch.setattr("tobitiv.montecarlo.futures.ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", RecordingPool)
         monkeypatch.setattr("tobitiv.montecarlo.available_cpus", lambda: cpus)
         cfg = self.mc_config(tmp_path, replications=replications, sample_sizes=[300, 400])
         seq, par = tmp_path / "seq", tmp_path / "par"
@@ -983,7 +986,7 @@ class TestConfigKeys:
         ds = tmp_path / "ds"
         assert main(["simulate", "--config", good, "--out", str(ds)]) == 0
         capsys.readouterr()
-        payload = json.loads(open(good).read())
+        payload = json.loads(Path(good).read_text())
         payload.update(replications=2, sample_size=[5000], master_sed=99)
         bad = write_config(tmp_path, "bad.json", payload)
         argv = [command, "--config", bad, "--out", str(tmp_path / "o")]
@@ -1006,7 +1009,7 @@ class TestConfigKeys:
     ])
     def test_nested_key_fault_exit_2_naming_it(self, tmp_path, capsys, command, fault):
         edit, field = self.NESTED_FAULTS[fault]
-        payload = json.loads(open(sim_config(tmp_path)).read())
+        payload = json.loads(Path(sim_config(tmp_path)).read_text())
         edit(payload)
         cfg = write_config(tmp_path, "bad.json", dict(payload, replications=2))
         assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
@@ -1015,7 +1018,7 @@ class TestConfigKeys:
 
     @pytest.mark.parametrize("output_dir", [5, "", None, ["o"]])
     def test_output_dir_not_a_path_exit_2(self, tmp_path, capsys, output_dir):
-        payload = json.loads(open(sim_config(tmp_path)).read())
+        payload = json.loads(Path(sim_config(tmp_path)).read_text())
         cfg = write_config(tmp_path, "c.json", dict(payload, output_dir=output_dir))
         assert main(["simulate", "--config", cfg]) == 2
         assert_config_error(capsys, "output_dir")
@@ -1188,7 +1191,7 @@ class TestSeeds:
     takes none. Every seed is an integer in [0, 2**128)."""
 
     def mc_config(self, tmp_path, panel_seed, **over):
-        payload = json.loads(open(TestMonteCarlo().mc_config(tmp_path, **over)).read())
+        payload = json.loads(Path(TestMonteCarlo().mc_config(tmp_path, **over)).read_text())
         if panel_seed is None:
             del payload["panel"]["seed"]
         else:
@@ -1310,7 +1313,7 @@ class TestSectionsEveryCommandChecks:
 
     @pytest.mark.parametrize("fault, field", STUDY_FAULTS)
     def test_simulate_checks_study_sections_exit_2(self, tmp_path, capsys, fault, field):
-        payload = dict(json.loads(open(sim_config(tmp_path)).read()), **fault)
+        payload = dict(json.loads(Path(sim_config(tmp_path)).read_text()), **fault)
         cfg = write_config(tmp_path, "bad.json", payload)
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
         assert_config_error(capsys, field)

@@ -248,7 +248,7 @@ class TestNonlinearGMM:
         G = np.ones((3, 2))  # two equal columns: GW G is exactly singular
         with pytest.raises(IdentificationError,
                            match="^the moment Jacobian's GMM matrix is singular$"):
-            _sandwich(G, G.T, np.ones((5, 3)))
+            _sandwich(G, G.T, np.eye(3))
 
     def test_recovers_loadings_ratio(self):
         _, sys_ = factor_loading_panel((1.0, 1.5), seed=11)

@@ -4,12 +4,12 @@ load scipy's LAPACK extension.
 
 Only the univariate quadrature oracle needs `scipy.integrate` and
 `scipy.special`, and only a multi-worker Monte Carlo study needs
-`multiprocessing`. The solver helpers load the one extension
-`scipy.linalg._flapack` on first use, never the `scipy.linalg` package,
-whose import also loads `numpy.f2py` and `numpy.testing`. So `import
-tobitiv`, `simulate`, `verify` and the dense instrument view of a stacked
-system run without the extension, `estimate` and `montecarlo` must load it,
-and no command loads the package. Each case runs in a fresh interpreter,
+`concurrent.futures` (which loads `logging`) and `multiprocessing`. The
+solver helpers load the one extension `scipy.linalg._flapack` on first use,
+never the `scipy.linalg` package, whose import also loads `numpy.f2py` and
+`numpy.testing`. So `import tobitiv`, `simulate`, `verify` and the dense
+instrument view of a stacked system run without the extension, `estimate`
+and `montecarlo` must load it, and no command loads the package. Each case runs in a fresh interpreter,
 because this test process has loaded those modules already.
 """
 
@@ -25,7 +25,8 @@ import test_cli
 from test_cli import sim_config, write_config
 
 NOT_LOADED = ("scipy.integrate", "scipy.optimize", "scipy.special", "scipy.stats",
-              "scipy.sparse", "scipy.linalg", "numpy.f2py", "numpy.testing", "multiprocessing")
+              "scipy.sparse", "scipy.linalg", "numpy.f2py", "numpy.testing", "multiprocessing",
+              "concurrent.futures", "logging")
 SOLVER = "scipy.linalg._flapack"
 SOLVING = ("estimate", "montecarlo")  # the commands that solve a moment system
 

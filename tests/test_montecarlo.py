@@ -1,5 +1,6 @@
 """Harness tests: seed splitting, truth labels, and failure policy."""
 
+import ctypes
 from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
@@ -22,7 +23,14 @@ from tobitiv import (
     true_parameter_values,
 )
 from tobitiv.errors import ConfigurationError, ConvergenceError
-from tobitiv.montecarlo import VARIANT_BUILDERS, run_replication, summarize
+from tobitiv.montecarlo import (
+    BLAS_THREAD_SETTERS,
+    VARIANT_BUILDERS,
+    bundled_blas,
+    one_blas_thread,
+    run_replication,
+    summarize,
+)
 from tobitiv.simulate import VARIANT_INPUTS, ModelVariant
 from tobitiv.truncmoments import MAX_TOTAL_ORDER
 
@@ -195,3 +203,27 @@ class TestRunStudy:
         par = run_study(cfg, spec, 4, master_seed=11, workers=2)[0]
         assert np.array_equal(seq.mean_estimate, par.mean_estimate)
         assert np.array_equal(seq.rmse, par.rmse)
+
+
+def test_pool_initializer_pins_each_bundled_blas_to_one_thread():
+    """Every bundled OpenBLAS copy set to two threads reads one after the
+    pool's worker initializer; numpy's wheel bundles at least one."""
+    threads = []  # (setter, getter) of each copy that exports them
+    for lib in bundled_blas():
+        for name in BLAS_THREAD_SETTERS:
+            setter = getattr(lib, name, None)
+            if setter is not None:
+                getter = getattr(lib, name.replace("_set_", "_get_"))
+                setter.argtypes, setter.restype = [ctypes.c_int], None
+                getter.argtypes, getter.restype = [], ctypes.c_int
+                threads.append((setter, getter))
+    assert threads
+    try:
+        for setter, getter in threads:
+            setter(2)
+            assert getter() == 2
+        one_blas_thread()
+        assert [getter() for _, getter in threads] == [1] * len(threads)
+    finally:
+        for setter, _ in threads:
+            setter(1)

@@ -1,8 +1,9 @@
 """Solver invariants: row order, instrument scale, cluster labels, shared
-instrument blocks, per-block and dense cluster sums, and the cached
-factor-loading objective."""
+instrument blocks, the cluster-robust moment covariance against the dense
+indicator product, and the cached factor-loading objective."""
 
 from dataclasses import replace
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -24,8 +25,10 @@ from tobitiv import (
     stack_systems,
     two_stage_least_squares,
 )
+from tobitiv import gmm
 from tobitiv.gmm import (
-    _block_cluster_sums,
+    CLUSTER_CHUNK,
+    _cluster_moment_covariance,
     _column_scale,
     _whiten_instruments,
     concentrated_linear_solve,
@@ -155,13 +158,23 @@ def dense_cluster_sums(cluster, Qs, u):
 ID_MAPS = (lambda c: c, lambda c: -3 * c - 7, lambda c: 2**62 - 5 * c)
 
 
+def one_block_sums(cluster, Q, u):
+    """The cluster sums of Q * u as one block gives them: rows stably sorted
+    by cluster, each run of one id added by `np.add.reduceat`."""
+    order = np.argsort(cluster, kind="stable")
+    ids = cluster[order]
+    starts = np.flatnonzero(np.r_[True, ids[1:] != ids[:-1]])
+    return np.add.reduceat((Q * u[:, None])[order], starts, axis=0)
+
+
 @given(multi_block_systems())
-def test_block_cluster_sums_match_the_dense_indicator_product(case):
-    """`_block_cluster_sums` of every block, and of the first block alone, has
-    one row per distinct cluster id in increasing id order: it is the dense
-    indicator product, bit for bit where each block holds at most one row of
-    each cluster, else to 1e-12 of the largest sum. Every block's ids are
-    out of order."""
+def test_cluster_moment_covariance_matches_the_dense_indicator_product(case):
+    """`_cluster_moment_covariance` of every block, and of the first block
+    alone, counts the distinct cluster ids and gives Gc'Gc of the dense
+    indicator product Gc, to 1e-12 of its largest entry, whether the
+    clusters fill one chunk or several. The first block's S is H'H bit for
+    bit, H being its cluster sums, which fixes the factor-loading step-2
+    weight. Every block's ids are out of order."""
     system, rng = case
     moved = permuted_within_blocks(system, rng)
     sizes = [Z.shape[0] for Z in moved.instrument_blocks]
@@ -171,18 +184,23 @@ def test_block_cluster_sums_match_the_dense_indicator_product(case):
     u = rng.normal(size=ends[-1])
     # The same layout with distinct ids in each block, some shared across blocks.
     distinct = np.concatenate([rng.choice(2 * max(sizes), n, replace=False) for n in sizes])
-    for cluster, one_row_each in ((moved.cluster, False), (distinct, True)):
+    for cluster in (moved.cluster, distinct):
         for id_map in ID_MAPS:
             c = id_map(cluster.astype(np.int64))
             for k in (len(sizes), 1):
                 n = ends[k - 1]
-                got = _block_cluster_sums(c[:n], block_rows[:k], Qs[:k], u[:n])
-                want = dense_cluster_sums(c[:n], Qs[:k], u[:n])
-                assert got.shape == want.shape
-                if one_row_each:
-                    assert np.array_equal(got, want)
-                else:
-                    assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want).max())
+                Gc = dense_cluster_sums(c[:n], Qs[:k], u[:n])
+                want = Gc.T @ Gc
+                for chunk in (CLUSTER_CHUNK, 7, 1):
+                    with patch.object(gmm, "CLUSTER_CHUNK", chunk):
+                        S, n_clusters = _cluster_moment_covariance(
+                            c[:n], block_rows[:k], Qs[:k], u[:n])
+                    assert n_clusters == Gc.shape[0]
+                    assert np.all(np.abs(S - want) <= 1e-12 * np.abs(want).max())
+            n = ends[0]
+            S, _ = _cluster_moment_covariance(c[:n], block_rows[:1], Qs[:1], u[:n])
+            H = one_block_sums(c[:n], Qs[0], u[:n])
+            assert np.array_equal(S, H.T @ H)
 
 
 def test_shared_block_arrays_match_copies_bit_for_bit():
