@@ -19,10 +19,11 @@ n-by-q or n-by-p matrix is formed; several blocks add their sums into S a
 fixed number of clusters at a time, so their clusters-by-q Gc is never held
 either. The one S serves both the covariance and J. The factor-loading GMM
 prunes with the same QR and shares 2SLS's instrument-count and rank checks,
-S and sandwich. Both solvers reject input that is not finite, or whose
-squares overflow, before any arithmetic. The helpers that factorise call
-scipy's compiled LAPACK wrappers, `scipy.linalg._flapack`, loaded alone on
-first use, with the arguments and checks that `scipy.linalg` gives them;
+S and sandwich; its search over the loadings ratio r projects each r once
+per fit, for both GMM steps. Both solvers reject input that is not finite,
+or whose squares overflow, before any arithmetic. The helpers that factorise
+call scipy's compiled LAPACK wrappers, `scipy.linalg._flapack`, loaded alone
+on first use, with the arguments and checks that `scipy.linalg` gives them;
 importing this module loads only numpy, and no solve imports the
 `scipy.linalg` package.
 """
@@ -38,6 +39,7 @@ from dataclasses import dataclass, fields
 from typing import Optional
 
 import numpy as np
+from numpy.linalg import _umath_linalg  # np.linalg.solve's gufuncs; loaded with numpy
 
 from .errors import (
     BracketError,
@@ -263,11 +265,18 @@ def _spd_solver(S: np.ndarray):
     return lambda B: _lapack_call("dpotrs", c, np.asarray_chkfinite(B), lower=False)[0]
 
 
+def _raise_singular(err, flag):
+    raise np.linalg.LinAlgError("Singular matrix")
+
+
 def _nonsingular_solve(A, B, what: str, *what_args):
-    """`np.linalg.solve`, reporting an exactly singular A as an IdentificationError
-    named by ``what.format(*what_args)``, formatted only then."""
+    """`np.linalg.solve`'s gufunc (dgesv) and error state without its wrapper, so its bits;
+    an exactly singular A is an IdentificationError named by ``what.format(*what_args)``."""
+    solve = _umath_linalg.solve1 if B.ndim == 1 else _umath_linalg.solve
     try:
-        return np.linalg.solve(A, B)
+        with np.errstate(call=_raise_singular, invalid="call", over="ignore", divide="ignore",
+                         under="ignore"):
+            return solve(A, B, signature="dd->d")
     except np.linalg.LinAlgError:
         raise IdentificationError(f"{what.format(*what_args)} is singular") from None
 
@@ -427,21 +436,24 @@ def _whiten_instruments(Z: np.ndarray):
     return ZwT.T
 
 
-def concentrated_linear_solve(system: NonlinearMomentSystem, r: float, Zw, Wmat):
-    """Inner GMM solve of the linear block (beta, a, b) at fixed r:
-    (theta, objective, gbar, G) with G the moments' Jacobian in (beta, a, b).
-
-    With Wmat = I on the whitened instruments this is exactly 2SLS on the
-    r-transformed linear system.
-    """
-    n = system.n_rows
+def project_linear_parts(system: NonlinearMomentSystem, r: float, Zw):
+    """(Zw'X/n, Zw'dep/n), the model's regressors and dependent at fixed r
+    projected on the whitened instruments: the inner solve's weight-free part."""
     dep, X = system.shared_linear_parts(r)
-    G = Zw.T @ X / n
-    gd = Zw.T @ dep / n
-    theta = _nonsingular_solve(G.T @ (Wmat @ G), G.T @ (Wmat @ gd),
+    return Zw.T.dot(X) / system.n_rows, Zw.T.dot(dep) / system.n_rows
+
+
+def concentrated_linear_solve(G, gd, Wmat, r: float):
+    """Inner GMM solve of the linear block (beta, a, b) at fixed r from its projections
+    G, the moments' Jacobian in (beta, a, b), and gd: (theta, objective, gbar).
+
+    With Wmat = I on the whitened instruments this is exactly 2SLS on the r-transformed
+    linear system. `.dot` makes `@`'s BLAS calls at half its overhead on these operands.
+    """
+    theta = _nonsingular_solve(G.T.dot(Wmat.dot(G)), G.T.dot(Wmat.dot(gd)),
                                "the linear block's GMM matrix at r = {:.6g}", r)
-    gbar = gd - G @ theta
-    return theta, float(gbar @ (Wmat @ gbar)), gbar, G
+    gbar = gd - G.dot(theta)
+    return theta, float(gbar.dot(Wmat.dot(gbar))), gbar
 
 
 def nonlinear_gmm(system: NonlinearMomentSystem) -> NonlinearGMMResult:
@@ -452,8 +464,8 @@ def nonlinear_gmm(system: NonlinearMomentSystem) -> NonlinearGMMResult:
     golden section, then one quadratic-interpolation refinement) with a
     closed-form inner solve. Step one weights with the identity on whitened
     instruments (equivalent to 2SLS); step two reweights with the inverse
-    clustered moment covariance from step one. Each search solves each point
-    once, and `iterations` counts the distinct points solved over both.
+    clustered moment covariance from step one. Each r is projected once per fit
+    and solved once per search; `iterations` counts the solves over both searches.
     """
     # The model parts at r = 1 stand for those at every r in the bracket.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -469,6 +481,7 @@ def nonlinear_gmm(system: NonlinearMomentSystem) -> NonlinearGMMResult:
     if q < p:
         raise IdentificationError(f"{q} instruments for {p} parameters")
     Zw = _whiten_instruments(Z)
+    projected = {}  # r -> project_linear_parts at r, for both searches
 
     def _search(Wmat, r_hint=None):
         """The minimising r, the inner solve there, and the number of points solved."""
@@ -476,7 +489,10 @@ def nonlinear_gmm(system: NonlinearMomentSystem) -> NonlinearGMMResult:
 
         def obj(log_r):
             if log_r not in solved:
-                solved[log_r] = concentrated_linear_solve(system, math.exp(log_r), Zw, Wmat)
+                r = math.exp(log_r)
+                if r not in projected:
+                    projected[r] = project_linear_parts(system, r, Zw)
+                solved[log_r] = concentrated_linear_solve(*projected[r], Wmat, r)
             return solved[log_r][1]
 
         lo, hi = (math.log(b) for b in R_BRACKET)
@@ -505,8 +521,8 @@ def nonlinear_gmm(system: NonlinearMomentSystem) -> NonlinearGMMResult:
     S1, _ = _cluster_moment_covariance(system.cluster, [slice(None)], [Zw], xi1)  # one block
     W2 = _spd_solver(S1 / n)(np.eye(q))
     W2 = 0.5 * (W2 + W2.T)
-    r2, (theta_lin2, obj2, gbar, G_lin), n_solved2 = _search(W2, r1)
-    cond = _check_rank(G_lin, [prm.name for prm in system.params if prm.kind != "r"])
+    r2, (theta_lin2, obj2, gbar), n_solved2 = _search(W2, r1)
+    cond = _check_rank(projected[r2][0], [prm.name for prm in system.params if prm.kind != "r"])
     theta = _full_theta(r2, theta_lin2)
 
     def gbar_at(th):

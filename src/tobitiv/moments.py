@@ -168,24 +168,28 @@ class NonlinearMomentSystem:
 
     @cached_property
     def _r_free_parts(self):
-        """y_t^2 y_s, y_s^2, y_t y_s, and the regressor buffer with its fixed
-        columns (-y_t, y_s) filled: everything in `linear_parts` but r."""
+        """y_t^2 y_s, y_s^2, y_t y_s as a column, and buffers for dep, x_t - r x_s and X,
+        X's fixed columns (-y_t, y_s) filled: everything in `linear_parts` but r."""
         K = self.x_t.shape[1]
         X = np.empty((self.n_rows, K + 2))
         X[:, K] = -self.y_t
         X[:, K + 1] = self.y_s
-        return self.y_t**2 * self.y_s, self.y_s**2, self.y_t * self.y_s, X
+        return (self.y_t**2 * self.y_s, self.y_s**2, (self.y_t * self.y_s)[:, None],
+                np.empty(self.n_rows), np.empty((self.n_rows, K)), X)
 
     def shared_linear_parts(self, r: float):
-        """`linear_parts` with X in a buffer that the next call overwrites."""
-        cubic, ys2, yy, X = self._r_free_parts
-        np.multiply(yy[:, None], self.x_t - r * self.x_s, out=X[:, : self.x_t.shape[1]])
-        return cubic - r * ys2 * self.y_t, X
+        """`linear_parts` in buffers that the next call overwrites: the same
+        operations in the same order, with no n-sized temporary."""
+        cubic, ys2, yy, dep, dx, X = self._r_free_parts
+        np.subtract(self.x_t, np.multiply(r, self.x_s, out=dx), out=dx)
+        np.multiply(yy, dx, out=X[:, : dx.shape[1]])
+        np.multiply(np.multiply(r, ys2, out=dep), self.y_t, out=dep)
+        return np.subtract(cubic, dep, out=dep), X
 
     def linear_parts(self, r: float):
         """Dependent and regressors of the model at fixed r, params (beta, a, b)."""
         dep, X = self.shared_linear_parts(r)
-        return dep, X.copy()
+        return dep.copy(), X.copy()
 
     def residuals(self, theta: np.ndarray) -> np.ndarray:
         theta = np.asarray(theta, dtype=float)

@@ -28,12 +28,14 @@ from tobitiv.errors import (
     NotApplicableError,
 )
 from tobitiv.gmm import (
+    N_GRID,
     _column_scale,
     _pivoted_qr,
     _sandwich,
     _whiten_instruments,
     concentrated_linear_solve,
     golden_section,
+    project_linear_parts,
 )
 
 from dense import dense_regressors
@@ -216,7 +218,7 @@ class TestNonlinearGMM:
         Zw = _whiten_instruments(Z)
         W = np.eye(Zw.shape[1])
         for r in (0.7, 1.0, 1.5):
-            theta, *_ = concentrated_linear_solve(sys_, r, Zw, W)
+            theta, *_ = concentrated_linear_solve(*project_linear_parts(sys_, r, Zw), W, r)
             dep, X = sys_.linear_parts(r)
             direct = two_stage_least_squares(
                 MomentSystem.one_block(
@@ -239,10 +241,10 @@ class TestNonlinearGMM:
         _, sys_ = factor_loading_panel((1.0, 1.5), seed=16, n=2000)
         Zw = _whiten_instruments(sys_.instruments[:, independent_columns(sys_.instruments)])
         zero = np.zeros_like(sys_.x_t)
+        projections = project_linear_parts(replace(sys_, x_t=zero, x_s=zero), 1.5, Zw)
         with pytest.raises(IdentificationError,
                            match="^the linear block's GMM matrix at r = 1.5 is singular$"):
-            concentrated_linear_solve(replace(sys_, x_t=zero, x_s=zero), 1.5, Zw,
-                                      np.eye(Zw.shape[1]))
+            concentrated_linear_solve(*projections, np.eye(Zw.shape[1]), 1.5)
 
     def test_singular_sandwich_bread_reported(self):
         G = np.ones((3, 2))  # two equal columns: GW G is exactly singular
@@ -280,13 +282,37 @@ class TestNonlinearGMM:
         _, sys_ = factor_loading_panel((1.0, 1.5), seed=13, n=4000)
         solved = []
 
-        def counting_solve(system, r, Zw, Wmat):
+        def counting_solve(G, gd, Wmat, r):
             solved.append((r, Wmat.tobytes()))
-            return concentrated_linear_solve(system, r, Zw, Wmat)
+            return concentrated_linear_solve(G, gd, Wmat, r)
 
         monkeypatch.setattr("tobitiv.gmm.concentrated_linear_solve", counting_solve)
         res = nonlinear_gmm(sys_)
         assert res.iterations == len(solved) == len(set(solved))
+
+    def test_each_ratio_projected_once_per_fit(self, monkeypatch):
+        # Both searches read one projection per distinct r, made when r is
+        # first solved: step two's grid points, all solved in step one, are
+        # not projected again.
+        _, sys_ = factor_loading_panel((1.0, 1.5), seed=13, n=4000)
+        projected, solved = [], []
+
+        def counting_projection(system, r, Zw):
+            projected.append(r)
+            return project_linear_parts(system, r, Zw)
+
+        def counting_solve(G, gd, Wmat, r):
+            solved.append((r, Wmat.tobytes()))
+            return concentrated_linear_solve(G, gd, Wmat, r)
+
+        monkeypatch.setattr("tobitiv.gmm.project_linear_parts", counting_projection)
+        monkeypatch.setattr("tobitiv.gmm.concentrated_linear_solve", counting_solve)
+        res = nonlinear_gmm(sys_)
+        assert projected == list(dict.fromkeys(r for r, _ in solved))
+        weights = dict.fromkeys(w for _, w in solved)  # step one's, then step two's
+        step1, step2 = ({r for r, w in solved if w == W} for W in weights)
+        assert len(step1 & step2) >= N_GRID
+        assert len(projected) == len(step1 | step2) < res.iterations == len(solved)
 
     def test_result_dict_keys(self):
         _, sys_ = factor_loading_panel((1.0, 1.5), seed=13, n=4000)

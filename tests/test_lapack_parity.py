@@ -1,11 +1,12 @@
-"""The solver helpers call scipy's LAPACK extension directly; each must give
-bit for bit what the `scipy.linalg` function it replaces gives.
+"""The solver helpers call scipy's LAPACK extension, and numpy's linalg
+gufuncs, directly; each must give bit for bit what the `scipy.linalg` or
+`np.linalg` function it replaces gives.
 
-The references below are the `scipy.linalg` calls the helpers made before:
+The references below are the calls the helpers made before:
 `qr(mode="economic", pivoting=True)`, `cho_factor` and `cho_solve` with a
-pseudo-inverse fallback, and `solve_triangular`. Each comparison is
-`np.array_equal`, so a change of argument, of routine or of the scipy build
-shows here before it moves a fit.
+pseudo-inverse fallback, `solve_triangular`, and `np.linalg.solve`. Each
+comparison is `np.array_equal`, so a change of argument, of routine, of a
+gufunc signature or of the numpy or scipy build shows here before it moves a fit.
 """
 
 import sys
@@ -26,7 +27,15 @@ from tobitiv import (
     two_stage_least_squares,
 )
 from tobitiv import gmm
-from tobitiv.gmm import RANK_RTOL, _column_scale, _pivoted_qr, _spd_solver, _whiten_instruments
+from tobitiv.errors import IdentificationError
+from tobitiv.gmm import (
+    RANK_RTOL,
+    _column_scale,
+    _nonsingular_solve,
+    _pivoted_qr,
+    _spd_solver,
+    _whiten_instruments,
+)
 
 from test_gmm import factor_loading_panel
 from test_solver_properties import stacked_estimate_system
@@ -54,6 +63,13 @@ def scipy_whiten_instruments(Z):
     Zs = Z / scale
     C = np.linalg.cholesky(Zs.T @ Zs / Z.shape[0])
     return sla.solve_triangular(C, Zs.T, lower=True).T
+
+
+def numpy_nonsingular_solve(A, B, what, *what_args):
+    try:
+        return np.linalg.solve(A, B)
+    except np.linalg.LinAlgError:
+        raise IdentificationError(f"{what.format(*what_args)} is singular") from None
 
 
 def pair_block(rng, n):
@@ -122,6 +138,28 @@ def test_whitened_instruments_match_solve_triangular(name):
     assert np.array_equal(got, want)
 
 
+@pytest.mark.parametrize("size", [1, 3, 8, 40])
+def test_nonsingular_solve_matches_np_linalg_solve(size):
+    rng = np.random.default_rng(33 + size)
+    A = rng.normal(size=(size, size)) + size * np.eye(size)  # well conditioned
+    for B in (rng.normal(size=size), rng.normal(size=(size, 4)), np.eye(size),
+              rng.normal(size=(size, 1))):
+        got, want = _nonsingular_solve(A, B, "A"), numpy_nonsingular_solve(A, B, "A")
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert np.array_equal(got, want)
+    # A transposed view, as the sandwich passes its GW, takes the same path.
+    assert np.array_equal(_nonsingular_solve(A.T, A.T, "A"), np.linalg.solve(A.T, A.T))
+
+
+def test_nonsingular_solve_names_a_singular_matrix():
+    A = np.ones((3, 3))
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.solve(A, np.ones(3))
+    for B in (np.ones(3), np.ones((3, 2))):
+        with pytest.raises(IdentificationError, match=r"^the block at r = 1\.5 is singular$"):
+            _nonsingular_solve(A, B, "the block at r = {:.6g}", 1.5)
+
+
 def test_non_finite_input_raises_as_scipy_does():
     S = np.array([[1.0, np.nan], [np.nan, 1.0]])
     with pytest.raises(ValueError, match="must not contain infs or NaNs"):
@@ -139,7 +177,7 @@ def test_the_loader_shares_scipy_linalgs_extension():
 def fits():
     """A stacked NonStationary system, a pair system, a triple system with
     repeated columns and a factor-loading system: every solve path through
-    the three helpers."""
+    the four helpers."""
     stacked = stacked_estimate_system(n=600)
     config = PanelConfig(
         variant="IndependentErrors", n_individuals=800, n_periods=2, n_regressors=1,
@@ -165,6 +203,7 @@ def test_fits_match_those_on_scipy_linalg_bit_for_bit(monkeypatch):
     monkeypatch.setattr(gmm, "_pivoted_qr", scipy_pivoted_qr)
     monkeypatch.setattr(gmm, "_spd_solver", scipy_spd_solver)
     monkeypatch.setattr(gmm, "_whiten_instruments", scipy_whiten_instruments)
+    monkeypatch.setattr(gmm, "_nonsingular_solve", numpy_nonsingular_solve)
     for (solve, system), a in zip(cases, direct):
         b = solve(system)
         assert np.array_equal(a.estimates, b.estimates)

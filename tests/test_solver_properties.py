@@ -32,6 +32,7 @@ from tobitiv.gmm import (
     _column_scale,
     _whiten_instruments,
     concentrated_linear_solve,
+    project_linear_parts,
 )
 
 from dense import dense_regressors
@@ -317,20 +318,21 @@ def test_cached_objective_equals_linear_parts_bit_for_bit():
     for r in (0.3, 1.0, 1.5, 7.0, 1.5):
         for Wmat in (np.eye(q), efficient):
             want = objective_from_linear_parts(system, r, Zw, Wmat)
-            got = concentrated_linear_solve(system, r, Zw, Wmat)
+            G, gd = project_linear_parts(system, r, Zw)
+            got = concentrated_linear_solve(G, gd, Wmat, r)
             assert np.array_equal(got[0], want[0])
             assert got[1] == want[1]
             assert np.array_equal(got[2], want[2])
-            assert np.array_equal(got[3], want[3])
+            assert np.array_equal(G, want[3])
 
 
 def test_linear_parts_returns_fresh_arrays():
     _, system = factor_loading_panel((1.0, 1.5), seed=15, n=500)
     dep1, X1 = system.linear_parts(0.5)
-    kept = X1.copy()
+    kept = dep1.copy(), X1.copy()
     system.linear_parts(2.0)
     nonlinear_gmm(system)
-    assert np.array_equal(X1, kept)
+    assert np.array_equal(dep1, kept[0]) and np.array_equal(X1, kept[1])
 
 
 def stacked_estimate_system(n=1000):
