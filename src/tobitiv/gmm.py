@@ -19,12 +19,13 @@ n-by-q or n-by-p matrix is formed; several blocks add their sums into S a
 fixed number of clusters at a time, so their clusters-by-q Gc is never held
 either. The one S serves both the covariance and J. The factor-loading GMM
 prunes with the same QR and shares 2SLS's instrument-count and rank checks,
-S and sandwich; its search over the loadings ratio r projects each r once
-per fit, for both GMM steps. Both solvers reject input that is not finite,
-or whose squares overflow, before any arithmetic. The helpers that factorise
-call scipy's compiled LAPACK wrappers, `scipy.linalg._flapack`, loaded alone
-on first use, with the arguments and checks that `scipy.linalg` gives them;
-importing this module loads only numpy, and no solve imports the
+S and sandwich; its search over the loadings ratio r compares screen values
+where they lie more than `SCREEN` apart and exact values elsewhere, so it
+returns an all-exact search's bits. Both solvers reject input that is not
+finite, or whose squares overflow, before any arithmetic. The helpers that
+factorise call scipy's compiled LAPACK wrappers, `scipy.linalg._flapack`,
+loaded alone on first use, with the arguments and checks that `scipy.linalg`
+gives them; importing this module loads only numpy, and no solve imports the
 `scipy.linalg` package.
 """
 
@@ -383,24 +384,21 @@ def j_test(result: LinearIVResult):
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-def golden_section(fun, lo: float, hi: float, tol: float = 1e-10, max_iter: int = 200):
-    """Golden-section minimization on [lo, hi]; returns (x, f(x))."""
+def golden_section(less, lo: float, hi: float, tol: float = 1e-10, max_iter: int = 200):
+    """Golden-section minimizer on [lo, hi] of an f compared by less(x, y): f(x) < f(y)."""
     a, b = lo, hi
     c = b - _INV_PHI * (b - a)
     d = a + _INV_PHI * (b - a)
-    fc, fd = fun(c), fun(d)
     for _ in range(max_iter):
         if b - a <= tol:
             break
-        if fc < fd:
-            b, d, fd = d, c, fc
+        if less(c, d):
+            b, d = d, c
             c = b - _INV_PHI * (b - a)
-            fc = fun(c)
         else:
-            a, c, fc = c, d, fd
+            a, c = c, d
             d = a + _INV_PHI * (b - a)
-            fd = fun(d)
-    return (c, fc) if fc < fd else (d, fd)
+    return c if less(c, d) else d
 
 
 def _parabolic_refine(fun, x, fx, h):
@@ -420,6 +418,7 @@ N_GRID = 33  # coarse grid points in log r
 SEARCH_TOL = 1e-12  # golden-section tolerance, in log r
 FD_REL_STEP = 1e-6  # relative step of the central-difference Jacobian
 GRAD_TOL = 1e-5  # gradient norm below which the result counts as converged
+SCREEN = 1e-7  # relative gap deciding a comparison: about 1900x the largest screen error measured
 
 
 def _whiten_instruments(Z: np.ndarray):
@@ -443,6 +442,17 @@ def project_linear_parts(system: NonlinearMomentSystem, r: float, Zw):
     return Zw.T.dot(X) / system.n_rows, Zw.T.dot(dep) / system.n_rows
 
 
+def screen_objectives(P0, P1, Wmat, log_rs) -> list:
+    """`concentrated_linear_solve`'s objective at each r = exp(log r) on P0 - r P1, in one
+    batched solve, nan where singular. It only orders points: it never reaches a result."""
+    P = P0 - np.array([math.exp(x) for x in log_rs])[:, None, None] * P1
+    G, gd = P[:, :, :-1], P[:, :, -1:]
+    GtW = G.transpose(0, 2, 1) @ Wmat
+    with np.errstate(all="ignore"):
+        gbar = gd - G @ _umath_linalg.solve(GtW @ G, GtW @ gd, signature="dd->d")
+        return (gbar.transpose(0, 2, 1) @ Wmat @ gbar).ravel().tolist()
+
+
 def concentrated_linear_solve(G, gd, Wmat, r: float):
     """Inner GMM solve of the linear block (beta, a, b) at fixed r from its projections
     G, the moments' Jacobian in (beta, a, b), and gd: (theta, objective, gbar).
@@ -464,8 +474,9 @@ def nonlinear_gmm(system: NonlinearMomentSystem) -> NonlinearGMMResult:
     golden section, then one quadratic-interpolation refinement) with a
     closed-form inner solve. Step one weights with the identity on whitened
     instruments (equivalent to 2SLS); step two reweights with the inverse
-    clustered moment covariance from step one. Each r is projected once per fit
-    and solved once per search; `iterations` counts the solves over both searches.
+    clustered moment covariance from step one. Screen values, the inner solve on P0 - r P1,
+    decide comparisons until one lies within SCREEN, relative; the rest and the result are
+    exact, so the bits are an all-exact search's. `iterations` counts the points visited.
     """
     # The model parts at r = 1 stand for those at every r in the bracket.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -481,11 +492,19 @@ def nonlinear_gmm(system: NonlinearMomentSystem) -> NonlinearGMMResult:
     if q < p:
         raise IdentificationError(f"{q} instruments for {p} parameters")
     Zw = _whiten_instruments(Z)
-    projected = {}  # r -> project_linear_parts at r, for both searches
+    P0, P1 = (Zw.T.dot(A) / n for A in system.bilinear_parts())  # P0 - r P1: the parts at r
+    projected = {}  # r -> project_linear_parts at r, for both searches: exact points only
+    # Just identified, the objective falls to zero at its minimum: no relative gap holds there.
+    margin = SCREEN if q > p else math.inf
+
+    def decides(f1, f2):  # screen values that order their exact objectives; never nan or inf
+        return abs(f1 - f2) > margin * max(abs(f1), abs(f2))
 
     def _search(Wmat, r_hint=None):
-        """The minimising r, the inner solve there, and the number of points solved."""
+        """The minimising r, the exact inner solve there, and the number of points visited."""
         solved = {}  # log r -> concentrated_linear_solve at r = exp(log r)
+        screened = {}  # log r -> the screen value at r = exp(log r)
+        exact = False  # whether golden section has met a comparison the screen cannot decide
 
         def obj(log_r):
             if log_r not in solved:
@@ -495,33 +514,51 @@ def nonlinear_gmm(system: NonlinearMomentSystem) -> NonlinearGMMResult:
                 solved[log_r] = concentrated_linear_solve(*projected[r], Wmat, r)
             return solved[log_r][1]
 
+        def less(x, y):
+            nonlocal exact
+            if not exact:
+                for log_r in {x, y} - screened.keys():  # the inner solve on P0 - r P1
+                    r = math.exp(log_r)
+                    P = P0 - r * P1
+                    try:
+                        screened[log_r] = concentrated_linear_solve(P[:, :-1], P[:, -1], Wmat, r)[1]
+                    except IdentificationError:  # singular: undecided
+                        screened[log_r] = math.nan
+                if decides(screened[x], screened[y]):
+                    return screened[x] < screened[y]
+                exact = True
+            return obj(x) < obj(y)
+
         lo, hi = (math.log(b) for b in R_BRACKET)
         grid = list(np.linspace(lo, hi, N_GRID))
         if r_hint is not None and lo < math.log(r_hint) < hi:
             grid = sorted(grid + [math.log(r_hint)])
-        vals = [obj(g) for g in grid]
+        vals = screen_objectives(P0, P1, Wmat, grid)
+        screened.update(zip(grid, vals))
         i_min = int(np.argmin(vals))
+        if not all(decides(vals[i_min], v) for i, v in enumerate(vals) if i != i_min):
+            i_min = int(np.argmin([obj(g) for g in grid]))  # the first exact minimum
         if i_min == 0 or i_min == len(grid) - 1:
             raise BracketError(
                 f"objective is minimized at the bracket edge r = "
                 f"{math.exp(grid[i_min]):.4g} of the search interval {R_BRACKET}"
             )
-        x, fx = golden_section(obj, grid[i_min - 1], grid[i_min + 1], tol=SEARCH_TOL)
-        x, _ = _parabolic_refine(obj, x, fx, max(10.0 * SEARCH_TOL, 1e-9))
-        return math.exp(x), solved[x], len(solved)
+        x = golden_section(less, grid[i_min - 1], grid[i_min + 1], tol=SEARCH_TOL)
+        x, _ = _parabolic_refine(obj, x, obj(x), max(10.0 * SEARCH_TOL, 1e-9))
+        return math.exp(x), solved[x], len(screened.keys() | solved.keys())
 
     def _full_theta(r, theta_lin):
         return np.concatenate([theta_lin[:K], [r], theta_lin[K:]])
 
     # step 1: 2SLS-equivalent weighting (the identity)
-    r1, (theta_lin1, *_), n_solved1 = _search(np.eye(q))
+    r1, (theta_lin1, *_), n_visited1 = _search(np.eye(q))
 
     # step 2: efficient weighting
     xi1 = system.residuals(_full_theta(r1, theta_lin1))
     S1, _ = _cluster_moment_covariance(system.cluster, [slice(None)], [Zw], xi1)  # one block
     W2 = _spd_solver(S1 / n)(np.eye(q))
     W2 = 0.5 * (W2 + W2.T)
-    r2, (theta_lin2, obj2, gbar), n_solved2 = _search(W2, r1)
+    r2, (theta_lin2, obj2, gbar), n_visited2 = _search(W2, r1)
     cond = _check_rank(projected[r2][0], [prm.name for prm in system.params if prm.kind != "r"])
     theta = _full_theta(r2, theta_lin2)
 
@@ -556,6 +593,6 @@ def nonlinear_gmm(system: NonlinearMomentSystem) -> NonlinearGMMResult:
         j_statistic=j_stat,
         j_dof=q - p,
         converged=bool(np.linalg.norm(grad) < GRAD_TOL),
-        iterations=n_solved1 + n_solved2,
+        iterations=n_visited1 + n_visited2,
         objective_value=float(n * obj2),
     )

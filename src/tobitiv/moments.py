@@ -191,6 +191,13 @@ class NonlinearMomentSystem:
         dep, X = self.shared_linear_parts(r)
         return dep.copy(), X.copy()
 
+    def bilinear_parts(self):
+        """(A0, A1) with [X(r), dep(r)] = A0 - r A1, side by side: the parts at every r."""
+        yy = (self.y_t * self.y_s)[:, None]
+        A0 = np.column_stack([yy * self.x_t, -self.y_t, self.y_s, self.y_t**2 * self.y_s])
+        A1 = np.column_stack([yy * self.x_s, np.zeros((self.n_rows, 2)), self.y_s**2 * self.y_t])
+        return A0, A1
+
     def residuals(self, theta: np.ndarray) -> np.ndarray:
         theta = np.asarray(theta, dtype=float)
         K = self.x_t.shape[1]

@@ -257,6 +257,13 @@ _CONVERSIONS = {
 _SHAPES = {"beta": ("n_regressors",), "error_cov": ("n_periods", "n_periods"),
            "factor_loadings": ("n_periods",)}
 
+# The variants whose error_cov must be diagonal, and why.
+_DIAGONAL_BECAUSE = {
+    ModelVariant.ADDITIVE_VARIANCE: "AdditiveVariance draws sqrt(sigma_i^2 + sigma_t^2) * N(0, 1)",
+    ModelVariant.INDEPENDENT_ERRORS: "IndependentErrors rows identify sigma_t^2 - sigma_ts, "
+                                     "which its sigma2_t parameters report as sigma_t^2",
+}
+
 
 def _has_shape(value, shape) -> bool:
     """True if the nested tuple `value` has `shape`; a ragged one has none."""
@@ -322,10 +329,9 @@ class PanelConfig:
             raise ConfigurationError("VarianceFE draws sqrt(sigma_i^2) * N(0, 1) in each "
                                      "period, so error_cov must be the identity",
                                      field="error_cov")
-        if self.variant is ModelVariant.ADDITIVE_VARIANCE and not np.array_equal(
-                cov, np.diag(np.diag(cov))):
-            raise ConfigurationError("AdditiveVariance draws sqrt(sigma_i^2 + sigma_t^2) * "
-                                     "N(0, 1), so error_cov must be diagonal", field="error_cov")
+        if self.variant in _DIAGONAL_BECAUSE and not np.array_equal(cov, np.diag(np.diag(cov))):
+            raise ConfigurationError(f"{_DIAGONAL_BECAUSE[self.variant]}, so error_cov must be "
+                                     "diagonal", field="error_cov")
         check_variant_fields(self, self.variant, "panel")
         if self.factor_loadings is not None and not math.isclose(self.factor_loadings[0], 1.0):
             raise ConfigurationError("the first factor loading is the scale normalization "

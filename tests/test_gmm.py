@@ -1,6 +1,7 @@
 """Solver tests: hand formulas, invariances, and the concentrated search."""
 
 import json
+import math
 import tracemalloc
 from dataclasses import FrozenInstanceError, replace
 
@@ -36,6 +37,7 @@ from tobitiv.gmm import (
     concentrated_linear_solve,
     golden_section,
     project_linear_parts,
+    screen_objectives,
 )
 
 from dense import dense_regressors
@@ -176,9 +178,16 @@ class TestJTest:
 
 class TestGoldenSection:
     def test_quadratic_minimum(self):
-        x, fx = golden_section(lambda t: (t - 1.3) ** 2, 0.0, 4.0, tol=1e-12)
+        compared = []
+
+        def less(s, t):
+            compared.append((s, t))
+            return (s - 1.3) ** 2 < (t - 1.3) ** 2
+
+        x = golden_section(less, 0.0, 4.0, tol=1e-12)
         assert x == pytest.approx(1.3, abs=1e-6)
-        assert fx == pytest.approx(0.0, abs=1e-12)
+        # Every comparison is of two interior points, the lower one first.
+        assert all(0.0 < s < 4.0 and 0.0 < t < 4.0 and s < t for s, t in compared)
 
 
 def independent_columns(Z):
@@ -228,6 +237,22 @@ class TestNonlinearGMM:
             )
             assert np.allclose(theta, direct.estimates, atol=1e-10)
 
+    def test_bilinear_parts_give_each_ratio(self):
+        # A0 - r A1 is the model's parts at r, and the screen on their projections is the
+        # inner solve's objective, both to rounding.
+        _, sys_ = factor_loading_panel((1.0, 1.5), seed=10, n=3000)
+        Zw = _whiten_instruments(sys_.instruments[:, independent_columns(sys_.instruments)])
+        A0, A1 = sys_.bilinear_parts()
+        P0, P1 = (Zw.T.dot(A) / sys_.n_rows for A in (A0, A1))
+        W = np.eye(Zw.shape[1])
+        for r in (0.05, 0.7, 1.5, 20.0):
+            dep, X = sys_.linear_parts(r)
+            parts = np.column_stack([X, dep])
+            assert np.allclose(A0 - r * A1, parts, rtol=0, atol=1e-13 * np.abs(parts).max())
+            screened, = screen_objectives(P0, P1, W, [math.log(r)])
+            objective = concentrated_linear_solve(*project_linear_parts(sys_, r, Zw), W, r)[1]
+            assert screened == pytest.approx(objective, rel=1e-10)
+
     def test_too_few_instruments(self):
         # Constant, x_t and x_s cannot identify (beta, r, a, b): without the
         # check this fit returned numbers with standard errors above 1e5.
@@ -276,43 +301,62 @@ class TestNonlinearGMM:
         assert res.iterations > 0
         assert res.j_statistic is not None and res.j_statistic >= 0.0
 
-    def test_iterations_count_each_inner_solve_once(self, monkeypatch):
-        # Every point of both searches is solved once, the minimisers included:
-        # `iterations` is the number of inner solves, and no r is solved twice.
-        _, sys_ = factor_loading_panel((1.0, 1.5), seed=13, n=4000)
-        solved = []
+    @staticmethod
+    def search_events(monkeypatch, system):
+        """nonlinear_gmm's result and its search's events in order, each (kind, weight as
+        bytes, the r it is at): "screen" per screen solve, a grid's batched or one point's,
+        "exact" per inner solve on an exact projection and "project" (weight None) per exact
+        projection."""
+        events = []
+        exact_parts = set()  # the ids of the exact projections' G, alive for the whole fit
 
-        def counting_solve(G, gd, Wmat, r):
-            solved.append((r, Wmat.tobytes()))
+        def screen(P0, P1, Wmat, log_rs):
+            events.append(("screen", Wmat.tobytes(), [math.exp(x) for x in log_rs]))
+            return screen_objectives(P0, P1, Wmat, log_rs)
+
+        def solve(G, gd, Wmat, r):
+            events.append(("exact" if id(G) in exact_parts else "screen", Wmat.tobytes(), [r]))
             return concentrated_linear_solve(G, gd, Wmat, r)
 
-        monkeypatch.setattr("tobitiv.gmm.concentrated_linear_solve", counting_solve)
-        res = nonlinear_gmm(sys_)
-        assert res.iterations == len(solved) == len(set(solved))
+        def project(system, r, Zw):
+            events.append(("project", None, [r]))
+            parts = project_linear_parts(system, r, Zw)
+            exact_parts.add(id(parts[0]))
+            return parts
+
+        monkeypatch.setattr("tobitiv.gmm.screen_objectives", screen)
+        monkeypatch.setattr("tobitiv.gmm.concentrated_linear_solve", solve)
+        monkeypatch.setattr("tobitiv.gmm.project_linear_parts", project)
+        return nonlinear_gmm(system), events
+
+    @staticmethod
+    def points(events, kind):
+        return [(w, r) for k, w, rs in events if k == kind for r in rs]
+
+    def test_iterations_count_each_visited_point_once(self, monkeypatch):
+        # `iterations` is the number of distinct points the two searches visit, screened or
+        # solved exactly; no point is solved exactly twice in one search.
+        _, sys_ = factor_loading_panel((1.0, 1.5), seed=13, n=4000)
+        res, events = self.search_events(monkeypatch, sys_)
+        exact = self.points(events, "exact")
+        assert len(exact) == len(set(exact))
+        assert res.iterations == len(set(self.points(events, "screen")) | set(exact))
 
     def test_each_ratio_projected_once_per_fit(self, monkeypatch):
-        # Both searches read one projection per distinct r, made when r is
-        # first solved: step two's grid points, all solved in step one, are
-        # not projected again.
+        # Each exact projection is of a distinct r, made when r is first solved exactly;
+        # the screen decides the rest, so there are fewer projections than points visited.
         _, sys_ = factor_loading_panel((1.0, 1.5), seed=13, n=4000)
-        projected, solved = [], []
-
-        def counting_projection(system, r, Zw):
-            projected.append(r)
-            return project_linear_parts(system, r, Zw)
-
-        def counting_solve(G, gd, Wmat, r):
-            solved.append((r, Wmat.tobytes()))
-            return concentrated_linear_solve(G, gd, Wmat, r)
-
-        monkeypatch.setattr("tobitiv.gmm.project_linear_parts", counting_projection)
-        monkeypatch.setattr("tobitiv.gmm.concentrated_linear_solve", counting_solve)
-        res = nonlinear_gmm(sys_)
-        assert projected == list(dict.fromkeys(r for r, _ in solved))
-        weights = dict.fromkeys(w for _, w in solved)  # step one's, then step two's
-        step1, step2 = ({r for r, w in solved if w == W} for W in weights)
-        assert len(step1 & step2) >= N_GRID
-        assert len(projected) == len(step1 | step2) < res.iterations == len(solved)
+        res, events = self.search_events(monkeypatch, sys_)
+        projected = [r for _, r in self.points(events, "project")]
+        assert projected == list(dict.fromkeys(r for _, r in self.points(events, "exact")))
+        assert 0 < len(projected) < res.iterations / 2
+        # Each grid, step two's holding step one's r too, is screened in one solve that
+        # decides it: golden section's first point comes next, and no grid point is projected.
+        grids = [i for i, (kind, _, rs) in enumerate(events) if kind == "screen" and len(rs) > 1]
+        assert [len(events[i][2]) for i in grids] == [N_GRID, N_GRID + 1]
+        for i in grids:
+            assert events[i + 1][0] == "screen"
+            assert not {r for _, r in self.points(events[i:], "project")} & set(events[i][2])
 
     def test_result_dict_keys(self):
         _, sys_ = factor_loading_panel((1.0, 1.5), seed=13, n=4000)
