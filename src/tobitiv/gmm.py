@@ -18,12 +18,13 @@ order, are summed over each cluster into the block's own columns, so no
 n-by-q or n-by-p matrix is formed; several blocks add their sums into S a
 fixed number of clusters at a time, so their clusters-by-q Gc is never held
 either. The one S serves both the covariance and J. The factor-loading GMM
-prunes with the same QR and shares 2SLS's instrument-count and rank checks,
-S and sandwich; its search over the loadings ratio r compares screen values
-where they lie more than `SCREEN` apart and exact values elsewhere, so it
-returns an all-exact search's bits. Both solvers reject input that is not
-finite, or whose squares overflow, before any arithmetic. The helpers that
-factorise call scipy's compiled LAPACK wrappers, `scipy.linalg._flapack`,
+prunes with the same QR, needs more kept instruments than parameters (just
+identified, its objective is zero at every root in the loadings ratio r) and
+shares 2SLS's rank check, S and sandwich; its search over r compares screen
+values where they lie more than `SCREEN` apart and exact values elsewhere,
+so it returns an all-exact search's bits. Both solvers reject input that is
+not finite, or whose squares overflow, before any arithmetic. The helpers
+that factorise call scipy's compiled LAPACK wrappers, `scipy.linalg._flapack`,
 loaded alone on first use, with the arguments and checks that `scipy.linalg`
 gives them; importing this module loads only numpy, and no solve imports the
 `scipy.linalg` package.
@@ -489,29 +490,27 @@ def nonlinear_gmm(system: NonlinearMomentSystem) -> NonlinearGMMResult:
         raise InsufficientObservationsError(f"{n} rows for {p} parameters")
     Z = system.instruments[:, _pivoted_qr(system.instruments, z_scale)[2]]
     q = Z.shape[1]
-    if q < p:
-        raise IdentificationError(f"{q} instruments for {p} parameters")
+    if q <= p:
+        raise IdentificationError(f"{q} instruments for {p} parameters: r needs more (just "
+                                  "identified, the objective is zero at every root in r); use "
+                                  "a set with more columns, such as products or levels_squares")
     Zw = _whiten_instruments(Z)
     P0, P1 = (Zw.T.dot(A) / n for A in system.bilinear_parts())  # P0 - r P1: the parts at r
-    projected = {}  # r -> project_linear_parts at r, for both searches: exact points only
-    # Just identified, the objective falls to zero at its minimum: no relative gap holds there.
-    margin = SCREEN if q > p else math.inf
 
     def decides(f1, f2):  # screen values that order their exact objectives; never nan or inf
-        return abs(f1 - f2) > margin * max(abs(f1), abs(f2))
+        return abs(f1 - f2) > SCREEN * max(abs(f1), abs(f2))
 
     def _search(Wmat, r_hint=None):
-        """The minimising r, the exact inner solve there, and the number of points visited."""
-        solved = {}  # log r -> concentrated_linear_solve at r = exp(log r)
+        """The minimising r, the exact inner solve and G there, and the points visited."""
+        solved = {}  # log r -> concentrated_linear_solve and G at r = exp(log r)
         screened = {}  # log r -> the screen value at r = exp(log r)
         exact = False  # whether golden section has met a comparison the screen cannot decide
 
         def obj(log_r):
             if log_r not in solved:
                 r = math.exp(log_r)
-                if r not in projected:
-                    projected[r] = project_linear_parts(system, r, Zw)
-                solved[log_r] = concentrated_linear_solve(*projected[r], Wmat, r)
+                G, gd = project_linear_parts(system, r, Zw)
+                solved[log_r] = (*concentrated_linear_solve(G, gd, Wmat, r), G)
             return solved[log_r][1]
 
         def less(x, y):
@@ -558,8 +557,8 @@ def nonlinear_gmm(system: NonlinearMomentSystem) -> NonlinearGMMResult:
     S1, _ = _cluster_moment_covariance(system.cluster, [slice(None)], [Zw], xi1)  # one block
     W2 = _spd_solver(S1 / n)(np.eye(q))
     W2 = 0.5 * (W2 + W2.T)
-    r2, (theta_lin2, obj2, gbar), n_visited2 = _search(W2, r1)
-    cond = _check_rank(projected[r2][0], [prm.name for prm in system.params if prm.kind != "r"])
+    r2, (theta_lin2, obj2, gbar, G2), n_visited2 = _search(W2, r1)
+    cond = _check_rank(G2, [prm.name for prm in system.params if prm.kind != "r"])
     theta = _full_theta(r2, theta_lin2)
 
     def gbar_at(th):
@@ -581,7 +580,7 @@ def nonlinear_gmm(system: NonlinearMomentSystem) -> NonlinearGMMResult:
     covariance = _sandwich(G, GW, S) / n**2
 
     grad = 2.0 * GW @ gbar
-    j_stat = float(n * gbar @ _spd_solver(S / n)(gbar)) if q > p else None
+    j_stat = float(n * gbar @ _spd_solver(S / n)(gbar))
 
     return NonlinearGMMResult(
         params=list(system.params),

@@ -169,7 +169,7 @@ class NonlinearMomentSystem:
     @cached_property
     def _r_free_parts(self):
         """y_t^2 y_s, y_s^2, y_t y_s as a column, and buffers for dep, x_t - r x_s and X,
-        X's fixed columns (-y_t, y_s) filled: everything in `linear_parts` but r."""
+        X's fixed columns (-y_t, y_s) filled: everything in the model's parts but r."""
         K = self.x_t.shape[1]
         X = np.empty((self.n_rows, K + 2))
         X[:, K] = -self.y_t
@@ -178,24 +178,19 @@ class NonlinearMomentSystem:
                 np.empty(self.n_rows), np.empty((self.n_rows, K)), X)
 
     def shared_linear_parts(self, r: float):
-        """`linear_parts` in buffers that the next call overwrites: the same
-        operations in the same order, with no n-sized temporary."""
+        """Dependent and regressors of the model at fixed r, params (beta, a, b), in
+        buffers that the next call overwrites: no n-sized temporary."""
         cubic, ys2, yy, dep, dx, X = self._r_free_parts
         np.subtract(self.x_t, np.multiply(r, self.x_s, out=dx), out=dx)
         np.multiply(yy, dx, out=X[:, : dx.shape[1]])
         np.multiply(np.multiply(r, ys2, out=dep), self.y_t, out=dep)
         return np.subtract(cubic, dep, out=dep), X
 
-    def linear_parts(self, r: float):
-        """Dependent and regressors of the model at fixed r, params (beta, a, b)."""
-        dep, X = self.shared_linear_parts(r)
-        return dep.copy(), X.copy()
-
     def bilinear_parts(self):
         """(A0, A1) with [X(r), dep(r)] = A0 - r A1, side by side: the parts at every r."""
-        yy = (self.y_t * self.y_s)[:, None]
-        A0 = np.column_stack([yy * self.x_t, -self.y_t, self.y_s, self.y_t**2 * self.y_s])
-        A1 = np.column_stack([yy * self.x_s, np.zeros((self.n_rows, 2)), self.y_s**2 * self.y_t])
+        cubic, ys2, yy, *_ = self._r_free_parts
+        A0 = np.column_stack([yy * self.x_t, -self.y_t, self.y_s, cubic])
+        A1 = np.column_stack([yy * self.x_s, np.zeros((self.n_rows, 2)), ys2 * self.y_t])
         return A0, A1
 
     def residuals(self, theta: np.ndarray) -> np.ndarray:
@@ -247,17 +242,16 @@ def levels_squares_instruments(*groups: np.ndarray) -> np.ndarray:
 
 
 def pair_product_instruments(x_t: np.ndarray, x_s: np.ndarray) -> np.ndarray:
-    """Levels, squares, and cross products of two regressor blocks.
+    """`levels_squares_instruments` of two regressor blocks, then their cross products.
 
-    The cross products x_t[:, j] * x_s[:, k] give the nonlinear system
-    enough overidentification to pin down the loadings ratio even with a
-    single regressor, where the default set is just-identified.
+    The cross products x_t[:, j] * x_s[:, k] give the nonlinear system more instruments
+    than parameters, which pins down the loadings ratio, even with a single regressor,
+    where the default set keeps exactly as many and is rejected.
     """
     x_t, x_s = _as_cols(x_t), _as_cols(x_s)
     prods = [(x_t[:, j] * x_s[:, k])[:, None]
              for j in range(x_t.shape[1]) for k in range(x_s.shape[1])]
-    cols = [np.ones((x_t.shape[0], 1)), x_t, x_s, x_t**2, x_s**2] + prods
-    return np.hstack(cols)
+    return np.hstack([levels_squares_instruments(x_t, x_s)] + prods)
 
 
 def censored_index_instruments(x: np.ndarray) -> np.ndarray:
@@ -395,9 +389,8 @@ def build_pairwise_independent(
     y_t^2 y_s - y_s^2 y_t = y_t y_s (x_t - x_s)' beta + y_s sigma_t^2
                             - y_t sigma_s^2 + xi.
     """
-    system = build_pairwise_nonstationary(dataset, t, s, instruments=instruments)
-    system.params[-2:] = [Param("sigma2_t", (t,)), Param("sigma2_t", (s,))]
-    return system
+    return _pair_systems(dataset, t, s, [(1, 1)], instruments,
+                         [Param("sigma2_t", (t,)), Param("sigma2_t", (s,))])[0]
 
 
 def build_pairwise_nonstationary(
@@ -428,15 +421,17 @@ def build_pairwise_nonstationary_orders(
     """
     if not (isinstance(orders, (list, tuple)) and all(map(is_order, orders))):
         raise DomainError(f"orders must be a list of (k, m), two integers >= 1, got {orders!r}")
+    return _pair_systems(dataset, t, s, orders, instruments,
+                         [Param("dvar", (t, s)), Param("dvar", (s, t))])
+
+
+def _pair_systems(dataset, t, s, orders, instruments, variances) -> list:
+    """The pair's rows at each order (k, m), one system each, d_t and d_s being `variances`."""
     idx, y_t, y_s, x_t, x_s = _pair_arrays(dataset, t, s)
     Z = instrument_set("pair", instruments)(x_t, x_s)
-    params = _beta_params(x_t.shape[1]) + [Param("dvar", (t, s)), Param("dvar", (s, t))]
-    systems = []
-    for k, m in orders:
-        dep, *reg = _pair_row(y_t, y_s, x_t, x_s, k, m)
-        # Each its own params list: build_pairwise_independent renames two.
-        systems.append(MomentSystem.one_block(dep, np.column_stack(reg), Z, idx, list(params)))
-    return systems
+    params = _beta_params(x_t.shape[1]) + variances
+    return [MomentSystem.one_block(dep, np.column_stack(reg), Z, idx, params)
+            for dep, *reg in (_pair_row(y_t, y_s, x_t, x_s, k, m) for k, m in orders)]
 
 
 def build_factor_loading(

@@ -380,6 +380,26 @@ class TestEstimate:
         ) == 2
         assert json.loads(capsys.readouterr().err)["error"] == "ConfigurationError"
 
+    def test_just_identified_factor_loading_exit_3(self, tmp_path, capsys):
+        # One regressor's default set keeps as many instruments as FactorLoading has
+        # parameters, which leaves the loadings ratio unidentified.
+        panel = {
+            "n_individuals": 2000, "n_periods": 2, "n_regressors": 1, "beta": [1.0],
+            "error_cov": [[0.25, 0.0], [0.0, 0.25]], "factor_loadings": [1.0, 1.5], "seed": 7,
+            "fe_dist": {"type": "linear_index", "index_coef": 1.0, "noise_sigma": 0.5},
+            "x_dist": {"type": "normal", "mu": 1.0, "sigma": 2.0},
+        }
+        cfg = write_config(tmp_path, "sim.json", {"variant": "FactorLoading", "panel": panel})
+        ds, out = tmp_path / "ds", tmp_path / "o"
+        assert main(["simulate", "--config", cfg, "--out", str(ds)]) == 0
+        capsys.readouterr()
+        assert main(["estimate", "--data", str(ds), "--out", str(out)]) == 3
+        error = single_json_line(capsys)
+        assert error["error"] == "IdentificationError"
+        assert error["message"].startswith("4 instruments for 4 parameters")
+        assert "products or levels_squares" in error["message"]
+        assert not (out / "result.json").exists()
+
     def test_estimation_failure_exit_3(self, tmp_path, capsys):
         # Everything censored: no qualifying pairs, so building the moment
         # system fails with an estimation-stage error.
@@ -764,6 +784,22 @@ class TestMonteCarlo:
             assert_config_error(capsys, "n_individuals")
         assert not (tmp_path / "o").exists()
         assert not (tmp_path / "ds").exists()
+
+    def test_just_identified_factor_loading_exit_3(self, tmp_path, capsys):
+        # The default estimator spec picks the default set, which one regressor's
+        # FactorLoading system cannot be fitted from.
+        payload = json.loads(Path(self.mc_config(tmp_path, variant="FactorLoading",
+                                                 estimator={})).read_text())
+        payload["panel"].update({"error_cov": [[0.25, 0.0], [0.0, 0.25]],
+                                 "factor_loadings": [1.0, 1.5]})
+        cfg = write_config(tmp_path, "mc.json", payload)
+        assert main(["montecarlo", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
+        error = single_json_line(capsys)
+        assert error["error"] == "ConvergenceError"
+        assert "3/3 replications failed" in error["message"]
+        assert "IdentificationError: 4 instruments for 4 parameters" in error["message"]
+        assert "products or levels_squares" in error["message"]
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize(
         "variant, panel, estimator, message",

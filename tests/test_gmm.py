@@ -7,6 +7,8 @@ from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from tobitiv import (
     EstimatorSpec,
@@ -24,6 +26,7 @@ from tobitiv import (
     two_stage_least_squares,
 )
 from tobitiv.errors import (
+    BracketError,
     IdentificationError,
     InsufficientObservationsError,
     NotApplicableError,
@@ -195,13 +198,13 @@ def independent_columns(Z):
     return _pivoted_qr(Z, _column_scale(Z))[2]
 
 
-def factor_loading_panel(loadings, seed, n=20_000):
+def factor_loading_panel(loadings, seed, n=20_000, K=1):
     cfg = PanelConfig(
         variant="FactorLoading",
         n_individuals=n,
         n_periods=2,
-        n_regressors=1,
-        beta=(1.0,),
+        n_regressors=K,
+        beta=(1.0, -0.5)[:K],
         error_cov=((0.25, 0.0), (0.0, 0.25)),
         factor_loadings=loadings,
         seed=seed,
@@ -228,7 +231,7 @@ class TestNonlinearGMM:
         W = np.eye(Zw.shape[1])
         for r in (0.7, 1.0, 1.5):
             theta, *_ = concentrated_linear_solve(*project_linear_parts(sys_, r, Zw), W, r)
-            dep, X = sys_.linear_parts(r)
+            dep, X = (a.copy() for a in sys_.shared_linear_parts(r))
             direct = two_stage_least_squares(
                 MomentSystem.one_block(
                     dep, X, sys_.instruments, sys_.cluster,
@@ -246,7 +249,7 @@ class TestNonlinearGMM:
         P0, P1 = (Zw.T.dot(A) / sys_.n_rows for A in (A0, A1))
         W = np.eye(Zw.shape[1])
         for r in (0.05, 0.7, 1.5, 20.0):
-            dep, X = sys_.linear_parts(r)
+            dep, X = sys_.shared_linear_parts(r)
             parts = np.column_stack([X, dep])
             assert np.allclose(A0 - r * A1, parts, rtol=0, atol=1e-13 * np.abs(parts).max())
             screened, = screen_objectives(P0, P1, W, [math.log(r)])
@@ -258,8 +261,17 @@ class TestNonlinearGMM:
         # check this fit returned numbers with standard errors above 1e5.
         _, sys_ = factor_loading_panel((1.0, 1.5), seed=16, n=2000)
         narrow = replace(sys_, instruments=sys_.instruments[:, :3])
-        with pytest.raises(IdentificationError, match="^3 instruments for 4 parameters$"):
+        with pytest.raises(IdentificationError, match="^3 instruments for 4 parameters"):
             nonlinear_gmm(narrow)
+
+    def test_just_identified_rejected(self):
+        # One regressor's default set keeps 4 columns for (beta, r, a, b). Its objective is
+        # zero at every root in r, and the search returned whichever root the grid met first.
+        ds, _ = factor_loading_panel((1.0, 1.5), seed=16, n=2000)
+        system = build_factor_loading(ds, 1, 0, instruments="default")
+        with pytest.raises(IdentificationError, match="^4 instruments for 4 parameters: .* "
+                           "such as products or levels_squares$"):
+            nonlinear_gmm(system)
 
     def test_singular_linear_block_reported(self):
         # x_t = x_s = 0 makes the beta column of the linear block zero at every r.
@@ -308,20 +320,21 @@ class TestNonlinearGMM:
         "exact" per inner solve on an exact projection and "project" (weight None) per exact
         projection."""
         events = []
-        exact_parts = set()  # the ids of the exact projections' G, alive for the whole fit
+        exact_parts = []  # every exact projection's G, held for the whole fit
 
         def screen(P0, P1, Wmat, log_rs):
             events.append(("screen", Wmat.tobytes(), [math.exp(x) for x in log_rs]))
             return screen_objectives(P0, P1, Wmat, log_rs)
 
         def solve(G, gd, Wmat, r):
-            events.append(("exact" if id(G) in exact_parts else "screen", Wmat.tobytes(), [r]))
+            exact = any(G is part for part in exact_parts)
+            events.append(("exact" if exact else "screen", Wmat.tobytes(), [r]))
             return concentrated_linear_solve(G, gd, Wmat, r)
 
         def project(system, r, Zw):
             events.append(("project", None, [r]))
             parts = project_linear_parts(system, r, Zw)
-            exact_parts.add(id(parts[0]))
+            exact_parts.append(parts[0])
             return parts
 
         monkeypatch.setattr("tobitiv.gmm.screen_objectives", screen)
@@ -369,6 +382,26 @@ class TestNonlinearGMM:
         assert d["param_names"] == ["beta0", "r_10", "a_10", "b_10"]
         assert len(d["covariance"]) == 16
         json.dumps(d)
+
+
+@given(ratio=st.floats(0.2, 5.0), n=st.integers(300, 3000), seed=st.integers(0, 2**32 - 1),
+       K=st.integers(1, 2), instruments=st.sampled_from(["default", "levels_squares", "products"]))
+def test_every_factor_loading_fit_is_overidentified(ratio, n, seed, K, instruments):
+    # A fit keeps more instruments than parameters, so it has a J statistic; one
+    # regressor's default set keeps exactly as many and is rejected.
+    dataset, _ = factor_loading_panel((1.0, ratio), seed, n, K)
+    system = build_factor_loading(dataset, 1, 0, instruments=instruments)
+    if K == 1 and instruments == "default":
+        with pytest.raises(IdentificationError, match="^4 instruments for 4 parameters"):
+            nonlinear_gmm(system)
+        return
+    try:
+        res = nonlinear_gmm(system)
+    except (BracketError, IdentificationError) as exc:  # this draw's own failure
+        assert " instruments for " not in str(exc)
+        return
+    assert res.j_dof >= 1
+    assert isinstance(res.j_statistic, float) and res.j_statistic >= 0.0
 
 
 class TestSEShrinkage:

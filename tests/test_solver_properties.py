@@ -20,7 +20,6 @@ from tobitiv import (
     Param,
     build_estimation_system,
     build_pairwise_nonstationary,
-    nonlinear_gmm,
     simulate,
     stack_systems,
     two_stage_least_squares,
@@ -296,9 +295,9 @@ def test_cluster_covariance_and_j_match_dense_indicator_formulas():
 
 
 def objective_from_linear_parts(system, r, Zw, Wmat):
-    """The concentrated inner solve written out from `linear_parts`."""
+    """The concentrated inner solve written out from copies of `shared_linear_parts`."""
     n = system.n_rows
-    dep, X = system.linear_parts(r)
+    dep, X = (a.copy() for a in system.shared_linear_parts(r))
     G = Zw.T @ X / n
     gd = Zw.T @ dep / n
     WG = Wmat @ G
@@ -324,15 +323,6 @@ def test_cached_objective_equals_linear_parts_bit_for_bit():
             assert got[1] == want[1]
             assert np.array_equal(got[2], want[2])
             assert np.array_equal(G, want[3])
-
-
-def test_linear_parts_returns_fresh_arrays():
-    _, system = factor_loading_panel((1.0, 1.5), seed=15, n=500)
-    dep1, X1 = system.linear_parts(0.5)
-    kept = dep1.copy(), X1.copy()
-    system.linear_parts(2.0)
-    nonlinear_gmm(system)
-    assert np.array_equal(dep1, kept[0]) and np.array_equal(X1, kept[1])
 
 
 def stacked_estimate_system(n=1000):

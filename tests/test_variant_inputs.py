@@ -82,7 +82,7 @@ def outputs(config: PanelConfig, spec: EstimatorSpec, panel_field: bool) -> list
         return [dataset.y, dataset.x]
     system = build_estimation_system(dataset, config, spec)
     if isinstance(system, NonlinearMomentSystem):
-        return [system.linear_parts(1.0)[0], system.params, system.instruments]
+        return [system.shared_linear_parts(1.0)[0].copy(), system.params, system.instruments]
     return [system.dependent, system.params, *system.instrument_blocks]
 
 
